@@ -1,9 +1,9 @@
 //! **Kernel-throughput campaign** (DESIGN.md §14): measures what the
-//! event-scheduled kernel and the incremental checkpoint log buy over
-//! the legacy every-cycle kernel and whole-machine snapshots, on the
-//! same open-loop service traffic `exp_soak` uses.
+//! event-scheduled kernel buys over the legacy every-cycle kernel, on the
+//! same open-loop service traffic `exp_soak` uses, with whole-machine
+//! checkpoint snapshots under both.
 //!
-//! Three traffic arms × three kernel/checkpoint modes:
+//! Three traffic arms × two kernel modes:
 //!
 //! * `quiet` — sparse arrivals (most cycles are quiescent; the
 //!   event kernel's best case). **Gate:** the event kernel covers at
@@ -12,13 +12,13 @@
 //! * `busy` — saturating arrivals (the event kernel's worst case; the
 //!   gate is only that it never *loses* ground: ratio ≥ 1).
 //! * `storm` — busy traffic plus a transient fault storm with in-line
-//!   rollback/recovery, proving the skip machinery and the delta log
-//!   hold up under the full recovery path.
+//!   rollback/recovery, proving the skip machinery holds up under the
+//!   full recovery path.
 //!
-//! Within each traffic arm, all three modes must report identical
-//! machine behaviour — same final cycle, same memory digest, same
-//! window stream — or the campaign aborts: the optimizations are only
-//! admissible while they are invisible.
+//! Within each traffic arm, both modes must report identical machine
+//! behaviour — same final cycle, same memory digest, same window stream
+//! — or the campaign aborts: the event kernel is only admissible while
+//! it is invisible.
 //!
 //! The canonical JSON written to `--out` contains only integers reduced
 //! in submission order from pure-function cells, so it is byte-identical
@@ -39,11 +39,11 @@ use std::time::Instant;
 
 const WATCHDOG: Cycle = 100_000;
 
-/// The three kernel/checkpoint modes under comparison.
-const MODES: [(&str, KernelMode, CheckpointMode); 3] = [
-    ("legacy-snapshot", KernelMode::Legacy, CheckpointMode::Snapshot),
-    ("event-snapshot", KernelMode::Event, CheckpointMode::Snapshot),
-    ("event-delta", KernelMode::Event, CheckpointMode::DeltaLog),
+/// The two kernel modes under comparison, both checkpointing whole
+/// snapshots.
+const MODES: [(&str, KernelMode); 2] = [
+    ("legacy-snapshot", KernelMode::Legacy),
+    ("event-snapshot", KernelMode::Event),
 ];
 
 struct Cell {
@@ -101,7 +101,7 @@ fn main() {
     ];
     let mut cells: Vec<Cell> = Vec::new();
     for (ai, (arm, mean_gap, plans)) in arms.into_iter().enumerate() {
-        for (mode, kernel, checkpoint) in MODES {
+        for (mode, kernel) in MODES {
             cells.push(Cell {
                 spec: SoakSpec {
                     tag: format!("throughput/{arm}/{mode}"),
@@ -109,7 +109,7 @@ fn main() {
                     schedule: vec![(Model::Tso, duration)],
                     nodes: opts.nodes,
                     mean_gap,
-                    // Seed varies by arm only: the three modes of one arm
+                    // Seed varies by arm only: the two modes of one arm
                     // must simulate the *same* machine history.
                     seed: derive_seed(opts.seed, 0x7E00 + ai as u64),
                     plans: plans.clone(),
@@ -117,7 +117,7 @@ fn main() {
                     max_retries: 4,
                     watchdog: WATCHDOG,
                     kernel,
-                    checkpoint,
+                    checkpoint: CheckpointMode::Snapshot,
                 },
                 arm,
                 mode,
@@ -227,7 +227,7 @@ fn main() {
             "{{\"tag\":{},\"arm\":{},\"mode\":{},\"cycles\":{},\"executed\":{},\
              \"skipped\":{},\"ratio_milli\":{ratio_milli},\"retired\":{},\"injected\":{},\
              \"episodes\":{},\"ckpt_taken\":{},\"ckpt_bytes\":{},\"ckpt_parts\":{},\
-             \"rollbacks\":{},\"parts_restored\":{},\"undo_replay\":{}}}",
+             \"rollbacks\":{},\"parts_restored\":{}}}",
             json_str(&cell.spec.tag),
             json_str(cell.arm),
             json_str(cell.mode),
@@ -242,7 +242,6 @@ fn main() {
             got.checkpoint.parts_captured,
             got.checkpoint.rollbacks,
             got.checkpoint.parts_restored,
-            got.checkpoint.undo_replay_cycles,
         );
     }
     print_table(
@@ -262,7 +261,7 @@ fn main() {
             .find(|(c, _)| c.arm == "quiet" && c.mode == tag_mode)
             .map(|(_, (_, w))| *w)
     };
-    if let (Some(legacy), Some(event)) = (wall_of("legacy-snapshot"), wall_of("event-delta")) {
+    if let (Some(legacy), Some(event)) = (wall_of("legacy-snapshot"), wall_of("event-snapshot")) {
         if event > 0.0 {
             println!("\nquiet-arm wall-clock: legacy {legacy:.2}s vs event {event:.2}s \
                       ({:.1}x)", legacy / event);
@@ -270,7 +269,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\"schema\":\"dvmc-throughput/v1\",\"duration\":{duration},\"window\":{window},\
+        "{{\"schema\":\"dvmc-throughput/v2\",\"duration\":{duration},\"window\":{window},\
          \"quiet_gap\":{quiet_gap},\"busy_gap\":{busy_gap},\"nodes\":{},\"seed\":{},\
          \"cells\":[{cells_json}]}}\n",
         opts.nodes, opts.seed,
@@ -283,6 +282,6 @@ fn main() {
     println!("wrote {out}");
     println!(
         "throughput holds: the event kernel skips >=5x on quiet traffic, never loses ground, \
-         and every mode is behaviourally identical."
+         and both modes are behaviourally identical."
     );
 }

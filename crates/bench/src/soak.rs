@@ -59,7 +59,7 @@ pub struct SoakSpec {
     /// Simulation kernel (legacy every-cycle vs event-scheduled); both
     /// produce bit-identical behaviour, so this only changes speed.
     pub kernel: KernelMode,
-    /// Checkpoint scheme (whole snapshots vs the incremental delta log).
+    /// Checkpoint scheme; whole-machine snapshots are the only one.
     pub checkpoint: CheckpointMode,
 }
 

@@ -205,9 +205,10 @@ impl<S> SafetyNet<S> {
     /// missed checkpoints (a coarse ticker used to take only one, silently
     /// stretching the recovery window). Note that under coarse ticking the
     /// snapshots of the missed boundaries are all taken from the *current*
-    /// state; callers that store real state in `S` must tick once per
-    /// cycle so every checkpoint's snapshot matches its stamp — the
-    /// simulator does, and `rollback_to` relies on it.
+    /// state; callers that store real state in `S` must tick at every
+    /// [`next_checkpoint_at`](Self::next_checkpoint_at) so every
+    /// checkpoint's snapshot matches its stamp — the simulator does (and
+    /// debug-asserts it), and `rollback_to` relies on it.
     pub fn tick_with(&mut self, now: Cycle, mut snapshot: impl FnMut() -> S) -> usize {
         let mut created = 0;
         while now >= self.last_checkpoint + self.cfg.checkpoint_interval {
@@ -225,65 +226,6 @@ impl<S> SafetyNet<S> {
             }
         }
         created
-    }
-
-    /// Like [`tick_with`](Self::tick_with), but hands back the log
-    /// entries reclaimed by this advance (oldest first) instead of
-    /// dropping them. Log-based incremental checkpointing needs them: a
-    /// reclaimed *delta* still carries the only images of the parts it
-    /// touched, so the caller folds each into its base snapshot before
-    /// letting it go — dropping it would leave the oldest surviving
-    /// delta dangling over a base that postdates it.
-    pub fn tick_with_reclaimed(
-        &mut self,
-        now: Cycle,
-        mut snapshot: impl FnMut() -> S,
-    ) -> Vec<Checkpoint<S>> {
-        let mut reclaimed = Vec::new();
-        while now >= self.last_checkpoint + self.cfg.checkpoint_interval {
-            self.last_checkpoint += self.cfg.checkpoint_interval;
-            self.taken += 1;
-            self.checkpoints.push_back(Checkpoint {
-                taken_at: self.last_checkpoint,
-                state: snapshot(),
-            });
-            while self.checkpoints.len() > self.cfg.max_checkpoints {
-                if let Some(cp) = self.checkpoints.pop_front() {
-                    reclaimed.push(cp);
-                }
-                self.reclaimed += 1;
-            }
-        }
-        reclaimed
-    }
-
-    /// Rolls back through a caller-supplied reconstruction instead of a
-    /// clone: finds the recovery point for an error at `error_time`
-    /// detected at `now`, hands `reconstruct` the *whole log* (oldest
-    /// first) plus the recovery point's index — an incremental-checkpoint
-    /// log needs every entry up to that index to rebuild the state, not
-    /// just the entry itself — then drops the poisoned younger entries
-    /// and rewinds the cadence clock exactly like
-    /// [`rollback_to`](Self::rollback_to). Returns the recovery cycle
-    /// and whatever `reconstruct` produced, or `None` if the error
-    /// escaped the window (in which case nothing is called or changed).
-    pub fn rollback_via<R>(
-        &mut self,
-        error_time: Cycle,
-        now: Cycle,
-        reconstruct: impl FnOnce(&[Checkpoint<S>], usize) -> R,
-    ) -> Option<(Cycle, R)> {
-        let idx = self
-            .checkpoints
-            .iter()
-            .rposition(|c| c.taken_at <= error_time && self.validated(c.taken_at, now))?;
-        let entries = self.checkpoints.make_contiguous();
-        let taken_at = entries[idx].taken_at;
-        let result = reconstruct(entries, idx);
-        self.checkpoints.truncate(idx + 1);
-        self.last_checkpoint = taken_at;
-        self.rollbacks += 1;
-        Some((taken_at, result))
     }
 
     /// Whether a checkpoint taken at `taken_at` is validated at `now`
@@ -324,14 +266,22 @@ impl<S> SafetyNet<S> {
             .saturating_mul(factor.max(2));
     }
 
-    /// Restores the checkpoint interval to `interval` — de-escalation
-    /// after a recovered episode in service mode: the widened cadence a
-    /// persistent-looking error forced should not be paid forever once
-    /// the machine is demonstrably healthy again. Narrowing only (the
-    /// complement of [`widen_interval`](Self::widen_interval)); a value
-    /// at or above the current interval, or one that would invalidate
-    /// the configuration, is ignored.
-    pub fn narrow_interval(&mut self, interval: u64) {
+    /// Restores the checkpoint interval to `interval` at time `now` —
+    /// de-escalation after a recovered episode in service mode: the
+    /// widened cadence a persistent-looking error forced should not be
+    /// paid forever once the machine is demonstrably healthy again.
+    /// Narrowing only (the complement of
+    /// [`widen_interval`](Self::widen_interval)); a value at or above the
+    /// current interval, or one that would invalidate the configuration,
+    /// is ignored.
+    ///
+    /// The cadence clock moves forward over every narrowed boundary that
+    /// already lies before `now`, so the next checkpoint falls due at or
+    /// after `now`. Left behind, the next [`tick_with`](Self::tick_with)
+    /// would capture the current state under a past boundary's stamp,
+    /// and recovery-point selection (`taken_at <= error_time`) could then
+    /// restore state holding a fault injected after that stamp.
+    pub fn narrow_interval(&mut self, interval: u64, now: Cycle) {
         if interval >= self.cfg.checkpoint_interval {
             return;
         }
@@ -341,6 +291,9 @@ impl<S> SafetyNet<S> {
         };
         if narrowed.validate().is_ok() {
             self.cfg.checkpoint_interval = interval;
+            while self.last_checkpoint + interval < now {
+                self.last_checkpoint += interval;
+            }
         }
     }
 
@@ -363,6 +316,11 @@ impl<S> SafetyNet<S> {
     pub fn oldest_checkpoint(&self) -> Cycle {
         self.checkpoints.front().map_or(0, |c| c.taken_at)
     }
+
+    /// The newest held checkpoint's creation time.
+    pub fn newest_checkpoint(&self) -> Cycle {
+        self.checkpoints.back().map_or(0, |c| c.taken_at)
+    }
 }
 
 impl<S: Clone> SafetyNet<S> {
@@ -379,8 +337,15 @@ impl<S: Clone> SafetyNet<S> {
     /// sit permanently behind `last_checkpoint` and no checkpoint would
     /// ever be taken again.
     pub fn rollback_to(&mut self, error_time: Cycle, now: Cycle) -> Option<Checkpoint<S>> {
-        self.rollback_via(error_time, now, |entries, idx| entries[idx].state.clone())
-            .map(|(taken_at, state)| Checkpoint { taken_at, state })
+        let idx = self
+            .checkpoints
+            .iter()
+            .rposition(|c| c.taken_at <= error_time && self.validated(c.taken_at, now))?;
+        let cp = self.checkpoints[idx].clone();
+        self.checkpoints.truncate(idx + 1);
+        self.last_checkpoint = cp.taken_at;
+        self.rollbacks += 1;
+        Some(cp)
     }
 }
 
@@ -523,47 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn tick_with_reclaimed_hands_back_evicted_entries_oldest_first() {
-        let mut sn: SafetyNet<u64> = SafetyNet::with_initial(cfg(), 0).unwrap();
-        // Log capacity 4: the first three advances evict nothing.
-        assert!(sn.tick_with_reclaimed(300, || 1).is_empty());
-        assert_eq!(sn.checkpoints_reclaimed(), 0);
-        // Jumping past several boundaries reclaims every overflow entry,
-        // oldest first, instead of dropping them.
-        let evicted = sn.tick_with_reclaimed(700, || 2);
-        let stamps: Vec<Cycle> = evicted.iter().map(|c| c.taken_at).collect();
-        assert_eq!(stamps, vec![0, 100, 200, 300]);
-        assert_eq!(sn.checkpoints_reclaimed(), 4);
-        assert_eq!(sn.oldest_checkpoint(), 400);
-    }
-
-    #[test]
-    fn rollback_via_reconstructs_from_the_log_prefix() {
-        let mut sn: SafetyNet<u64> = SafetyNet::with_initial(cfg(), 0).unwrap();
-        for now in 1..=1000 {
-            sn.tick_with(now, || now);
-        }
-        // Error at 950 detected at 1000: recovery point is 800, and the
-        // reconstruction sees the whole surviving log up to it.
-        let (taken_at, replayed) = sn
-            .rollback_via(950, 1000, |entries, idx| {
-                assert_eq!(entries[idx].taken_at, 800);
-                entries[..=idx].iter().map(|c| c.state).sum::<u64>()
-            })
-            .expect("within the window");
-        assert_eq!(taken_at, 800);
-        assert_eq!(replayed, 700 + 800, "window holds 700..=1000, poison excluded");
-        assert_eq!(sn.rollbacks(), 1);
-        // Poisoned entries are gone, the cadence clock rewound.
-        assert_eq!(sn.recovery_point(u64::MAX, u64::MAX), Some(800));
-        assert_eq!(sn.next_checkpoint_at(), 900);
-        // Outside the window: the closure never runs, nothing changes.
-        let missed = sn.rollback_via(0, 5_000, |_, _| panic!("must not reconstruct"));
-        assert!(missed.is_none());
-        assert_eq!(sn.rollbacks(), 1);
-    }
-
-    #[test]
     fn rollback_outside_the_window_fails() {
         let mut sn: SafetyNet<u64> = SafetyNet::with_initial(cfg(), 0).unwrap();
         for now in 1..=10_000 {
@@ -593,17 +517,47 @@ mod tests {
         let mut sn = net();
         sn.widen_interval(4);
         assert_eq!(sn.config().checkpoint_interval, 400);
-        sn.narrow_interval(100);
+        sn.narrow_interval(100, 0);
         assert_eq!(sn.config().checkpoint_interval, 100);
         // Never widens, never accepts zero, never breaks the
         // validation-latency invariant (150 < interval * 4 requires
         // interval > 37).
-        sn.narrow_interval(500);
+        sn.narrow_interval(500, 0);
         assert_eq!(sn.config().checkpoint_interval, 100);
-        sn.narrow_interval(0);
+        sn.narrow_interval(0, 0);
         assert_eq!(sn.config().checkpoint_interval, 100);
-        sn.narrow_interval(30);
+        sn.narrow_interval(30, 0);
         assert_eq!(sn.config().checkpoint_interval, 100, "window must stay validatable");
+    }
+
+    /// Regression: a de-escalation that lands after the next narrowed
+    /// boundary used to leave the cadence clock at the last widened
+    /// boundary, so the next tick captured the current state but stamped
+    /// it at a boundary already in the past.
+    #[test]
+    fn late_narrowing_never_stamps_a_past_boundary() {
+        let cfg = SafetyNetConfig {
+            checkpoint_interval: 20_000,
+            validation_latency: 10_000,
+            max_checkpoints: 150,
+            coordination_bytes: 16,
+        };
+        let mut sn: SafetyNet<Cycle> = SafetyNet::with_initial(cfg, 0).unwrap();
+        for now in 1..=80_000 {
+            sn.tick_with(now, || now);
+        }
+        sn.widen_interval(2);
+        assert_eq!(sn.next_checkpoint_at(), 120_000);
+        sn.narrow_interval(20_000, 109_742);
+        assert_eq!(sn.config().checkpoint_interval, 20_000);
+        assert_eq!(sn.next_checkpoint_at(), 120_000, "100,000 is already past");
+        assert_eq!(sn.tick_with(109_742, || 109_742), 0);
+        assert_eq!(sn.tick_with(120_000, || 120_000), 1);
+        assert_eq!(sn.newest_checkpoint(), 120_000);
+        // A boundary exactly at `now` is still due at `now`.
+        sn.widen_interval(2);
+        sn.narrow_interval(20_000, 140_000);
+        assert_eq!(sn.next_checkpoint_at(), 140_000);
     }
 
     #[test]

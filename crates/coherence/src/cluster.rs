@@ -3,7 +3,7 @@
 //! cores. The simulator crate layers pipelines, checkers, and workloads on
 //! top; the tests here exercise the protocols directly.
 
-use crate::home::{HomeConfig, HomeCtrl, HomeMemImage, HomeStats};
+use crate::home::{HomeConfig, HomeCtrl, HomeStats};
 use crate::msg::Msg;
 use crate::node::{CacheNode, NodeConfig, Protocol};
 use crate::proc::{CacheStats, ProcReq, ProcResp};
@@ -93,33 +93,6 @@ pub struct Cluster {
     scrub_period: u64,
     checker_bytes: u64,
     ber_bytes: u64,
-    // Dirty-part flags for log-based incremental checkpointing: which
-    // parts of the memory system may have mutated since the flags were
-    // last cleared. Conservative (a spurious `true` only costs log bytes,
-    // never correctness); cleared by the checkpoint layer after each
-    // capture.
-    node_dirty: Vec<bool>,
-    home_dirty: Vec<bool>,
-    home_mem_dirty: Vec<bool>,
-    data_net_dirty: bool,
-    addr_net_dirty: bool,
-}
-
-/// Which memory-system parts mutated since the flags were last cleared
-/// (log-based incremental checkpointing).
-#[derive(Clone, Debug)]
-pub struct DirtyParts {
-    /// Per-node cache-controller flags.
-    pub nodes: Vec<bool>,
-    /// Per-node home-controller flags (memory array excluded).
-    pub homes: Vec<bool>,
-    /// Per-node home memory-array flags.
-    pub home_mems: Vec<bool>,
-    /// Data-network (torus) flag.
-    pub data_net: bool,
-    /// Address-network (broadcast tree) flag; always `false` under the
-    /// directory protocol.
-    pub addr_net: bool,
 }
 
 impl Cluster {
@@ -142,11 +115,6 @@ impl Cluster {
             scrub_period: 1024,
             checker_bytes: 0,
             ber_bytes: 0,
-            node_dirty: vec![true; cfg.nodes],
-            home_dirty: vec![true; cfg.nodes],
-            home_mem_dirty: vec![true; cfg.nodes],
-            data_net_dirty: true,
-            addr_net_dirty: cfg.protocol == Protocol::Snooping,
             cfg,
         }
     }
@@ -155,7 +123,6 @@ impl Cluster {
     /// accounting only; the payload is ignored at the destination).
     pub fn send_ber(&mut self, src: NodeId, dst: NodeId, bytes: u32) {
         self.ber_bytes += bytes as u64;
-        self.data_net_dirty = true;
         let now = self.now;
         self.data_net.send(src, dst, Msg::Ber { bytes }, bytes, now);
     }
@@ -178,7 +145,6 @@ impl Cluster {
     /// Initializes a memory word at its home node (workload setup).
     pub fn poke_word(&mut self, addr: WordAddr, value: u64) {
         let home = addr.block().home(self.cfg.nodes);
-        self.home_mem_dirty[home.index()] = true;
         self.homes[home.index()].poke_word(addr, value);
     }
 
@@ -213,77 +179,52 @@ impl Cluster {
 
     /// Submits a processor request at `node`.
     pub fn submit(&mut self, node: NodeId, req: ProcReq) {
-        self.node_dirty[node.index()] = true;
         self.nodes[node.index()].submit(req);
     }
 
     /// Pops a completed response at `node`.
     pub fn pop_resp(&mut self, node: NodeId) -> Option<ProcResp> {
-        let resp = self.nodes[node.index()].pop_resp();
-        self.node_dirty[node.index()] |= resp.is_some();
-        resp
+        self.nodes[node.index()].pop_resp()
     }
 
     /// Drains the blocks invalidated at `node` since the last call.
     pub fn drain_invalidated(&mut self, node: NodeId) -> Vec<BlockAddr> {
-        let blocks = self.nodes[node.index()].drain_invalidated();
-        self.node_dirty[node.index()] |= !blocks.is_empty();
-        blocks
+        self.nodes[node.index()].drain_invalidated()
     }
 
     /// Advances the whole memory system one cycle.
     pub fn tick(&mut self) {
         let now = self.now;
-        // 1. Networks move. A network with traffic in flight mutates; an
-        // idle one is a pure no-op (dirty flags feed the incremental
-        // checkpoint log).
-        self.data_net_dirty |= !self.data_net.is_quiescent();
+        // 1. Networks move.
         self.data_net.tick(now);
         if let Some(tree) = self.addr_net.as_mut() {
-            self.addr_net_dirty |= !tree.is_quiescent();
             tree.tick(now);
         }
-        // 2. Deliveries. A delivered message can be fully consumed within
-        // this same tick (leaving the controller quiescent at both ends),
-        // so delivery itself marks the controller dirty.
+        // 2. Deliveries.
         for i in 0..self.cfg.nodes {
             let node_id = NodeId(i as u8);
             while let Some(msg) = self.data_net.recv(node_id) {
-                self.data_net_dirty = true;
                 if home_bound(&msg) {
-                    self.home_dirty[i] = true;
                     self.homes[i].deliver(msg);
                 } else {
-                    self.node_dirty[i] = true;
                     self.nodes[i].deliver(msg);
                 }
             }
             if let Some(tree) = self.addr_net.as_mut() {
                 while let Some((order, req)) = tree.recv(node_id) {
-                    self.addr_net_dirty = true;
-                    self.node_dirty[i] = true;
-                    self.home_dirty[i] = true;
                     self.nodes[i].deliver_snoop(order, req);
                     self.homes[i].deliver_snoop(order, req);
                 }
             }
         }
-        // 3. Controllers run. A non-quiescent controller mutates; so does
-        // a quiescent home with informs queued in its epoch sorter (the
-        // watermark drain), a home whose periodic MET scrub fired, and a
-        // node whose CET scrub fired.
-        for (i, home) in self.homes.iter_mut().enumerate() {
-            self.home_dirty[i] |= !home.is_quiescent() || home.queued() > 0;
-            let scrubbed = home.tick(now);
-            self.home_dirty[i] |= scrubbed || !home.is_quiescent();
-            self.home_mem_dirty[i] |= home.take_mem_dirty();
+        // 3. Controllers run.
+        for home in &mut self.homes {
+            home.tick(now);
         }
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            self.node_dirty[i] |= !node.is_quiescent();
+        for node in &mut self.nodes {
             node.tick(now);
-            self.node_dirty[i] |= !node.is_quiescent();
             if now.is_multiple_of(self.scrub_period) {
-                self.node_dirty[i] |= node.scrub();
+                node.scrub();
             }
         }
         // 4. Outbound messages enter the networks.
@@ -294,21 +235,15 @@ impl Cluster {
                 if out.msg.is_checker() {
                     self.checker_bytes += bytes as u64;
                 }
-                self.data_net_dirty = true;
-                self.node_dirty[i] = true;
                 self.data_net.send(src, out.dst, out.msg, bytes, now);
             }
             while let Some(out) = self.homes[i].pop_msg() {
                 let bytes = out.msg.bytes();
-                self.data_net_dirty = true;
-                self.home_dirty[i] = true;
                 self.data_net.send(src, out.dst, out.msg, bytes, now);
             }
             if let Some(tree) = self.addr_net.as_mut() {
                 while let Some(req) = self.nodes[i].pop_addr_req() {
                     let bytes = req.bytes();
-                    self.addr_net_dirty = true;
-                    self.node_dirty[i] = true;
                     tree.send(src, req, bytes, now);
                 }
             }
@@ -326,12 +261,6 @@ impl Cluster {
     /// The current cycle.
     pub fn now(&self) -> Cycle {
         self.now
-    }
-
-    /// Sets the cluster clock without touching any controller (checkpoint
-    /// restore).
-    pub fn set_now(&mut self, now: Cycle) {
-        self.now = now;
     }
 
     /// Jumps the whole memory system from its current cycle to `target`
@@ -375,97 +304,13 @@ impl Cluster {
         self.scrub_period
     }
 
-    /// Snapshot of the dirty-part flags (incremental checkpointing).
-    pub fn dirty_parts(&self) -> DirtyParts {
-        DirtyParts {
-            nodes: self.node_dirty.clone(),
-            homes: self.home_dirty.clone(),
-            home_mems: self.home_mem_dirty.clone(),
-            data_net: self.data_net_dirty,
-            addr_net: self.addr_net_dirty,
-        }
-    }
-
-    /// Clears every dirty-part flag (after a checkpoint capture or a
-    /// rollback restore).
-    pub fn clear_dirty(&mut self) {
-        self.node_dirty.fill(false);
-        self.home_dirty.fill(false);
-        self.home_mem_dirty.fill(false);
-        self.data_net_dirty = false;
-        self.addr_net_dirty = false;
-    }
-
-    /// Captures one cache controller (incremental checkpointing).
-    pub fn node_image(&self, node: NodeId) -> CacheNode {
-        self.nodes[node.index()].clone()
-    }
-
-    /// Restores one cache controller from an image.
-    pub fn restore_node(&mut self, node: NodeId, image: &CacheNode) {
-        self.nodes[node.index()] = image.clone();
-    }
-
-    /// Captures one home controller, memory array excluded.
-    pub fn home_ctrl_image(&self, node: NodeId) -> HomeCtrl {
-        self.homes[node.index()].ctrl_image()
-    }
-
-    /// Restores one home controller from a memory-stripped image, keeping
-    /// the resident memory array.
-    pub fn restore_home_ctrl(&mut self, node: NodeId, image: &HomeCtrl) {
-        self.homes[node.index()].restore_ctrl(image);
-    }
-
-    /// Captures one home's memory array.
-    pub fn home_mem_image(&self, node: NodeId) -> HomeMemImage {
-        self.homes[node.index()].mem_image()
-    }
-
-    /// Restores one home's memory array from an image.
-    pub fn restore_home_mem(&mut self, node: NodeId, image: &HomeMemImage) {
-        self.homes[node.index()].restore_mem(image);
-    }
-
-    /// Captures the data network, in-flight traffic included.
-    pub fn data_net_image(&self) -> Torus<Msg> {
-        self.data_net.clone()
-    }
-
-    /// Restores the data network from an image.
-    pub fn restore_data_net(&mut self, image: &Torus<Msg>) {
-        self.data_net = image.clone();
-    }
-
-    /// Captures the address network (snooping only).
-    pub fn addr_net_image(&self) -> Option<BroadcastTree<crate::msg::AddrReq>> {
-        self.addr_net.clone()
-    }
-
-    /// Restores the address network from an image.
-    pub fn restore_addr_net(&mut self, image: &Option<BroadcastTree<crate::msg::AddrReq>>) {
-        self.addr_net = image.clone();
-    }
-
     /// Approximate serialized size of the whole memory system, in bytes
     /// (whole-snapshot checkpoint accounting).
     pub fn approx_state_bytes(&self) -> u64 {
         self.nodes.iter().map(CacheNode::approx_state_bytes).sum::<u64>()
-            + self
-                .homes
-                .iter()
-                .map(|h| h.approx_ctrl_bytes() + h.approx_mem_bytes())
-                .sum::<u64>()
+            + self.homes.iter().map(HomeCtrl::approx_state_bytes).sum::<u64>()
             + self.data_net.approx_state_bytes()
             + self.addr_net.as_ref().map_or(0, BroadcastTree::approx_state_bytes)
-    }
-
-    /// Restores the bandwidth-accounting counters (checkpoint restore;
-    /// they mutate every cycle traffic moves, so they ride in the
-    /// always-captured miscellaneous part of each delta).
-    pub fn set_traffic_counters(&mut self, checker_bytes: u64, ber_bytes: u64) {
-        self.checker_bytes = checker_bytes;
-        self.ber_bytes = ber_bytes;
     }
 
     /// Runs until every controller and network is idle (or `max_cycles`
@@ -527,38 +372,28 @@ impl Cluster {
         &self.data_net
     }
 
-    /// Mutable access to the data network (fault arming). Conservatively
-    /// marks the network dirty for incremental checkpointing.
+    /// Mutable access to the data network (fault arming).
     pub fn data_net_mut(&mut self) -> &mut Torus<Msg> {
-        self.data_net_dirty = true;
         &mut self.data_net
     }
 
     /// Mutable access to a cache controller (fault injection).
-    /// Conservatively marks the node dirty for incremental checkpointing.
     pub fn node_mut(&mut self, node: NodeId) -> &mut CacheNode {
-        self.node_dirty[node.index()] = true;
         &mut self.nodes[node.index()]
     }
 
     /// Mutable access to a home controller (fault injection).
-    /// Conservatively marks both home parts dirty for incremental
-    /// checkpointing.
     pub fn home_mut(&mut self, node: NodeId) -> &mut HomeCtrl {
-        self.home_dirty[node.index()] = true;
-        self.home_mem_dirty[node.index()] = true;
         &mut self.homes[node.index()]
     }
 
     /// Attaches bounded event rings to every CET and home checker
     /// (observability; disabled by default).
     pub fn enable_obs(&mut self, capacity: usize) {
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            self.node_dirty[i] = true;
+        for node in &mut self.nodes {
             node.enable_obs(capacity);
         }
-        for (i, home) in self.homes.iter_mut().enumerate() {
-            self.home_dirty[i] = true;
+        for home in &mut self.homes {
             home.enable_obs(capacity);
         }
     }

@@ -142,25 +142,6 @@ pub struct HomeCtrl {
     legacy_strict_acks: bool,
     last_order: u64,
     now: Cycle,
-    /// Whether the memory image mutated since the flag was last taken
-    /// (incremental checkpointing: the memory part of a home is orders of
-    /// magnitude larger than the controller part, so it is logged
-    /// separately and only when a write actually landed).
-    mem_dirty: bool,
-}
-
-/// A captured image of one home's memory array (incremental
-/// checkpointing). Opaque outside this crate.
-#[derive(Clone, Debug)]
-pub struct HomeMemImage {
-    blocks: HashMap<BlockAddr, MemBlock>,
-}
-
-impl HomeMemImage {
-    /// Approximate serialized size of the image, in bytes.
-    pub fn approx_bytes(&self) -> u64 {
-        (self.blocks.len() * (dvmc_types::BLOCK_BYTES + 16)) as u64
-    }
 }
 
 impl HomeCtrl {
@@ -191,7 +172,6 @@ impl HomeCtrl {
             last_order: 0,
             cfg,
             now: 0,
-            mem_dirty: false,
         }
     }
 
@@ -215,7 +195,6 @@ impl HomeCtrl {
 
     /// Initializes a word of this home's memory (workload setup).
     pub fn poke_word(&mut self, addr: dvmc_types::WordAddr, value: u64) {
-        self.mem_dirty = true;
         let entry = self
             .memory
             .entry(addr.block())
@@ -466,7 +445,6 @@ impl HomeCtrl {
         };
         let m = self.memory.get_mut(&key)?;
         m.data.flip_bit(bit % 512);
-        self.mem_dirty = true;
         Some(key)
     }
 
@@ -560,44 +538,9 @@ impl HomeCtrl {
         self.checker.as_ref().map_or(0, HomeChecker::queued)
     }
 
-    /// Takes (and clears) the memory-dirty flag (incremental
-    /// checkpointing).
-    pub fn take_mem_dirty(&mut self) -> bool {
-        std::mem::take(&mut self.mem_dirty)
-    }
-
-    /// Captures the controller state with the memory array stripped out
-    /// (incremental checkpointing: the memory part is logged separately).
-    pub fn ctrl_image(&self) -> HomeCtrl {
-        let mut image = self.clone();
-        image.memory = HashMap::new();
-        image
-    }
-
-    /// Restores controller state from a [`ctrl_image`](Self::ctrl_image)
-    /// capture, keeping the current memory array in place.
-    pub fn restore_ctrl(&mut self, image: &HomeCtrl) {
-        let memory = std::mem::take(&mut self.memory);
-        *self = image.clone();
-        self.memory = memory;
-    }
-
-    /// Captures the memory array (incremental checkpointing).
-    pub fn mem_image(&self) -> HomeMemImage {
-        HomeMemImage {
-            blocks: self.memory.clone(),
-        }
-    }
-
-    /// Restores the memory array from a [`mem_image`](Self::mem_image)
-    /// capture.
-    pub fn restore_mem(&mut self, image: &HomeMemImage) {
-        self.memory = image.blocks.clone();
-    }
-
-    /// Approximate serialized size of the controller state (memory array
-    /// excluded), in bytes.
-    pub fn approx_ctrl_bytes(&self) -> u64 {
+    /// Approximate serialized size of the controller state and its
+    /// memory array, in bytes (checkpoint accounting).
+    pub fn approx_state_bytes(&self) -> u64 {
         let queues = self.inbox.len()
             + self.snoop_in.len()
             + self.msg_out.len()
@@ -609,18 +552,12 @@ impl HomeCtrl {
             + self.busy.len() * (std::mem::size_of::<Txn>() + 16)
             + queues * (dvmc_types::BLOCK_BYTES + 32)
             + (self.snoop_owner.len() + self.awaiting_wb.len()) * 16
-            + self.queued() * 32) as u64
+            + self.queued() * 32
+            + self.memory.len() * (dvmc_types::BLOCK_BYTES + 16)) as u64
     }
 
-    /// Approximate serialized size of the memory array, in bytes.
-    pub fn approx_mem_bytes(&self) -> u64 {
-        (self.memory.len() * (dvmc_types::BLOCK_BYTES + 16)) as u64
-    }
-
-    /// Advances the controller one cycle. Returns whether the periodic MET
-    /// scrub mutated checker state this cycle (incremental checkpointing:
-    /// a scrub can dirty an otherwise-quiescent home).
-    pub fn tick(&mut self, now: Cycle) -> bool {
+    /// Advances the controller one cycle.
+    pub fn tick(&mut self, now: Cycle) {
         self.now = now;
         if let Some(o) = self.checker.as_mut().and_then(HomeChecker::obs_mut) {
             o.set_now(now);
@@ -661,13 +598,11 @@ impl HomeCtrl {
             }
         }
         // MET stale-timestamp scrub, well within its quarter-window budget.
-        let mut scrub_mutated = false;
         if now.is_multiple_of(2048) {
             if let Some(chk) = self.checker.as_mut() {
-                scrub_mutated = chk.scrub(logical_now);
+                chk.scrub(logical_now);
             }
         }
-        scrub_mutated
     }
 
     /// Processes all remaining checker state (end of run).
@@ -692,8 +627,6 @@ impl HomeCtrl {
 
     fn mem_read(&mut self, addr: BlockAddr) -> Block {
         self.stats.mem_reads += 1;
-        // A read of an untouched block materializes its zero image.
-        self.mem_dirty |= !self.memory.contains_key(&addr);
         let m = self.memory.entry(addr).or_insert_with(MemBlock::zero);
         let (data, ok) = (m.data, m.data.hash() == m.ecc);
         if self.cfg.verify && !ok {
@@ -710,7 +643,6 @@ impl HomeCtrl {
 
     fn mem_write(&mut self, addr: BlockAddr, data: Block) {
         self.stats.mem_writes += 1;
-        self.mem_dirty = true;
         self.memory.insert(
             addr,
             MemBlock {
@@ -750,7 +682,6 @@ impl HomeCtrl {
             return;
         }
         let now = self.logical_now();
-        self.mem_dirty |= !self.memory.contains_key(&addr);
         let hash = self
             .memory
             .entry(addr)

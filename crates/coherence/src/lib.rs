@@ -28,8 +28,8 @@ pub mod probe;
 pub mod proc;
 
 pub use cache::{CacheArray, Line, Mosi};
-pub use cluster::{Cluster, ClusterConfig, DirtyParts};
-pub use home::{HomeBusyKind, HomeConfig, HomeCtrl, HomeMemImage, HomeStats};
+pub use cluster::{Cluster, ClusterConfig};
+pub use home::{HomeBusyKind, HomeConfig, HomeCtrl, HomeStats};
 pub use msg::{AddrReq, Msg, Outbound, SnoopKind};
 pub use probe::{home_bound, Relabel};
 pub use node::{CacheNode, MshrView, NodeConfig, Protocol};

@@ -485,8 +485,7 @@ impl CacheNode {
     }
 
     /// Rough resident-state footprint in bytes (cache arrays, CET,
-    /// queues) — the checkpoint-cost accounting unit: what one full image
-    /// of this controller costs a snapshot or a delta log.
+    /// queues) — what this controller costs a checkpoint snapshot.
     pub fn approx_state_bytes(&self) -> u64 {
         let line = dvmc_types::BLOCK_BYTES as u64 + 16;
         std::mem::size_of::<Self>() as u64
@@ -885,16 +884,11 @@ impl CacheNode {
     }
 
     /// Runs the CET scrub FIFO and emits Inform-Open-Epoch messages.
-    /// Returns whether the scrub changed controller state (popped scrub
-    /// records and/or queued informs) — quiescent scrubs leave the node
-    /// bit-identical, which keeps it out of incremental checkpoints.
-    pub fn scrub(&mut self) -> bool {
+    pub fn scrub(&mut self) {
         if !self.cfg.verify {
-            return false;
+            return;
         }
-        let fifo_before = self.cet.scrub_queue_len();
         let opens = self.cet.scrub_tick(self.logical_now());
-        let mutated = self.cet.scrub_queue_len() != fifo_before || !opens.is_empty();
         for open in opens {
             let block = open.addr;
             self.stats.informs_sent += 1;
@@ -904,7 +898,6 @@ impl CacheNode {
                 msg: Msg::Epoch(open.into()),
             });
         }
-        mutated
     }
 
     // ----- fills and victim handling ------------------------------------

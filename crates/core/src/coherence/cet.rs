@@ -85,14 +85,6 @@ impl CacheEpochTable {
         self.obs.as_mut()
     }
 
-    /// Occupancy of the scrub FIFO. A scrub tick mutates the table iff
-    /// this shrinks (records can pop without emitting an inform when
-    /// their epoch already ended), so incremental checkpointing compares
-    /// it around [`scrub_tick`](Self::scrub_tick).
-    pub fn scrub_queue_len(&self) -> usize {
-        self.scrub.len()
-    }
-
     /// Rough resident footprint in bytes (entries plus the scrub FIFO),
     /// for checkpoint-cost accounting.
     pub fn approx_bytes(&self) -> u64 {

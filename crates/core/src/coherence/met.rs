@@ -226,24 +226,16 @@ impl MemoryEpochTable {
     /// reachable when scrubbing has already fallen behind its cadence)
     /// resolves through the deterministic [`Ts16::earlier_than`]
     /// tie-break instead of silently comparing as "neither earlier".
-    /// Returns whether any end-time was actually clamped — a scrub that
-    /// finds nothing stale leaves the table bit-identical, which
-    /// incremental checkpointing relies on to keep quiescent homes out of
-    /// the delta log.
-    pub fn scrub(&mut self, now: Ts16) -> bool {
+    pub fn scrub(&mut self, now: Ts16) {
         let horizon = Ts16(now.0.wrapping_sub(Ts16::WINDOW / 4));
-        let mut clamped = false;
         for e in self.entries.values_mut() {
             if e.last_ro_end.earlier_than(horizon) {
                 e.last_ro_end = horizon;
-                clamped = true;
             }
             if e.last_rw_end.earlier_than(horizon) {
                 e.last_rw_end = horizon;
-                clamped = true;
             }
         }
-        clamped
     }
 
     /// The entry for `addr`, if constructed.

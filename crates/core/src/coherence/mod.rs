@@ -190,14 +190,10 @@ impl HomeChecker {
     }
 
     /// Runs the MET stale-timestamp scrub (call at least every quarter
-    /// window of logical time). Returns whether the scrub changed any
-    /// observable checker state — an end-time clamp, or the `MetScrub`
-    /// event recorded when an observability ring is attached — so callers
-    /// doing incremental checkpointing know whether this home dirtied
-    /// itself.
-    pub fn scrub(&mut self, now: Ts16) -> bool {
+    /// window of logical time).
+    pub fn scrub(&mut self, now: Ts16) {
         self.note(CheckerEvent::MetScrub { at: now });
-        self.met.scrub(now) | self.obs.is_some()
+        self.met.scrub(now);
     }
 
     /// Number of queued (not yet processed) messages.

@@ -145,7 +145,7 @@ impl<T> Torus<T> {
     }
 
     /// Approximate serialized size of the network state, in bytes
-    /// (incremental-checkpoint accounting).
+    /// (checkpoint accounting).
     pub fn approx_state_bytes(&self) -> u64 {
         let queued = self.in_flight.len()
             + self.delayed.len()

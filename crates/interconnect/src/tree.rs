@@ -95,7 +95,7 @@ impl<T> BroadcastTree<T> {
     }
 
     /// Approximate serialized size of the network state, in bytes
-    /// (incremental-checkpoint accounting).
+    /// (checkpoint accounting).
     pub fn approx_state_bytes(&self) -> u64 {
         let queued = self.pending.len()
             + self.in_flight.len()

@@ -81,17 +81,14 @@ pub enum KernelMode {
     Event,
 }
 
-/// How BER checkpoints capture machine state (DESIGN.md §14).
+/// How BER checkpoints capture machine state (DESIGN.md §14). One
+/// scheme exists, so this is a constant rather than a knob; the type
+/// stays so callers that name it keep compiling.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum CheckpointMode {
-    /// Deep-clone the whole machine every interval — the original
-    /// scheme. O(machine) per checkpoint regardless of activity.
-    Snapshot,
-    /// Log-based incremental checkpoints: capture only the parts dirtied
-    /// since the previous interval; rollback reconstructs the machine by
-    /// undo-replay over the delta log. O(activity) per checkpoint.
+    /// Deep-clone the whole machine every interval.
     #[default]
-    DeltaLog,
+    Snapshot,
 }
 
 /// How hard the system tries before declaring an error unrecoverable.
@@ -214,8 +211,6 @@ pub struct SystemConfig {
     pub obs_capacity: usize,
     /// How the simulation loop advances time.
     pub kernel: KernelMode,
-    /// How BER checkpoints capture machine state.
-    pub checkpoint: CheckpointMode,
 }
 
 impl SystemConfig {
@@ -304,7 +299,6 @@ pub struct SystemBuilder {
     record_commits: bool,
     obs_capacity: usize,
     kernel: KernelMode,
-    checkpoint: CheckpointMode,
 }
 
 impl Default for SystemBuilder {
@@ -331,7 +325,6 @@ impl Default for SystemBuilder {
             record_commits: false,
             obs_capacity: 0,
             kernel: KernelMode::default(),
-            checkpoint: CheckpointMode::default(),
         }
     }
 }
@@ -484,11 +477,9 @@ impl SystemBuilder {
         self
     }
 
-    /// Selects how BER checkpoints capture machine state (log-based
-    /// incremental deltas by default; `Snapshot` deep-clones the whole
-    /// machine every interval).
-    pub fn checkpoint_mode(mut self, mode: CheckpointMode) -> Self {
-        self.checkpoint = mode;
+    /// Names the checkpoint scheme. Whole-machine snapshots are the only
+    /// one, so this changes nothing.
+    pub fn checkpoint_mode(self, _mode: CheckpointMode) -> Self {
         self
     }
 
@@ -522,7 +513,6 @@ impl SystemBuilder {
             record_commits: self.record_commits,
             obs_capacity: self.obs_capacity,
             kernel: self.kernel,
-            checkpoint: self.checkpoint,
         };
         cfg.validate()?;
         Ok(cfg)

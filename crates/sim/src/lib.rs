@@ -15,7 +15,6 @@
 //! cycle loop, [`RunReport`] for results, and [`perturbed_runs`] for the
 //! §5 repetition methodology.
 
-mod checkpoint;
 pub mod config;
 pub mod report;
 pub mod system;

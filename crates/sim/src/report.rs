@@ -215,29 +215,28 @@ pub fn percentile(samples: &[Cycle], p: u32) -> Option<Cycle> {
     Some(sorted[rank.clamp(1, sorted.len()) - 1])
 }
 
-/// Checkpoint and rollback cost counters (DESIGN.md §14). All costs are
-/// approximate serialized bytes / cycle counts, deterministic across
-/// kernel modes for a given checkpoint mode.
+/// Checkpoint and rollback cost counters (DESIGN.md §14). Costs are
+/// approximate serialized bytes and part counts, deterministic across
+/// kernel modes. Zero unless recovery is armed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CheckpointStats {
-    /// Checkpoints captured (whole snapshots or deltas).
+    /// Whole-machine snapshots captured.
     pub snapshots_taken: u64,
     /// Approximate bytes of checkpoint state logged.
     pub bytes_logged: u64,
-    /// Machine parts captured across all checkpoints (a whole snapshot
-    /// counts every part; a delta only what was dirty).
+    /// Machine parts captured across all snapshots. Every snapshot
+    /// captures all of them: per node a core, a cache controller, a home
+    /// controller and a memory array, plus the data torus and, under
+    /// snooping, the address tree.
     pub parts_captured: u64,
-    /// Evicted deltas folded into the base snapshot (delta-log mode).
+    /// Checkpoints reclaimed from the full log to make room for newer
+    /// ones (the name predates whole snapshots being the only scheme).
     pub deltas_folded: u64,
     /// Rollbacks performed (recovery plus bench-forced).
     pub rollbacks: u64,
-    /// Machine parts restored across all rollbacks (cores, cache
-    /// controllers, home controllers, memory arrays, networks).
+    /// Machine parts restored across all rollbacks (every part, per
+    /// rollback).
     pub parts_restored: u64,
-    /// Cycles of inert core history reconstructed by undo-replay catch-up
-    /// during delta-log rollbacks (cost of not having captured clean
-    /// cores every interval).
-    pub undo_replay_cycles: u64,
 }
 
 /// The result of one simulation run.
@@ -287,7 +286,8 @@ pub struct RunReport {
     /// the consistency oracle (`dvmc_consistency::oracle`); empty unless
     /// the configuration set `record_commits`.
     pub commit_logs: Vec<Vec<CommitRecord>>,
-    /// Checkpoint and rollback cost counters (zeroed when BER is off).
+    /// Checkpoint and rollback cost counters (zero unless recovery is
+    /// armed).
     pub checkpoint: CheckpointStats,
 }
 

@@ -1,14 +1,13 @@
 //! The full system: cores + coherent memory system + checkers + BER +
 //! fault injection, advanced cycle by cycle.
 
-use crate::checkpoint::{Delta, MachineCheckpoint, Misc};
-use crate::config::{CheckpointMode, KernelMode, SystemConfig};
+use crate::config::{KernelMode, SystemConfig};
 use crate::report::{
     percentile, CheckpointStats, Detection, EpisodeReport, RecoveryOutcome, RecoveryReport,
     RunReport, ServiceReport, ServiceStop, WindowSnapshot,
 };
-use dvmc_ber::{Checkpoint, SafetyNet};
-use dvmc_coherence::Cluster;
+use dvmc_ber::SafetyNet;
+use dvmc_coherence::{Cluster, Protocol};
 use dvmc_consistency::Model;
 use dvmc_core::{
     CheckerEvent, CoherenceViolation, EventSink, MetricsWindow, ObsMetrics, ObsRing, TimedEvent,
@@ -26,20 +25,20 @@ use std::collections::VecDeque;
 /// microarchitectural state of every core (ROBs, write buffers, checkers,
 /// instruction streams), the whole memory system (caches, directories,
 /// in-flight interconnect traffic, the cluster clock), the
-/// fault-injection RNG, and the watchdog's progress clocks. Whole-machine
-/// checkpoints ([`crate::config::CheckpointMode::Snapshot`]) carry one of
-/// these per interval; the delta log keeps one as its *base* image.
+/// fault-injection RNG, and the watchdog's progress clocks. Every BER
+/// checkpoint of a recovery-armed system carries one of these
+/// (DESIGN.md §14).
 #[derive(Clone)]
-pub(crate) struct Snapshot {
-    pub(crate) cores: Vec<Core>,
-    pub(crate) cluster: Cluster,
-    pub(crate) rng: DetRng,
-    pub(crate) progress: Vec<(u64, Cycle)>,
+struct Snapshot {
+    cores: Vec<Core>,
+    cluster: Cluster,
+    rng: DetRng,
+    progress: Vec<(u64, Cycle)>,
 }
 
 impl Snapshot {
     /// Approximate serialized size, in bytes (checkpoint accounting).
-    pub(crate) fn approx_bytes(&self) -> u64 {
+    fn approx_bytes(&self) -> u64 {
         self.cores.iter().map(Core::approx_state_bytes).sum::<u64>()
             + self.cluster.approx_state_bytes()
             + (std::mem::size_of::<DetRng>() + self.progress.len() * 16) as u64
@@ -51,19 +50,10 @@ pub struct System {
     cfg: SystemConfig,
     cores: Vec<Core>,
     cluster: Cluster,
-    /// Checkpoint log; payloads are [`MachineCheckpoint::Unarmed`] when
-    /// recovery is off (the captures are not free, and the perf
-    /// experiments model BER timing without them).
-    ber: Option<SafetyNet<MachineCheckpoint>>,
-    /// Delta-log mode: the base image the oldest retained delta applies
-    /// on top of. `None` in whole-snapshot mode or when recovery is off.
-    base: Option<Box<Snapshot>>,
-    /// Delta-log mode: the capture cycle of each core image currently in
-    /// the base (rollback undo-replays idle cores forward from here).
-    base_core_at: Vec<Cycle>,
-    /// Which cores may have mutated since the last delta capture
-    /// (conservative, like the cluster's dirty-part flags).
-    core_dirty: Vec<bool>,
+    /// Checkpoint log; payloads are `None` when recovery is off (the
+    /// captures are not free, and the perf experiments model BER timing
+    /// without them).
+    ber: Option<SafetyNet<Option<Box<Snapshot>>>>,
     /// Cycles actually simulated by [`tick`](Self::tick).
     ticks_executed: u64,
     /// Quiescent cycles skipped by the event-scheduled kernel.
@@ -202,14 +192,10 @@ impl System {
         let mut pending: Vec<FaultPlan> = cfg.fault.into_iter().chain(cfg.storm.iter().copied()).collect();
         pending.sort_by_key(|p| p.at_cycle);
         let pending_faults: VecDeque<FaultPlan> = pending.into();
-        let nodes = cfg.nodes;
         let mut sys = System {
             cores,
             cluster,
             ber: None,
-            base: None,
-            base_core_at: vec![0; nodes],
-            core_dirty: vec![true; nodes],
             ticks_executed: 0,
             ticks_skipped: 0,
             ckpt_stats: CheckpointStats::default(),
@@ -242,39 +228,14 @@ impl System {
         if sys.cfg.protection.ber {
             // The initial time-0 checkpoint captures the pristine system
             // when recovery is armed, so even an error in the very first
-            // interval has a restore point. In delta-log mode the pristine
-            // machine becomes the base image and entry 0 is an empty delta
-            // over it.
-            let initial = match (sys.cfg.recovery.is_some(), sys.cfg.checkpoint) {
-                (false, _) => MachineCheckpoint::Unarmed,
-                (true, CheckpointMode::Snapshot) => {
-                    MachineCheckpoint::Whole(Box::new(sys.snapshot()))
-                }
-                (true, CheckpointMode::DeltaLog) => {
-                    sys.base = Some(Box::new(sys.snapshot()));
-                    sys.cluster.clear_dirty();
-                    sys.core_dirty.fill(false);
-                    MachineCheckpoint::Delta(Box::new(Delta::empty(sys.misc_image())))
-                }
-            };
+            // interval has a restore point.
+            let initial = sys.cfg.recovery.is_some().then(|| Box::new(sys.snapshot()));
             sys.ber = Some(
                 SafetyNet::with_initial(sys.cfg.ber, initial)
                     .expect("SystemConfig::validate vetted the BER config"),
             );
         }
         sys
-    }
-
-    /// The always-captured miscellaneous delta part: cheap state that
-    /// mutates nearly every cycle, so dirty-tracking it would be pure
-    /// overhead.
-    fn misc_image(&self) -> Misc {
-        Misc {
-            rng: self.rng.clone(),
-            progress: self.progress.clone(),
-            checker_bytes: self.cluster.checker_bytes(),
-            ber_bytes: self.cluster.ber_bytes(),
-        }
     }
 
     /// Deep-copies the rollback-relevant machine state.
@@ -313,15 +274,25 @@ impl System {
         if let Some(mut ber) = self.ber.take() {
             let bytes = ber.config().coordination_bytes;
             let nodes = self.cfg.nodes;
-            let reclaimed = ber.tick_with_reclaimed(now, || {
+            let created = ber.tick_with(now, || {
                 for i in 1..nodes {
                     self.cluster.send_ber(nid(i), NodeId(0), bytes);
                     self.cluster.send_ber(NodeId(0), nid(i), bytes);
                 }
                 self.checkpoint_payload()
             });
+            // The stamp invariant (DESIGN.md §10): a checkpoint holds the
+            // machine as of its stamp, so it is captured at exactly that
+            // cycle — never later under an earlier boundary's stamp.
+            debug_assert!(
+                created == 0 || (created == 1 && ber.newest_checkpoint() == now),
+                "checkpoint stamped {} captured at cycle {now}",
+                ber.newest_checkpoint()
+            );
+            if self.cfg.recovery.is_some() {
+                self.ckpt_stats.deltas_folded = ber.checkpoints_reclaimed();
+            }
             self.ber = Some(ber);
-            self.fold_reclaimed(reclaimed);
         }
         self.maybe_inject_fault(now);
         // Cores interact with their caches. Invalidations are noted
@@ -331,16 +302,9 @@ impl System {
         for (i, core) in self.cores.iter_mut().enumerate() {
             let id = nid(i);
             let inv = self.cluster.drain_invalidated(id);
-            if !inv.is_empty() {
-                self.core_dirty[i] = true;
-            }
             core.note_invalidations(&inv);
             while let Some(resp) = self.cluster.pop_resp(id) {
-                self.core_dirty[i] = true;
                 core.deliver(resp);
-            }
-            if !core.is_inert_at(now) {
-                self.core_dirty[i] = true;
             }
             for req in core.tick(now) {
                 self.cluster.submit(id, req);
@@ -367,65 +331,24 @@ impl System {
         }
     }
 
-    /// Builds this interval's checkpoint payload. Called from inside the
-    /// BER capture closure, after the coordination traffic was sent (so
-    /// the captured network includes it, exactly like the original
-    /// whole-snapshot scheme).
-    fn checkpoint_payload(&mut self) -> MachineCheckpoint {
-        if self.cfg.recovery.is_none() {
-            return MachineCheckpoint::Unarmed;
-        }
+    /// Builds this interval's checkpoint payload: a whole-machine
+    /// snapshot when recovery is armed, nothing otherwise. Called from
+    /// inside the BER capture closure, after the coordination traffic was
+    /// sent, so the captured network includes it.
+    fn checkpoint_payload(&mut self) -> Option<Box<Snapshot>> {
+        self.cfg.recovery?;
+        let snap = self.snapshot();
         self.ckpt_stats.snapshots_taken += 1;
-        let payload = match self.cfg.checkpoint {
-            CheckpointMode::Snapshot => MachineCheckpoint::Whole(Box::new(self.snapshot())),
-            CheckpointMode::DeltaLog => MachineCheckpoint::Delta(Box::new(self.capture_delta())),
-        };
-        self.ckpt_stats.bytes_logged += payload.approx_bytes();
-        self.ckpt_stats.parts_captured += payload.parts();
-        payload
+        self.ckpt_stats.bytes_logged += snap.approx_bytes();
+        self.ckpt_stats.parts_captured += self.machine_parts();
+        Some(Box::new(snap))
     }
 
-    /// Captures every part dirtied since the previous capture (plus the
-    /// always-captured misc record) and clears the dirty flags.
-    fn capture_delta(&mut self) -> Delta {
-        let dirty = self.cluster.dirty_parts();
-        let mut delta = Delta::empty(self.misc_image());
-        for i in 0..self.cfg.nodes {
-            if self.core_dirty[i] {
-                delta.cores.push((i, self.cores[i].clone()));
-            }
-            if dirty.nodes[i] {
-                delta.nodes.push((i, self.cluster.node_image(nid(i))));
-            }
-            if dirty.homes[i] {
-                delta.home_ctrls.push((i, self.cluster.home_ctrl_image(nid(i))));
-            }
-            if dirty.home_mems[i] {
-                delta.home_mems.push((i, self.cluster.home_mem_image(nid(i))));
-            }
-        }
-        if dirty.data_net {
-            delta.data_net = Some(self.cluster.data_net_image());
-        }
-        if dirty.addr_net {
-            delta.addr_net = Some(self.cluster.addr_net_image());
-        }
-        self.cluster.clear_dirty();
-        self.core_dirty.fill(false);
-        delta
-    }
-
-    /// Folds checkpoints the log just evicted into the delta-log base, so
-    /// the base always reflects the machine at the oldest retained entry's
-    /// predecessor. Evictions arrive oldest-first.
-    fn fold_reclaimed(&mut self, reclaimed: Vec<Checkpoint<MachineCheckpoint>>) {
-        for cp in reclaimed {
-            if let MachineCheckpoint::Delta(delta) = cp.state {
-                let base = self.base.as_mut().expect("delta log always has a base");
-                delta.fold_into(base, &mut self.base_core_at, cp.taken_at);
-                self.ckpt_stats.deltas_folded += 1;
-            }
-        }
+    /// Machine parts one snapshot captures and one rollback restores: per
+    /// node a core, a cache controller, a home controller and a memory
+    /// array, plus the data torus and, under snooping, the address tree.
+    fn machine_parts(&self) -> u64 {
+        4 * self.cfg.nodes as u64 + 1 + u64::from(self.cfg.protocol == Protocol::Snooping)
     }
 
     /// Drains each core's commit log (one [`CommitRecord`] per committed
@@ -435,7 +358,6 @@ impl System {
     ///
     /// [`CommitRecord`]: dvmc_consistency::CommitRecord
     pub fn commit_logs(&mut self) -> Vec<Vec<dvmc_consistency::CommitRecord>> {
-        self.core_dirty.fill(true);
         self.cores.iter_mut().map(Core::take_commit_log).collect()
     }
 
@@ -493,7 +415,7 @@ impl System {
         let _ = writeln!(
             out,
             "kernel: executed={} skipped={} | checkpoints: taken={} bytes={} \
-             folded={} rollbacks={} parts_restored={} undo_replay={}",
+             reclaimed={} rollbacks={} parts_restored={}",
             k.0,
             k.1,
             c.snapshots_taken,
@@ -501,7 +423,6 @@ impl System {
             c.deltas_folded,
             c.rollbacks,
             c.parts_restored,
-            c.undo_replay_cycles,
         );
         out
     }
@@ -774,16 +695,6 @@ impl System {
                 .is_some(),
         };
         if took {
-            // Core-targeted faults mutate core state behind the normal
-            // tick-path dirty marking.
-            if let Fault::WbDropStore { node }
-            | Fault::WbReorderStores { node }
-            | Fault::WbCorruptValue { node }
-            | Fault::WbAddressFlip { node }
-            | Fault::LsqWrongForward { node } = plan.fault
-            {
-                self.core_dirty[node.index()] = true;
-            }
             self.fault_injected_at = Some(now);
             self.last_injected = Some(plan);
             self.total_injected += 1;
@@ -857,7 +768,6 @@ impl System {
     /// active model at every window boundary so a rolled-back switch is
     /// simply requested again.
     pub fn switch_model(&mut self, model: Model) {
-        self.core_dirty.fill(true);
         for core in &mut self.cores {
             core.request_model_switch(model);
         }
@@ -1100,7 +1010,7 @@ impl System {
         self.episode_attempts = 0;
         self.fault_injected_at = None;
         if let Some(ber) = self.ber.as_mut() {
-            ber.narrow_interval(self.cfg.ber.checkpoint_interval);
+            ber.narrow_interval(self.cfg.ber.checkpoint_interval, now);
         }
     }
 
@@ -1135,12 +1045,8 @@ impl System {
         let delta = svc.metrics_window.delta(&m);
         // Open-loop queueing delay (arrival -> commit), drained per core.
         let mut delays: Vec<Cycle> = Vec::new();
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            let d = core.take_queue_delays();
-            if !d.is_empty() {
-                self.core_dirty[i] = true;
-                delays.extend(d);
-            }
+        for core in &mut self.cores {
+            delays.extend(core.take_queue_delays());
         }
         let snap = WindowSnapshot {
             start: svc.next_boundary - svc.window,
@@ -1237,25 +1143,20 @@ impl System {
             self.unrecoverable = true;
             return false;
         }
-        let Some(mut ber) = self.ber.take() else {
+        let Some(ber) = self.ber.as_mut() else {
             self.unrecoverable = true;
             return false;
         };
-        // The reconstruction closure rebuilds the machine directly from
-        // the log entries (whole-snapshot restore or delta undo-replay),
-        // returning whether the recovery point carried restorable state.
-        let rolled = ber.rollback_via(injected_at, now, |entries, idx| {
-            self.restore_from(entries, idx)
-        });
-        self.ber = Some(ber);
-        let Some((taken_at, restored)) = rolled else {
+        let Some(cp) = ber.rollback_to(injected_at, now) else {
             self.unrecoverable = true; // error escaped the checkpoint window
             return false;
         };
-        if !restored {
+        let taken_at = cp.taken_at;
+        let Some(snap) = cp.state else {
             self.unrecoverable = true; // checkpoint predates recovery arming
             return false;
-        }
+        };
+        self.restore(*snap);
         self.recovery_attempts += 1;
         self.episode_attempts += 1;
         let attempt = self.episode_attempts;
@@ -1284,8 +1185,7 @@ impl System {
                 ring.record(CheckerEvent::RecoveryEscalated { attempt });
             }
         }
-        // The restore itself already ran inside `rollback_via`; clear the
-        // live evidence it squashed.
+        // Clear the live evidence the restore squashed.
         self.violations.clear();
         self.hung = false;
         self.first_violation_node = None;
@@ -1305,180 +1205,14 @@ impl System {
         true
     }
 
-    /// Reconstructs the machine at `entries[idx]` (the recovery point the
-    /// log selected). Returns `false` when that checkpoint carries no
-    /// restorable state (BER armed without recovery).
-    fn restore_from(&mut self, entries: &[Checkpoint<MachineCheckpoint>], idx: usize) -> bool {
-        let taken_at = entries[idx].taken_at;
-        match &entries[idx].state {
-            MachineCheckpoint::Unarmed => return false,
-            MachineCheckpoint::Whole(snap) => {
-                self.cores = snap.cores.clone();
-                self.cluster = snap.cluster.clone();
-                self.rng = snap.rng.clone();
-                self.progress = snap.progress.clone();
-                self.ckpt_stats.parts_restored += 2 * self.cfg.nodes as u64 + 2;
-            }
-            MachineCheckpoint::Delta(_) => self.restore_from_deltas(entries, idx, taken_at),
-        }
+    /// Restores the machine from a whole-machine snapshot.
+    fn restore(&mut self, snap: Snapshot) {
+        self.cores = snap.cores;
+        self.cluster = snap.cluster;
+        self.rng = snap.rng;
+        self.progress = snap.progress;
         self.ckpt_stats.rollbacks += 1;
-        true
-    }
-
-    /// The newest delta at or before the recovery point that captured the
-    /// part `pick` selects, scanning `log` (entries up to and including
-    /// the recovery point) newest-first.
-    fn newest_part<'a, T>(
-        log: &'a [Checkpoint<MachineCheckpoint>],
-        pick: impl Fn(&'a Delta) -> Option<&'a T>,
-    ) -> Option<&'a T> {
-        log.iter().rev().find_map(|cp| match &cp.state {
-            MachineCheckpoint::Delta(d) => pick(d),
-            _ => None,
-        })
-    }
-
-    /// Delta-log rollback: undo-replay reconstruction at `taken_at`.
-    ///
-    /// The parts that must be restored are those touched after the
-    /// recovery point — captured by a younger (poisoned) delta or dirtied
-    /// since the newest capture. Each is restored from the newest delta at
-    /// or before the recovery point that carries it, falling back to the
-    /// base image. Cores are restored unconditionally: a clean idle core
-    /// still drains its decode countdown every cycle, so its live value
-    /// postdates any image — the image is restored and then caught up
-    /// over the provably-inert gap.
-    fn restore_from_deltas(
-        &mut self,
-        entries: &[Checkpoint<MachineCheckpoint>],
-        idx: usize,
-        taken_at: Cycle,
-    ) {
-        let n = self.cfg.nodes;
-        let mut dirty = self.cluster.dirty_parts();
-        for cp in &entries[idx + 1..] {
-            if let MachineCheckpoint::Delta(d) = &cp.state {
-                for &(i, _) in &d.nodes {
-                    dirty.nodes[i] = true;
-                }
-                for &(i, _) in &d.home_ctrls {
-                    dirty.homes[i] = true;
-                }
-                for &(i, _) in &d.home_mems {
-                    dirty.home_mems[i] = true;
-                }
-                dirty.data_net |= d.data_net.is_some();
-                dirty.addr_net |= d.addr_net.is_some();
-            }
-        }
-        let log = &entries[..=idx];
-        let base = self.base.take().expect("delta log always has a base");
-        // Cores: newest image at or before the recovery point, else base,
-        // then catch up over the clean span.
-        for i in 0..n {
-            let mut image = &base.cores[i];
-            let mut image_at = self.base_core_at[i];
-            for cp in log.iter().rev() {
-                if let MachineCheckpoint::Delta(d) = &cp.state {
-                    if let Some((_, c)) = d.cores.iter().find(|&&(j, _)| j == i) {
-                        image = c;
-                        image_at = cp.taken_at;
-                        break;
-                    }
-                }
-            }
-            self.cores[i] = image.clone();
-            let gap = taken_at.saturating_sub(image_at);
-            self.cores[i].catch_up(gap);
-            self.ckpt_stats.undo_replay_cycles += gap;
-            self.ckpt_stats.parts_restored += 1;
-        }
-        for i in 0..n {
-            if dirty.nodes[i] {
-                match Self::newest_part(log, |d| {
-                    d.nodes.iter().find(|&&(j, _)| j == i).map(|(_, x)| x)
-                }) {
-                    Some(img) => self.cluster.restore_node(nid(i), img),
-                    None => self.cluster.restore_node(nid(i), &base.cluster.node_image(nid(i))),
-                }
-                self.ckpt_stats.parts_restored += 1;
-            }
-            if dirty.homes[i] {
-                match Self::newest_part(log, |d| {
-                    d.home_ctrls.iter().find(|&&(j, _)| j == i).map(|(_, x)| x)
-                }) {
-                    Some(img) => self.cluster.restore_home_ctrl(nid(i), img),
-                    None => self
-                        .cluster
-                        .restore_home_ctrl(nid(i), &base.cluster.home_ctrl_image(nid(i))),
-                }
-                self.ckpt_stats.parts_restored += 1;
-            }
-            if dirty.home_mems[i] {
-                match Self::newest_part(log, |d| {
-                    d.home_mems.iter().find(|&&(j, _)| j == i).map(|(_, x)| x)
-                }) {
-                    Some(img) => self.cluster.restore_home_mem(nid(i), img),
-                    None => self
-                        .cluster
-                        .restore_home_mem(nid(i), &base.cluster.home_mem_image(nid(i))),
-                }
-                self.ckpt_stats.parts_restored += 1;
-            }
-        }
-        if dirty.data_net {
-            match Self::newest_part(log, |d| d.data_net.as_ref()) {
-                Some(img) => self.cluster.restore_data_net(img),
-                None => self.cluster.restore_data_net(&base.cluster.data_net_image()),
-            }
-            self.ckpt_stats.parts_restored += 1;
-        }
-        if dirty.addr_net {
-            match Self::newest_part(log, |d| d.addr_net.as_ref()) {
-                Some(img) => self.cluster.restore_addr_net(img),
-                None => self.cluster.restore_addr_net(&base.cluster.addr_net_image()),
-            }
-            self.ckpt_stats.parts_restored += 1;
-        }
-        // Misc rides in every delta; the recovery point's copy is exact.
-        if let MachineCheckpoint::Delta(d) = &entries[idx].state {
-            self.rng = d.misc.rng.clone();
-            self.progress = d.misc.progress.clone();
-            self.cluster
-                .set_traffic_counters(d.misc.checker_bytes, d.misc.ber_bytes);
-        }
-        self.base = Some(base);
-        // Rewind the cluster clock, then re-stamp every controller the
-        // way `advance_to` does for a skipped span (an equal-target
-        // advance performs exactly the idle stamp at `taken_at - 1`).
-        self.cluster.set_now(taken_at);
-        self.cluster.advance_to(taken_at);
-        // Everything now matches the checkpoint; captures restart clean.
-        self.cluster.clear_dirty();
-        self.core_dirty.fill(false);
-    }
-
-    /// Bench hook: captures one checkpoint immediately (at the cadence's
-    /// next boundary, wherever the clock is) and returns the approximate
-    /// bytes it logged. Zero when BER is off or recovery is unarmed.
-    pub fn force_checkpoint(&mut self) -> u64 {
-        let Some(mut ber) = self.ber.take() else {
-            return 0;
-        };
-        let before = self.ckpt_stats.bytes_logged;
-        let at = ber.next_checkpoint_at();
-        let bytes = ber.config().coordination_bytes;
-        let nodes = self.cfg.nodes;
-        let reclaimed = ber.tick_with_reclaimed(at, || {
-            for i in 1..nodes {
-                self.cluster.send_ber(nid(i), NodeId(0), bytes);
-                self.cluster.send_ber(NodeId(0), nid(i), bytes);
-            }
-            self.checkpoint_payload()
-        });
-        self.ber = Some(ber);
-        self.fold_reclaimed(reclaimed);
-        self.ckpt_stats.bytes_logged - before
+        self.ckpt_stats.parts_restored += self.machine_parts();
     }
 
     /// Bench hook: rolls back to the newest held checkpoint, bypassing
@@ -1486,19 +1220,11 @@ impl System {
     /// `None` when recovery is off or the log is empty. Repeatable: the
     /// recovery point stays in the log.
     pub fn force_rollback(&mut self) -> Option<Cycle> {
-        let mut ber = self.ber.take()?;
-        let rolled = ber.rollback_via(u64::MAX, u64::MAX, |entries, idx| {
-            self.restore_from(entries, idx)
-        });
-        self.ber = Some(ber);
-        match rolled {
-            Some((taken_at, true)) => {
-                self.violations.clear();
-                self.hung = false;
-                Some(taken_at)
-            }
-            _ => None,
-        }
+        let cp = self.ber.as_mut()?.rollback_to(u64::MAX, u64::MAX)?;
+        self.restore(*cp.state?);
+        self.violations.clear();
+        self.hung = false;
+        Some(cp.taken_at)
     }
 
     /// The node a detection is attributed to: the violation names one, or

@@ -4,17 +4,16 @@
 //! change: for any configuration it must produce a bit-identical
 //! [`RunReport`] to the legacy every-cycle kernel — same cycle counts,
 //! same detections at the same cycles, same memory digest, same
-//! recovery trajectory. Likewise the delta-log checkpoint scheme must
-//! recover to exactly the state the whole-snapshot scheme recovers to.
-//! These tests pin all of that down with fixed seeds across models,
-//! protocols, and fault categories, plus a proptest sweep over random
-//! configurations.
+//! recovery trajectory. Likewise a rollback must restore exactly the
+//! machine its checkpoint captured: a run rolled back and replayed ends
+//! where the uninterrupted run ends. These tests pin all of that down
+//! with fixed seeds across models, protocols, and fault categories,
+//! plus a proptest sweep over random configurations.
 
 use dvmc_consistency::Model;
 use dvmc_faults::{Fault, FaultPlan};
 use dvmc_sim::{
-    CheckpointMode, KernelMode, Protection, Protocol, RunReport, ServiceStop, SystemBuilder,
-    WindowSnapshot,
+    KernelMode, Protection, Protocol, RunReport, ServiceStop, SystemBuilder, WindowSnapshot,
 };
 use dvmc_types::NodeId;
 use dvmc_workloads::spec::WorkloadKind;
@@ -27,8 +26,8 @@ fn fingerprint(report: &RunReport) -> String {
 }
 
 /// Fingerprint with the checkpoint cost counters zeroed — used when
-/// comparing *across* checkpoint schemes, whose whole point is different
-/// capture/restore costs for the same machine behaviour.
+/// comparing a rolled-back run against an uninterrupted one: the same
+/// machine behaviour, but an extra restore and re-taken checkpoints.
 fn fingerprint_sans_costs(report: &RunReport) -> String {
     let mut r = report.clone();
     r.checkpoint = Default::default();
@@ -37,7 +36,6 @@ fn fingerprint_sans_costs(report: &RunReport) -> String {
 
 fn build(
     kernel: KernelMode,
-    checkpoint: CheckpointMode,
     model: Model,
     protocol: Protocol,
     seed: u64,
@@ -52,12 +50,25 @@ fn build(
         .watchdog(100_000)
         .obs(32)
         .seed(seed)
-        .kernel(kernel)
-        .checkpoint_mode(checkpoint);
+        .kernel(kernel);
     if let Some(plan) = fault {
         b = b.fault(plan);
     }
     b.build()
+}
+
+/// Asserts that every snapshot captured, and every rollback restored,
+/// the whole two-node machine: per node a core, a cache controller, a
+/// home controller and a memory array, plus the data torus and, under
+/// snooping, the address tree.
+fn assert_whole_machine_parts(report: &RunReport, protocol: Protocol) {
+    let parts = match protocol {
+        Protocol::Directory => 9,
+        Protocol::Snooping => 10,
+    };
+    let c = report.checkpoint;
+    assert_eq!(c.parts_captured, c.snapshots_taken * parts, "{protocol:?}: {c:?}");
+    assert_eq!(c.parts_restored, c.rollbacks * parts, "{protocol:?}: {c:?}");
 }
 
 /// Every model × protocol, fault-free and with a recovering transient:
@@ -77,8 +88,7 @@ fn event_kernel_matches_legacy_bit_for_bit() {
         for protocol in [Protocol::Directory, Protocol::Snooping] {
             for fault in faults {
                 let run = |kernel| {
-                    build(kernel, CheckpointMode::DeltaLog, model, protocol, 7, fault)
-                        .run_to_completion(5_000_000)
+                    build(kernel, model, protocol, 7, fault).run_to_completion(5_000_000)
                 };
                 let legacy = run(KernelMode::Legacy);
                 let event = run(KernelMode::Event);
@@ -87,6 +97,7 @@ fn event_kernel_matches_legacy_bit_for_bit() {
                     fingerprint(&event),
                     "{model} {protocol:?} fault={fault:?}"
                 );
+                assert_whole_machine_parts(&legacy, protocol);
             }
         }
     }
@@ -112,15 +123,8 @@ fn fault_categories_recover_identically_across_kernels() {
             fault,
         };
         let run = |kernel| {
-            build(
-                kernel,
-                CheckpointMode::DeltaLog,
-                Model::Tso,
-                Protocol::Directory,
-                5,
-                Some(plan),
-            )
-            .run_to_completion(5_000_000)
+            build(kernel, Model::Tso, Protocol::Directory, 5, Some(plan))
+                .run_to_completion(5_000_000)
         };
         assert_eq!(
             fingerprint(&run(KernelMode::Legacy)),
@@ -130,87 +134,50 @@ fn fault_categories_recover_identically_across_kernels() {
     }
 }
 
-/// The delta-log scheme restores exactly the machine the whole-snapshot
-/// scheme restores: same post-rollback trajectory, same digest, same
-/// report — only the capture/restore cost counters may differ.
-#[test]
-fn delta_log_rollback_matches_whole_snapshot_rollback() {
-    let mut total_rollbacks = 0;
-    for fault in [
-        Fault::WbCorruptValue { node: NodeId(1) },
-        Fault::MemoryBitFlip { node: NodeId(0) },
-        Fault::CacheStuckBit { node: NodeId(1) },
-    ] {
-        let plan = FaultPlan {
-            at_cycle: 6_000,
-            fault,
-        };
-        let run = |checkpoint| {
-            build(
-                KernelMode::Event,
-                checkpoint,
-                Model::Tso,
-                Protocol::Directory,
-                5,
-                Some(plan),
-            )
-            .run_to_completion(5_000_000)
-        };
-        let whole = run(CheckpointMode::Snapshot);
-        let delta = run(CheckpointMode::DeltaLog);
-        assert_eq!(
-            fingerprint_sans_costs(&whole),
-            fingerprint_sans_costs(&delta),
-            "{fault:?}"
-        );
-        // The schemes really did take different capture paths. (On a
-        // busy run like this one a delta can even exceed a snapshot —
-        // everything is dirty plus per-delta overhead; the size win is
-        // asserted on quiet traffic below.)
-        assert!(whole.checkpoint.snapshots_taken > 0);
-        assert_eq!(
-            delta.checkpoint.rollbacks, whole.checkpoint.rollbacks,
-            "{fault:?}: same behaviour must mean same rollback count"
-        );
-        if delta.checkpoint.rollbacks > 0 {
-            assert!(delta.checkpoint.parts_restored > 0, "{fault:?}");
-        }
-        total_rollbacks += delta.checkpoint.rollbacks;
-    }
-    assert!(total_rollbacks > 0, "no fault in the set exercised rollback");
+/// A fault-free, recovery-armed closed-loop run stopped part-way, rolled
+/// back to its newest checkpoint and run to completion ends exactly where
+/// the uninterrupted run ends: a restore puts back every bit of machine
+/// state the checkpoint captured, and nothing the replay depends on lives
+/// outside it.
+fn rollback_replays_exactly(protocol: Protocol) {
+    let build = || {
+        SystemBuilder::new()
+            .nodes(2)
+            .protocol(protocol)
+            .workload(WorkloadKind::Jbb, 64)
+            .recovery(Default::default())
+            .watchdog(100_000)
+            .obs(32)
+            .seed(7)
+            .build()
+    };
+    let golden = build().run_to_completion(5_000_000);
+    assert!(golden.completed && golden.violations.is_empty(), "{protocol:?}");
+    let mut sys = build();
+    let stop = golden.cycles / 2;
+    let partial = sys.run_to_completion(stop);
+    assert!(!partial.completed, "{protocol:?}: stopped part-way");
+    let restored = sys.force_rollback().expect("recovery is armed");
+    assert_eq!(sys.now(), restored, "{protocol:?}: the clock is the checkpoint's stamp");
+    assert!(restored > 0 && restored <= stop, "{protocol:?}: restored {restored}");
+    let replayed = sys.run_to_completion(5_000_000);
+    assert_eq!(
+        fingerprint_sans_costs(&golden),
+        fingerprint_sans_costs(&replayed),
+        "{protocol:?}"
+    );
+    assert_eq!(replayed.checkpoint.rollbacks, 1, "{protocol:?}");
+    assert_whole_machine_parts(&replayed, protocol);
 }
 
-/// On quiet open-loop traffic — the deployment scenario the delta log
-/// exists for — incremental checkpoints log meaningfully fewer bytes
-/// than whole snapshots. The floor is set by what *periodically* mutates
-/// regardless of traffic: CET/MET scrubs dirty every checker each
-/// interval and BER coordination traffic dirties the data network, so
-/// the win comes from skipping clean home-memory arrays (the bulk of
-/// machine state).
 #[test]
-fn delta_log_is_smaller_on_quiet_traffic() {
-    let run = |checkpoint: CheckpointMode| {
-        let mut sys = SystemBuilder::new()
-            .nodes(2)
-            .workload(WorkloadKind::Service { mean_gap: 20_000 }, u64::MAX / 2)
-            .recovery(Default::default())
-            .watchdog(200_000)
-            .seed(3)
-            .checkpoint_mode(checkpoint)
-            .build();
-        sys.arm_service(50_000);
-        sys.run_service_until(400_000, &mut |_| {});
-        sys.checkpoint_stats()
-    };
-    let whole = run(CheckpointMode::Snapshot);
-    let delta = run(CheckpointMode::DeltaLog);
-    assert_eq!(whole.snapshots_taken, delta.snapshots_taken);
-    assert!(
-        delta.bytes_logged * 3 < whole.bytes_logged * 2,
-        "quiet deltas should log at least a third fewer bytes: {} vs {}",
-        delta.bytes_logged,
-        whole.bytes_logged
-    );
+fn rollback_replays_exactly_under_directory() {
+    rollback_replays_exactly(Protocol::Directory);
+}
+
+#[test]
+fn rollback_replays_exactly_under_snooping() {
+    rollback_replays_exactly(Protocol::Snooping);
 }
 
 /// Service mode under an open-loop workload and a fault storm: both
@@ -303,7 +270,6 @@ proptest! {
                 .watchdog(100_000)
                 .seed(seed)
                 .kernel(kernel)
-                .checkpoint_mode(CheckpointMode::DeltaLog)
                 .fault(FaultPlan { at_cycle, fault })
                 .build()
                 .run_to_completion(2_500_000)
