@@ -67,8 +67,8 @@
 use crate::symmetry;
 use dvmc_coherence::probe::{encode_addr_req, encode_msg};
 use dvmc_coherence::{
-    home_bound, AddrReq, CacheArray, CacheNode, HomeConfig, HomeCtrl, Mosi, MshrView, Msg,
-    NodeConfig, Outbound, ProcReq, Protocol, Relabel,
+    home_bound, AddrReq, CacheArray, CacheNode, HomeConfig, HomeCtrl, Mosi, Msg, NodeConfig,
+    Outbound, ProcReq, Protocol, Relabel,
 };
 use dvmc_types::{BlockAddr, NodeId, WordAddr};
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -903,36 +903,13 @@ impl State {
 
     /// Transient controller-state labels currently occupied, for the
     /// reachability-vs-table audit.
-    fn transient_labels(&self, protocol: Protocol, out: &mut BTreeSet<String>) {
+    fn transient_labels(&self, out: &mut BTreeSet<String>) {
         for cache in &self.caches {
-            for m in cache.probe_mshrs() {
-                out.insert(mshr_label(protocol, &m));
-            }
-            for (_, s) in cache.probe_evicting() {
-                out.insert(format!("cache:WB_{s:?}"));
-            }
+            out.extend(cache.transient_states());
         }
-        match protocol {
-            Protocol::Directory => {
-                for k in self.home.probe_busy_kinds() {
-                    out.insert(format!("home:{k:?}"));
-                }
-                if self.home.probe_has_blocked() {
-                    out.insert("home:BlockedQueue".to_string());
-                }
-            }
-            Protocol::Snooping => {
-                let (awaiting_wb, deferred) = self.home.probe_snoop_transients();
-                if awaiting_wb {
-                    out.insert("home:AwaitWb".to_string());
-                }
-                if deferred {
-                    out.insert("home:DeferredSupply".to_string());
-                }
-            }
-        }
+        out.extend(self.home.transient_states());
         if let Some(c) = &self.checkpoint {
-            c.transient_labels(protocol, out);
+            c.transient_labels(out);
         }
     }
 
@@ -1129,39 +1106,6 @@ impl State {
     }
 }
 
-/// Names the transient cache-controller state a live MSHR occupies, in
-/// the Sorin-style nomenclature of the protocol tables.
-fn mshr_label(protocol: Protocol, m: &MshrView) -> String {
-    let mut label = match protocol {
-        // Directory requests are ordered at the home: an MSHR only ever
-        // awaits data/acks.
-        Protocol::Directory => {
-            format!("cache:{}", if m.exclusive { "IM_D" } else { "IS_D" })
-        }
-        // Snooping requests are ordered by the broadcast tree: before
-        // `observed` the MSHR awaits the address network too.
-        Protocol::Snooping => {
-            let base = match (m.exclusive, m.observed) {
-                (false, false) => "IS_AD",
-                (false, true) => "IS_D",
-                (true, false) => "IM_AD",
-                (true, true) => "IM_D",
-            };
-            format!("cache:{base}")
-        }
-    };
-    if m.stashed {
-        label.push_str("+stash");
-    }
-    if m.deferred {
-        label.push_str("+defer");
-    }
-    if m.has_obligations {
-        label.push_str("+obl");
-    }
-    label
-}
-
 fn describe_outbound(o: &Outbound) -> String {
     let kind = match &o.msg {
         Msg::GetS { req, addr } => format!("GetS {addr:?} from cache{}", req.index()),
@@ -1269,7 +1213,7 @@ fn expand(
                     StepResult::Known
                 } else {
                     let mut labels = BTreeSet::new();
-                    next.transient_labels(cfg.protocol, &mut labels);
+                    next.transient_labels(&mut labels);
                     StepResult::Fresh {
                         fp,
                         orbit,
@@ -1318,7 +1262,7 @@ pub fn explore_jobs(cfg: &ExploreConfig, jobs: usize) -> ExploreOutcome {
     let mut parents: HashMap<u128, Option<(u128, String)>> = HashMap::new();
     parents.insert(root_fp, None);
     let mut transients = BTreeSet::new();
-    initial.transient_labels(cfg.protocol, &mut transients);
+    initial.transient_labels(&mut transients);
     let mut level: Vec<(u128, State)> = vec![(root_fp, initial)];
     let mut states = 1usize;
     let mut represented = root_orbit;

@@ -2,10 +2,12 @@
 //!
 //! The protocol implementation doesn't enumerate its transient states as
 //! a literal table — they are implicit in MSHR flags, the eviction
-//! buffer, and the home's transaction records. This module declares that
-//! table explicitly, per protocol, and cross-checks it against the
-//! transients the explorer *actually reached* over the canonical
-//! configuration suite:
+//! buffer, and the home's transaction records, which the controllers name
+//! themselves (`CacheNode::transient_states`,
+//! `HomeCtrl::transient_states`). This module declares the table
+//! explicitly, per protocol, and cross-checks it against the transients
+//! the explorer *actually reached* over the canonical configuration
+//! suite:
 //!
 //! - a reached transient missing from the table is a **failure** (the
 //!   implementation has a state the table doesn't admit — exactly the

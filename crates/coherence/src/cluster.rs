@@ -6,25 +6,11 @@
 use crate::home::{HomeConfig, HomeCtrl, HomeStats};
 use crate::msg::Msg;
 use crate::node::{CacheNode, NodeConfig, Protocol};
+use crate::probe::home_bound;
 use crate::proc::{CacheStats, ProcReq, ProcResp};
 use dvmc_core::violation::Violation;
 use dvmc_interconnect::{BroadcastTree, Torus};
 use dvmc_types::{BlockAddr, Cycle, NodeId, WordAddr};
-
-/// Whether a message is consumed by the home controller (as opposed to the
-/// cache controller) at its destination node.
-fn home_bound(msg: &Msg) -> bool {
-    matches!(
-        msg,
-        Msg::GetS { .. }
-            | Msg::GetM { .. }
-            | Msg::PutM { .. }
-            | Msg::InvAck { .. }
-            | Msg::RecallAck { .. }
-            | Msg::Unblock { .. }
-            | Msg::Epoch(_)
-    )
-}
 
 /// Cluster-wide configuration.
 #[derive(Clone, Copy, Debug)]
@@ -146,13 +132,6 @@ impl Cluster {
     pub fn poke_word(&mut self, addr: WordAddr, value: u64) {
         let home = addr.block().home(self.cfg.nodes);
         self.homes[home.index()].poke_word(addr, value);
-    }
-
-    /// Reads a memory word from its home (ignores cached dirty copies; use
-    /// only after quiescence for end-state checks).
-    pub fn peek_memory_word(&self, addr: WordAddr) -> u64 {
-        let home = addr.block().home(self.cfg.nodes);
-        self.homes[home.index()].peek_word(addr)
     }
 
     /// An order-independent digest of every home's memory image (blocks
@@ -280,13 +259,6 @@ impl Cluster {
             home.idle_stamp(last_skipped);
         }
         self.now = target;
-    }
-
-    /// Whether any home's epoch sorter holds queued informs (the periodic
-    /// watermark drain makes such a home an every-cycle event source under
-    /// the directory protocol).
-    pub fn any_sorter_queued(&self) -> bool {
-        self.homes.iter().any(|h| h.queued() > 0)
     }
 
     /// The earliest cycle at which any home's periodic watermark drain

@@ -7,8 +7,8 @@ use crate::msg::{AddrReq, Msg, Outbound, SnoopKind};
 use crate::node::Protocol;
 use dvmc_core::coherence::HomeChecker;
 use dvmc_core::violation::{CoherenceViolation, Violation};
-use dvmc_types::{Block, BlockAddr, Cycle, NodeId, Ts16};
-use std::collections::{HashMap, HashSet, VecDeque};
+use dvmc_types::{Block, BlockAddr, Cycle, FxMap, FxSet, NodeId, Ts16};
+use std::collections::VecDeque;
 
 /// Home-controller configuration.
 #[derive(Clone, Copy, Debug)]
@@ -43,24 +43,15 @@ struct DirEntry {
     sharers: u64,
 }
 
-/// The kind of an in-flight home transaction, exposed for the analyzer's
-/// transient-state audit (mirrors the private `TxnKind`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum HomeBusyKind {
+/// The kind of an in-flight home transaction; its name is the
+/// transient-state label (`home:GetS`, ...).
+#[derive(Clone, Copy, Debug)]
+enum TxnKind {
     /// Read miss being served by an owner recall.
     GetS,
     /// Write miss being served by recall/invalidation.
     GetM,
     /// O→M upgrade collecting invalidation acks.
-    Upgrade,
-    /// Grant sent; waiting for the requester's Unblock.
-    AwaitUnblock,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum TxnKind {
-    GetS,
-    GetM,
     Upgrade,
     /// Grant sent; waiting for the requester's Unblock before starting the
     /// next transaction for the block.
@@ -74,6 +65,18 @@ struct Txn {
     need_acks: u32,
     need_data: bool,
     data: Option<Block>,
+}
+
+impl Txn {
+    fn new(kind: TxnKind, requester: NodeId, need_acks: u32, need_data: bool) -> Self {
+        Txn {
+            kind,
+            requester,
+            need_acks,
+            need_data,
+            data: None,
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -110,10 +113,10 @@ pub struct HomeCtrl {
     id: NodeId,
     cfg: HomeConfig,
     protocol: Protocol,
-    memory: HashMap<BlockAddr, MemBlock>,
-    dir: HashMap<BlockAddr, DirEntry>,
-    busy: HashMap<BlockAddr, Txn>,
-    blocked: HashMap<BlockAddr, VecDeque<Msg>>,
+    memory: FxMap<BlockAddr, MemBlock>,
+    dir: FxMap<BlockAddr, DirEntry>,
+    busy: FxMap<BlockAddr, Txn>,
+    blocked: FxMap<BlockAddr, VecDeque<Msg>>,
     checker: Option<HomeChecker>,
     inbox: VecDeque<Msg>,
     snoop_in: VecDeque<(u64, AddrReq)>,
@@ -123,11 +126,11 @@ pub struct HomeCtrl {
     stats: HomeStats,
     /// Snooping: current owner per block, reconstructed from the ordered
     /// request stream (the wired-OR owner-signal equivalent).
-    snoop_owner: HashMap<BlockAddr, NodeId>,
+    snoop_owner: FxMap<BlockAddr, NodeId>,
     /// Snooping: blocks whose writeback data is still in flight, plus the
     /// supplies deferred behind it.
-    awaiting_wb: HashSet<BlockAddr>,
-    deferred: HashMap<BlockAddr, VecDeque<(NodeId, SnoopKind, u64)>>,
+    awaiting_wb: FxSet<BlockAddr>,
+    deferred: FxMap<BlockAddr, VecDeque<(NodeId, SnoopKind, u64)>>,
     /// Ring of recently read-shared blocks (fault-injection targeting:
     /// active blocks manifest corruption quickly, like the paper's hot
     /// working sets).
@@ -150,10 +153,10 @@ impl HomeCtrl {
         HomeCtrl {
             id,
             protocol,
-            memory: HashMap::new(),
-            dir: HashMap::new(),
-            busy: HashMap::new(),
-            blocked: HashMap::new(),
+            memory: FxMap::default(),
+            dir: FxMap::default(),
+            busy: FxMap::default(),
+            blocked: FxMap::default(),
             checker: cfg
                 .verify
                 .then(|| HomeChecker::new(id, cfg.sorter_capacity)),
@@ -163,9 +166,9 @@ impl HomeCtrl {
             out_delayed: Vec::new(),
             violations: Vec::new(),
             stats: HomeStats::default(),
-            snoop_owner: HashMap::new(),
-            awaiting_wb: HashSet::new(),
-            deferred: HashMap::new(),
+            snoop_owner: FxMap::default(),
+            awaiting_wb: FxSet::default(),
+            deferred: FxMap::default(),
             recent_reads: VecDeque::new(),
             recent_owned: VecDeque::new(),
             legacy_strict_acks: false,
@@ -215,13 +218,6 @@ impl HomeCtrl {
                 mix(block.word(w));
             }
         }
-    }
-
-    /// Reads a word of this home's memory (test/verification use).
-    pub fn peek_word(&self, addr: dvmc_types::WordAddr) -> u64 {
-        self.memory
-            .get(&addr.block())
-            .map_or(0, |m| m.data.word(addr.offset()))
     }
 
     /// Delivers a point-to-point message.
@@ -401,32 +397,23 @@ impl HomeCtrl {
         }
     }
 
-    /// The kinds of in-flight home transactions, for the analyzer's
-    /// transient-state audit.
-    pub fn probe_busy_kinds(&self) -> Vec<HomeBusyKind> {
-        self.busy
-            .values()
-            .map(|t| match t.kind {
-                TxnKind::GetS => HomeBusyKind::GetS,
-                TxnKind::GetM => HomeBusyKind::GetM,
-                TxnKind::Upgrade => HomeBusyKind::Upgrade,
-                TxnKind::AwaitUnblock => HomeBusyKind::AwaitUnblock,
-            })
-            .collect()
-    }
-
-    /// Whether any request is queued behind a busy block (directory).
-    pub fn probe_has_blocked(&self) -> bool {
-        self.blocked.values().any(|q| !q.is_empty())
-    }
-
-    /// Snooping transients: (a writeback is in flight, a supply is
-    /// deferred behind one).
-    pub fn probe_snoop_transients(&self) -> (bool, bool) {
-        (
-            !self.awaiting_wb.is_empty(),
-            self.deferred.values().any(|q| !q.is_empty()),
-        )
+    /// The transient protocol states this controller occupies, in the
+    /// labels the analyzer's transient-state tables declare: one
+    /// `home:<kind>` per in-flight directory transaction
+    /// (`home:GetS`/`GetM`/`Upgrade`/`AwaitUnblock`), `home:BlockedQueue`
+    /// when a directory request waits behind a busy block, and for
+    /// snooping `home:AwaitWb` (a writeback's data is in flight) and
+    /// `home:DeferredSupply` (a supply waits behind one).
+    pub fn transient_states(&self) -> impl Iterator<Item = String> + '_ {
+        let busy = self.busy.values().map(|t| format!("home:{:?}", t.kind));
+        let blocked = self.blocked.values().any(|q| !q.is_empty());
+        let deferred = self.deferred.values().any(|q| !q.is_empty());
+        let flags = [
+            blocked.then_some("home:BlockedQueue"),
+            (!self.awaiting_wb.is_empty()).then_some("home:AwaitWb"),
+            deferred.then_some("home:DeferredSupply"),
+        ];
+        busy.chain(flags.into_iter().flatten().map(String::from))
     }
 
     /// Fault injection: flips a bit of a recently read memory block
@@ -614,8 +601,8 @@ impl HomeCtrl {
         }
     }
 
-    /// Feeds an epoch message straight into the checker (end-of-run audit,
-    /// bypassing the network).
+    /// Feeds an epoch message into the checker — one delivered by the
+    /// network, or one the end-of-run audit hands over directly.
     pub fn ingest_epoch(&mut self, e: dvmc_core::coherence::EpochMessage) {
         self.stats.informs += 1;
         if let Some(chk) = self.checker.as_mut() {
@@ -699,14 +686,7 @@ impl HomeCtrl {
 
     fn handle_msg(&mut self, msg: Msg) {
         match msg {
-            Msg::Epoch(e) => {
-                self.stats.informs += 1;
-                if let Some(chk) = self.checker.as_mut() {
-                    if let Err(v) = chk.push(e) {
-                        self.violations.push(v);
-                    }
-                }
-            }
+            Msg::Epoch(e) => self.ingest_epoch(e),
             Msg::PutM { addr, data, .. } if self.protocol == Protocol::Snooping => {
                 // Snooping writeback data arriving at the home (the
                 // ordering point was the PutM address-network observation).
@@ -757,16 +737,8 @@ impl HomeCtrl {
                         self.await_unblock(addr, req);
                     }
                     Some(owner) => {
-                        self.busy.insert(
-                            addr,
-                            Txn {
-                                kind: TxnKind::GetS,
-                                requester: req,
-                                need_acks: 0,
-                                need_data: true,
-                                data: None,
-                            },
-                        );
+                        let txn = Txn::new(TxnKind::GetS, req, 0, true);
+                        self.busy.insert(addr, txn);
                         self.send(owner, Msg::RecallShare { addr });
                     }
                 }
@@ -790,30 +762,14 @@ impl HomeCtrl {
                             self.send(req, Msg::UpgradeAck { addr });
                             self.await_unblock(addr, req);
                         } else {
-                            self.busy.insert(
-                                addr,
-                                Txn {
-                                    kind: TxnKind::Upgrade,
-                                    requester: req,
-                                    need_acks: n_acks,
-                                    need_data: false,
-                                    data: None,
-                                },
-                            );
+                            let txn = Txn::new(TxnKind::Upgrade, req, n_acks, false);
+                            self.busy.insert(addr, txn);
                             self.send_invs(addr, others);
                         }
                     }
                     Some(owner) => {
-                        self.busy.insert(
-                            addr,
-                            Txn {
-                                kind: TxnKind::GetM,
-                                requester: req,
-                                need_acks: n_acks,
-                                need_data: true,
-                                data: None,
-                            },
-                        );
+                        let txn = Txn::new(TxnKind::GetM, req, n_acks, true);
+                        self.busy.insert(addr, txn);
                         self.send(owner, Msg::RecallInv { addr });
                         self.send_invs(addr, others);
                     }
@@ -825,16 +781,8 @@ impl HomeCtrl {
                             self.send_after_mem(req, Msg::DataM { addr, data });
                             self.await_unblock(addr, req);
                         } else {
-                            self.busy.insert(
-                                addr,
-                                Txn {
-                                    kind: TxnKind::GetM,
-                                    requester: req,
-                                    need_acks: n_acks,
-                                    need_data: false,
-                                    data: None,
-                                },
-                            );
+                            let txn = Txn::new(TxnKind::GetM, req, n_acks, false);
+                            self.busy.insert(addr, txn);
                             self.send_invs(addr, others);
                         }
                     }
@@ -856,16 +804,8 @@ impl HomeCtrl {
     }
 
     fn await_unblock(&mut self, addr: BlockAddr, requester: NodeId) {
-        self.busy.insert(
-            addr,
-            Txn {
-                kind: TxnKind::AwaitUnblock,
-                requester,
-                need_acks: 0,
-                need_data: false,
-                data: None,
-            },
-        );
+        let txn = Txn::new(TxnKind::AwaitUnblock, requester, 0, false);
+        self.busy.insert(addr, txn);
     }
 
     fn send_invs(&mut self, addr: BlockAddr, sharers: u64) {
@@ -1018,6 +958,11 @@ impl HomeCtrl {
                 .push_back((to, kind, order));
             return;
         }
+        self.supply_from_memory(addr, to, kind, order);
+    }
+
+    /// Answers the snooping request ordered at `order` from memory.
+    fn supply_from_memory(&mut self, addr: BlockAddr, to: NodeId, kind: SnoopKind, order: u64) {
         let data = self.mem_read(addr);
         self.send_after_mem(
             to,
@@ -1038,16 +983,7 @@ impl HomeCtrl {
         // point, so memory supplies each of them. (A deferred GetM set the
         // owner at observation, so at most the last entry is a GetM.)
         for (to, kind, order) in q {
-            let data = self.mem_read(addr);
-            self.send_after_mem(
-                to,
-                Msg::SnoopData {
-                    addr,
-                    data,
-                    exclusive: kind == SnoopKind::GetM,
-                    order,
-                },
-            );
+            self.supply_from_memory(addr, to, kind, order);
         }
     }
 }

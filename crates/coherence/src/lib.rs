@@ -29,8 +29,8 @@ pub mod proc;
 
 pub use cache::{CacheArray, Line, Mosi};
 pub use cluster::{Cluster, ClusterConfig};
-pub use home::{HomeBusyKind, HomeConfig, HomeCtrl, HomeStats};
+pub use home::{HomeConfig, HomeCtrl, HomeStats};
 pub use msg::{AddrReq, Msg, Outbound, SnoopKind};
 pub use probe::{home_bound, Relabel};
-pub use node::{CacheNode, MshrView, NodeConfig, Protocol};
+pub use node::{CacheNode, NodeConfig, Protocol};
 pub use proc::{CacheStats, ProcReq, ProcResp};

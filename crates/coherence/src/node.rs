@@ -9,10 +9,10 @@
 use crate::cache::{CacheArray, Line, Mosi};
 use crate::msg::{AddrReq, Msg, Outbound, SnoopKind};
 use crate::proc::{CacheStats, ProcReq, ProcResp};
-use dvmc_core::coherence::{CacheEpochTable, EpochKind};
+use dvmc_core::coherence::{CacheEpochTable, EpochKind, EpochMessage};
 use dvmc_core::violation::{CoherenceViolation, Violation};
-use dvmc_types::{Block, BlockAddr, Cycle, NodeId, Ts16};
-use std::collections::{HashMap, VecDeque};
+use dvmc_types::{Block, BlockAddr, Cycle, FxMap, NodeId, Ts16};
+use std::collections::VecDeque;
 
 /// Which coherence protocol the system runs (Table 6 configures both).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -89,28 +89,25 @@ struct Mshr {
     stashed_order: u64,
 }
 
+impl Mshr {
+    fn new(waiting: Vec<ProcReq>, exclusive: bool) -> Self {
+        Mshr {
+            waiting,
+            exclusive,
+            observed: false,
+            stashed: None,
+            obligations: Vec::new(),
+            deferred: false,
+            order: u64::MAX,
+            stashed_order: u64::MAX,
+        }
+    }
+}
+
 #[derive(Clone, Debug)]
 struct EvictBuf {
     data: Block,
     state: Mosi,
-}
-
-/// The externally visible shape of one in-flight MSHR, exposed for the
-/// analyzer's transient-state audit. The flag combination identifies the
-/// transient protocol state the controller occupies (e.g. snooping
-/// `exclusive && !observed` is IM_AD: GetM issued, not yet ordered).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MshrView {
-    /// The in-flight request is a GetM.
-    pub exclusive: bool,
-    /// Snooping: our request has passed its ordering point.
-    pub observed: bool,
-    /// Snooping: data arrived before the ordering point and is stashed.
-    pub stashed: bool,
-    /// Snooping: held back behind our own pending writeback.
-    pub deferred: bool,
-    /// Snooping: we owe data to conflicting requests ordered after ours.
-    pub has_obligations: bool,
 }
 
 /// The per-node cache controller.
@@ -122,8 +119,8 @@ pub struct CacheNode {
     l1: CacheArray<()>,
     l2: CacheArray<Mosi>,
     cet: CacheEpochTable,
-    mshrs: HashMap<BlockAddr, Mshr>,
-    evicting: HashMap<BlockAddr, EvictBuf>,
+    mshrs: FxMap<BlockAddr, Mshr>,
+    evicting: FxMap<BlockAddr, EvictBuf>,
     proc_in: VecDeque<(Cycle, ProcReq)>,
     resp_out: Vec<(Cycle, ProcResp)>,
     msg_out: VecDeque<Outbound>,
@@ -146,8 +143,8 @@ impl CacheNode {
             l1: CacheArray::with_bytes(cfg.l1_bytes, cfg.l1_ways),
             l2: CacheArray::with_bytes(cfg.l2_bytes, cfg.l2_ways),
             cet: CacheEpochTable::new(id),
-            mshrs: HashMap::new(),
-            evicting: HashMap::new(),
+            mshrs: FxMap::default(),
+            evicting: FxMap::default(),
             proc_in: VecDeque::new(),
             resp_out: Vec::new(),
             msg_out: VecDeque::new(),
@@ -276,15 +273,40 @@ impl CacheNode {
         v
     }
 
-    /// The blocks sitting in the eviction (writeback) buffer, sorted.
-    pub fn probe_evicting(&self) -> Vec<(BlockAddr, Mosi)> {
-        let mut v: Vec<(BlockAddr, Mosi)> = self
+    /// The transient protocol states this controller occupies, one label
+    /// per MSHR and eviction-buffer entry, in the Sorin-style names the
+    /// analyzer's transient-state tables declare: `cache:IS_D` awaits
+    /// data for a share request, `cache:IM_AD` awaits the address network
+    /// and data, `+stash`/`+defer`/`+obl` mark snooping early data, a
+    /// request held behind our own writeback, and owed supplies, and
+    /// `cache:WB_M`/`cache:WB_O` are eviction-buffer entries.
+    pub fn transient_states(&self) -> impl Iterator<Item = String> + '_ {
+        let mshrs = self.mshrs.values().map(|m| {
+            let base = match (self.protocol, m.exclusive, m.observed) {
+                // Directory requests are ordered at the home: an MSHR
+                // only ever awaits data/acks.
+                (Protocol::Directory, false, _) | (Protocol::Snooping, false, true) => "IS_D",
+                (Protocol::Directory, true, _) | (Protocol::Snooping, true, true) => "IM_D",
+                (Protocol::Snooping, false, false) => "IS_AD",
+                (Protocol::Snooping, true, false) => "IM_AD",
+            };
+            let mut label = format!("cache:{base}");
+            if m.stashed.is_some() {
+                label.push_str("+stash");
+            }
+            if m.deferred {
+                label.push_str("+defer");
+            }
+            if !m.obligations.is_empty() {
+                label.push_str("+obl");
+            }
+            label
+        });
+        let buffers = self
             .evicting
-            .iter()
-            .map(|(a, b)| (*a, b.state))
-            .collect();
-        v.sort_by_key(|&(a, _)| a);
-        v
+            .values()
+            .map(|b| format!("cache:WB_{:?}", b.state));
+        mshrs.chain(buffers)
     }
 
     /// Appends a canonical, deterministic digest of all protocol-relevant
@@ -380,22 +402,6 @@ impl CacheNode {
             out.push(*order);
             encode_addr_req(req, r, out);
         }
-    }
-
-    /// A flag view of the in-flight MSHRs, for the analyzer's
-    /// transient-state audit (which transient controller states — IS_D,
-    /// IM_AD, and friends — were actually occupied in a reachable state).
-    pub fn probe_mshrs(&self) -> Vec<MshrView> {
-        self.mshrs
-            .values()
-            .map(|m| MshrView {
-                exclusive: m.exclusive,
-                observed: m.observed,
-                stashed: m.stashed.is_some(),
-                deferred: m.deferred,
-                has_obligations: !m.obligations.is_empty(),
-            })
-            .collect()
     }
 
     /// Fault injection: flips a data bit in a resident L2 line without
@@ -540,13 +546,7 @@ impl CacheNode {
                     let value = line.data.word(addr.offset());
                     let ecc_ok = line.ecc_ok();
                     if self.cfg.verify && !ecc_ok {
-                        self.violations.push(
-                            CoherenceViolation::EccMismatch {
-                                node: self.id,
-                                addr: addr.block(),
-                            }
-                            .into(),
-                        );
+                        self.ecc_mismatch(addr.block());
                     }
                     if !replay {
                         self.stats.l1_hits += 1;
@@ -588,7 +588,7 @@ impl CacheNode {
                 } else {
                     self.stats.coherence_misses += 1;
                 }
-                self.start_transaction(block, false, req);
+                self.start_transaction(block, false, vec![req]);
             }
             ProcReq::Write { id, addr, value } => {
                 let writable = self
@@ -616,7 +616,7 @@ impl CacheNode {
                 } else {
                     self.stats.l1_misses += 1;
                     self.stats.coherence_misses += 1;
-                    self.start_transaction(block, true, req);
+                    self.start_transaction(block, true, vec![req]);
                 }
             }
             ProcReq::Atomic { id, addr, value } => {
@@ -642,7 +642,7 @@ impl CacheNode {
                 } else {
                     self.stats.l1_misses += 1;
                     self.stats.coherence_misses += 1;
-                    self.start_transaction(block, true, req);
+                    self.start_transaction(block, true, vec![req]);
                 }
             }
             ProcReq::Prefetch { addr, exclusive } => {
@@ -654,7 +654,7 @@ impl CacheNode {
                     }
                 });
                 if !sufficient {
-                    self.start_transaction_prefetch(addr.block(), exclusive);
+                    self.start_transaction(block, exclusive, Vec::new());
                 }
             }
         }
@@ -698,57 +698,26 @@ impl CacheNode {
     }
 
     fn check_line_ecc(&mut self, block: BlockAddr) {
-        if !self.cfg.verify {
-            return;
+        if self.cfg.verify && self.l2.peek(block).is_some_and(|l| !l.ecc_ok()) {
+            self.ecc_mismatch(block);
         }
-        if let Some(line) = self.l2.peek(block) {
-            if !line.ecc_ok() {
-                self.violations.push(
-                    CoherenceViolation::EccMismatch {
-                        node: self.id,
-                        addr: block,
-                    }
-                    .into(),
-                );
-            }
-        }
+    }
+
+    #[inline]
+    fn ecc_mismatch(&mut self, addr: BlockAddr) {
+        let node = self.id;
+        self.violations
+            .push(CoherenceViolation::EccMismatch { node, addr }.into());
     }
 
     fn home_of(&self, block: BlockAddr) -> NodeId {
         block.home(self.cfg.nodes)
     }
 
-    fn start_transaction(&mut self, block: BlockAddr, want_m: bool, req: ProcReq) {
-        self.mshrs.insert(
-            block,
-            Mshr {
-                waiting: vec![req],
-                exclusive: want_m,
-                observed: false,
-                stashed: None,
-                obligations: Vec::new(),
-                deferred: false,
-                order: u64::MAX,
-                stashed_order: u64::MAX,
-            },
-        );
-        self.issue_request(block, want_m);
-    }
-
-    fn start_transaction_prefetch(&mut self, block: BlockAddr, want_m: bool) {
-        self.mshrs.insert(
-            block,
-            Mshr {
-                waiting: Vec::new(),
-                exclusive: want_m,
-                observed: false,
-                stashed: None,
-                obligations: Vec::new(),
-                deferred: false,
-                order: u64::MAX,
-                stashed_order: u64::MAX,
-            },
-        );
+    /// Opens an MSHR for `block` with `waiting` requests and issues the
+    /// GetS/GetM for it.
+    fn start_transaction(&mut self, block: BlockAddr, want_m: bool, waiting: Vec<ProcReq>) {
+        self.mshrs.insert(block, Mshr::new(waiting, want_m));
         self.issue_request(block, want_m);
     }
 
@@ -803,25 +772,26 @@ impl CacheNode {
         });
     }
 
-    fn send_inform(&mut self, end: dvmc_core::coherence::EpochEnd, block: BlockAddr) {
+    fn send_epoch(&mut self, block: BlockAddr, msg: EpochMessage) {
         self.stats.informs_sent += 1;
         self.msg_out.push_back(Outbound {
             dst: self.home_of(block),
-            msg: Msg::Epoch(end.into()),
+            msg: Msg::Epoch(msg),
         });
     }
 
-    /// Ends the CET epoch for `block` at an explicit logical time.
+    /// Ends the CET epoch for `block` (if tracked) at logical time `ts`
+    /// and sends the inform.
     fn end_epoch_at(&mut self, block: BlockAddr, end_hash: u16, ts: Ts16) {
         if !self.cfg.verify {
             return;
         }
         if let Some(end) = self.cet.end_epoch(block, ts, end_hash) {
-            self.send_inform(end, block);
+            self.send_epoch(block, end.into());
         }
     }
 
-    /// Begins a CET epoch for `block` at an explicit logical time.
+    /// Begins a CET epoch for `block` at logical time `ts`.
     fn begin_epoch_at(&mut self, block: BlockAddr, kind: EpochKind, hash: Option<u16>, ts: Ts16) {
         if !self.cfg.verify {
             return;
@@ -829,29 +799,30 @@ impl CacheNode {
         self.cet.begin_epoch(block, kind, ts, hash);
     }
 
-    /// Ends the CET epoch for `block` (if tracked) and sends the inform.
-    fn end_epoch(&mut self, block: BlockAddr, end_hash: u16) {
-        if !self.cfg.verify {
-            return;
-        }
-        let now = self.logical_now();
-        if let Some(end) = self.cet.end_epoch(block, now, end_hash) {
-            self.send_inform(end, block);
-        }
+    /// A permission change that keeps the data: ends the epoch of `block`
+    /// and begins a `kind` epoch with the same hash at the same time.
+    #[inline]
+    fn restart_epoch_at(&mut self, block: BlockAddr, kind: EpochKind, hash: u16, ts: Ts16) {
+        self.end_epoch_at(block, hash, ts);
+        self.begin_epoch_at(block, kind, Some(hash), ts);
     }
 
+    /// [`end_epoch_at`](Self::end_epoch_at) the current logical time.
+    #[inline]
+    fn end_epoch(&mut self, block: BlockAddr, end_hash: u16) {
+        self.end_epoch_at(block, end_hash, self.logical_now());
+    }
+
+    /// [`begin_epoch_at`](Self::begin_epoch_at) the current logical time.
+    #[inline]
     fn begin_epoch(&mut self, block: BlockAddr, kind: EpochKind, hash: Option<u16>) {
-        if !self.cfg.verify {
-            return;
-        }
-        let now = self.logical_now();
-        self.cet.begin_epoch(block, kind, now, hash);
+        self.begin_epoch_at(block, kind, hash, self.logical_now());
     }
 
     /// Ends every in-progress epoch and returns the resulting epoch
     /// messages — the end-of-run audit that forces home-side checking of
     /// epochs still open when the simulation stops.
-    pub fn flush_epochs(&mut self) -> Vec<dvmc_core::coherence::EpochMessage> {
+    pub fn flush_epochs(&mut self) -> Vec<EpochMessage> {
         if !self.cfg.verify {
             return Vec::new();
         }
@@ -890,13 +861,8 @@ impl CacheNode {
         }
         let opens = self.cet.scrub_tick(self.logical_now());
         for open in opens {
-            let block = open.addr;
-            self.stats.informs_sent += 1;
             self.stats.scrub_opens += 1;
-            self.msg_out.push_back(Outbound {
-                dst: self.home_of(block),
-                msg: Msg::Epoch(open.into()),
-            });
+            self.send_epoch(open.addr, open.into());
         }
     }
 
@@ -906,16 +872,15 @@ impl CacheNode {
     /// `order` tags snooping data with the request it answers
     /// (`u64::MAX` for directory fills, which are home-serialized).
     fn fill(&mut self, block: BlockAddr, data: Block, state: Mosi, order: u64) {
-        if !self.mshrs.contains_key(&block) {
+        let Some(m) = self.mshrs.get_mut(&block) else {
             // No transaction expects data: this is a late or duplicate
             // message (e.g. a snooping upgrade satisfied in place while
             // the old owner's redundant supply was still in flight, or a
             // fault-injected duplicate). Installing it would resurrect a
             // stale line.
             return;
-        }
+        };
         if self.protocol == Protocol::Snooping {
-            let m = self.mshrs.get_mut(&block).expect("checked above");
             if !m.observed {
                 // Data raced ahead of our request's ordering point; hold
                 // it until the observation (ordering) point.
@@ -930,31 +895,24 @@ impl CacheNode {
                 return;
             }
         }
+        let kind = if state == Mosi::M {
+            EpochKind::ReadWrite
+        } else {
+            EpochKind::ReadOnly
+        };
         if self.l2.peek(block).is_some() {
-            // An upgrade grant for a line we already hold (S -> M), or a
-            // late/duplicate data message after the transaction finished.
-            if !self.mshrs.contains_key(&block) {
-                return;
-            }
-            let old_hash = {
-                let line = self.l2.lookup_mut(block).expect("peeked above");
-                let old = line.data.hash();
-                line.data = data;
-                line.ecc = data.hash();
-                line.state = state;
-                old
-            };
+            // An upgrade grant for a line we already hold (S -> M).
+            let line = self.l2.lookup_mut(block).expect("peeked above");
+            let old_hash = line.data.hash();
+            line.data = data;
+            line.ecc = data.hash();
+            line.state = state;
             if self.l1.peek(block).is_some() {
                 self.l1.remove(block);
                 let _ = self.l1.insert(block, data, ());
             }
             if self.protocol == Protocol::Directory {
                 self.end_epoch(block, old_hash);
-                let kind = if state == Mosi::M {
-                    EpochKind::ReadWrite
-                } else {
-                    EpochKind::ReadOnly
-                };
                 self.begin_epoch(block, kind, Some(data.hash()));
             } else if self.cfg.verify {
                 self.cet.data_arrived(block, data.hash());
@@ -979,27 +937,18 @@ impl CacheNode {
         {
             self.handle_victim(victim);
         }
-        let obligations = match self.protocol {
-            Protocol::Directory => {
-                let kind = if state == Mosi::M {
-                    EpochKind::ReadWrite
-                } else {
-                    EpochKind::ReadOnly
-                };
-                self.begin_epoch(block, kind, Some(data.hash()));
-                Vec::new()
-            }
-            Protocol::Snooping => {
-                // Epoch began at the snoop observation; the data arrives now.
-                if self.cfg.verify {
-                    self.cet.data_arrived(block, data.hash());
-                }
-                self.mshrs
-                    .get_mut(&block)
-                    .map(|m| std::mem::take(&mut m.obligations))
-                    .unwrap_or_default()
-            }
-        };
+        if self.protocol == Protocol::Directory {
+            self.begin_epoch(block, kind, Some(data.hash()));
+        } else if self.cfg.verify {
+            // Epoch began at the snoop observation; the data arrives now.
+            self.cet.data_arrived(block, data.hash());
+        }
+        // Only snooping MSHRs collect obligations.
+        let obligations = self
+            .mshrs
+            .get_mut(&block)
+            .map(|m| std::mem::take(&mut m.obligations))
+            .unwrap_or_default();
         self.complete_waiters(block);
         self.fulfill_obligations(block, obligations);
     }
@@ -1012,54 +961,71 @@ impl CacheNode {
         obligations: Vec<(SnoopKind, NodeId, u64)>,
     ) {
         for (kind, requester, order) in obligations {
-            let ts = Ts16::from_full(order);
             match kind {
                 SnoopKind::GetS => {
-                    let Some(line) = self.l2.lookup_mut(block) else {
-                        continue;
-                    };
-                    let data = line.data;
-                    let was_m = line.state == Mosi::M;
-                    line.state = Mosi::O;
-                    if was_m {
-                        let hash = data.hash();
-                        self.end_epoch_at(block, hash, ts);
-                        self.begin_epoch_at(block, EpochKind::ReadOnly, Some(hash), ts);
+                    if let Some(data) = self.downgrade_line(block, Ts16::from_full(order)) {
+                        self.supply(requester, block, data, false, order);
                     }
-                    self.check_line_ecc(block);
-                    self.msg_out.push_back(Outbound {
-                        dst: requester,
-                        msg: Msg::SnoopData {
-                            addr: block,
-                            data,
-                            exclusive: false,
-                            order,
-                        },
-                    });
                 }
                 SnoopKind::GetM => {
-                    let Some(line) = self.l2.remove(block) else {
-                        continue;
-                    };
-                    self.l1.remove(block);
-                    if line.state.dirty() {
-                        self.check_removed_ecc(block, &line);
-                        self.msg_out.push_back(Outbound {
-                            dst: requester,
-                            msg: Msg::SnoopData {
-                                addr: block,
-                                data: line.data,
-                                exclusive: true,
-                                order,
-                            },
-                        });
-                    }
-                    self.end_epoch_at(block, line.data.hash(), ts);
-                    self.invalidated.push(block);
+                    self.surrender_line(block, requester, order);
                 }
                 SnoopKind::PutM => {}
             }
         }
+    }
+
+    /// Serves a reader from our resident copy of `block`: an M line ends
+    /// its read-write epoch and opens a read-only one at logical time
+    /// `ts`, and the line stays as the Owned supplier. Returns the data,
+    /// or `None` when the block is not resident.
+    #[inline]
+    fn downgrade_line(&mut self, block: BlockAddr, ts: Ts16) -> Option<Block> {
+        let line = self.l2.lookup_mut(block)?;
+        let data = line.data;
+        let was_m = line.state == Mosi::M;
+        line.state = Mosi::O;
+        if was_m {
+            self.restart_epoch_at(block, EpochKind::ReadOnly, data.hash(), ts);
+        }
+        self.check_line_ecc(block);
+        Some(data)
+    }
+
+    /// Gives our resident copy of `block` up to the writer `to`, whose
+    /// GetM is ordered at `order` (snooping): a dirty line's data goes to
+    /// `to`, and the epoch ends at that ordering point. Returns whether
+    /// the block was resident.
+    #[inline]
+    fn surrender_line(&mut self, block: BlockAddr, to: NodeId, order: u64) -> bool {
+        let Some(line) = self.l2.remove(block) else {
+            return false;
+        };
+        self.l1.remove(block);
+        if line.state.dirty() {
+            if self.cfg.verify && !line.ecc_ok() {
+                self.ecc_mismatch(block);
+            }
+            self.supply(to, block, line.data, true, order);
+        }
+        self.end_epoch_at(block, line.data.hash(), Ts16::from_full(order));
+        self.invalidated.push(block);
+        true
+    }
+
+    /// Sends snooping data for `addr` to `to`, answering the request
+    /// ordered at `order`.
+    #[inline]
+    fn supply(&mut self, to: NodeId, addr: BlockAddr, data: Block, exclusive: bool, order: u64) {
+        self.msg_out.push_back(Outbound {
+            dst: to,
+            msg: Msg::SnoopData {
+                addr,
+                data,
+                exclusive,
+                order,
+            },
+        });
     }
 
     /// Completes MSHR waiters against the (now present) line; reissues a
@@ -1130,20 +1096,7 @@ impl CacheNode {
         }
         if !leftover.is_empty() {
             // Shared grant but writes pending: upgrade.
-            self.mshrs.insert(
-                block,
-                Mshr {
-                    waiting: leftover,
-                    exclusive: true,
-                    observed: false,
-                    stashed: None,
-                    obligations: Vec::new(),
-                    deferred: false,
-                    order: u64::MAX,
-                    stashed_order: u64::MAX,
-                },
-            );
-            self.issue_request(block, true);
+            self.start_transaction(block, true, leftover);
         }
     }
 
@@ -1158,59 +1111,56 @@ impl CacheNode {
         // loads get their §4.1 remote-write mark.
         self.invalidated.push(block);
         if self.cfg.verify && !victim.ecc_ok() {
-            self.violations.push(
-                CoherenceViolation::EccMismatch {
-                    node: self.id,
-                    addr: block,
-                }
-                .into(),
-            );
+            self.ecc_mismatch(block);
         }
+        // A snooping owner stays owner (and keeps the epoch open) until
+        // its PutM is observed on the ordered network; every other
+        // eviction ends the epoch now (a Shared one is a silent drop).
+        let dirty = victim.state.dirty();
+        if self.protocol == Protocol::Directory || !dirty {
+            self.end_epoch(block, victim.data.hash());
+        }
+        if !dirty {
+            return;
+        }
+        self.stats.writebacks += 1;
+        self.evicting.insert(
+            block,
+            EvictBuf {
+                data: victim.data,
+                state: victim.state,
+            },
+        );
         match self.protocol {
-            Protocol::Directory => {
-                self.end_epoch(block, victim.data.hash());
-                if victim.state.dirty() {
-                    self.stats.writebacks += 1;
-                    self.evicting.insert(
-                        block,
-                        EvictBuf {
-                            data: victim.data,
-                            state: victim.state,
-                        },
-                    );
-                    self.msg_out.push_back(Outbound {
-                        dst: self.home_of(block),
-                        msg: Msg::PutM {
-                            req: self.id,
-                            addr: block,
-                            data: victim.data,
-                        },
-                    });
-                }
-            }
-            Protocol::Snooping => {
-                if victim.state.dirty() {
-                    // Remain owner (and keep the epoch open) until the PutM
-                    // is observed on the ordered network.
-                    self.stats.writebacks += 1;
-                    self.evicting.insert(
-                        block,
-                        EvictBuf {
-                            data: victim.data,
-                            state: victim.state,
-                        },
-                    );
-                    self.addr_out.push_back(AddrReq {
-                        kind: SnoopKind::PutM,
-                        req: self.id,
-                        addr: block,
-                    });
-                } else {
-                    // Silent S eviction; the epoch ends now.
-                    self.end_epoch(block, victim.data.hash());
-                }
-            }
+            Protocol::Directory => self.send_put_m(block, victim.data),
+            Protocol::Snooping => self.addr_out.push_back(AddrReq {
+                kind: SnoopKind::PutM,
+                req: self.id,
+                addr: block,
+            }),
         }
+    }
+
+    /// Sends writeback data for `block` to its home.
+    fn send_put_m(&mut self, block: BlockAddr, data: Block) {
+        self.msg_out.push_back(Outbound {
+            dst: self.home_of(block),
+            msg: Msg::PutM {
+                req: self.id,
+                addr: block,
+                data,
+            },
+        });
+    }
+
+    /// Drops our copy of `addr` from both cache levels, ending its epoch
+    /// and reporting the loss to the core; returns the line's data.
+    fn invalidate_line(&mut self, addr: BlockAddr) -> Option<Block> {
+        let line = self.l2.remove(addr)?;
+        self.l1.remove(addr);
+        self.end_epoch(addr, line.data.hash());
+        self.invalidated.push(addr);
+        Some(line.data)
     }
 
     // ----- directory message handling -----------------------------------
@@ -1257,18 +1207,13 @@ impl CacheNode {
                         return;
                     }
                 };
-                self.end_epoch(addr, hash);
-                self.begin_epoch(addr, EpochKind::ReadWrite, Some(hash));
+                self.restart_epoch_at(addr, EpochKind::ReadWrite, hash, self.logical_now());
                 self.complete_waiters(addr);
                 self.send_unblock(addr);
             }
             Msg::Inv { addr } => {
                 self.check_line_ecc(addr);
-                if let Some(line) = self.l2.remove(addr) {
-                    self.l1.remove(addr);
-                    self.end_epoch(addr, line.data.hash());
-                    self.invalidated.push(addr);
-                }
+                self.invalidate_line(addr);
                 self.msg_out.push_back(Outbound {
                     dst: self.home_of(addr),
                     msg: Msg::InvAck {
@@ -1278,53 +1223,24 @@ impl CacheNode {
                 });
             }
             Msg::RecallShare { addr } => {
-                let data = if let Some(line) = self.l2.lookup_mut(addr) {
-                    let data = line.data;
-                    let was_m = line.state == Mosi::M;
-                    line.state = Mosi::O;
-                    if was_m {
-                        let hash = data.hash();
-                        self.end_epoch(addr, hash);
-                        self.begin_epoch(addr, EpochKind::ReadOnly, Some(hash));
-                    }
-                    self.check_line_ecc(addr);
-                    Some(data)
-                } else if let Some(buf) = self.evicting.get_mut(&addr) {
-                    buf.state = Mosi::O;
-                    Some(buf.data)
-                } else {
-                    None
-                };
+                // A buffered victim's epoch already ended at the eviction.
+                let data = self.downgrade_line(addr, self.logical_now()).or_else(|| {
+                    self.evicting.get_mut(&addr).map(|buf| {
+                        buf.state = Mosi::O;
+                        buf.data
+                    })
+                });
                 if let Some(data) = data {
-                    self.msg_out.push_back(Outbound {
-                        dst: self.home_of(addr),
-                        msg: Msg::RecallAck {
-                            from: self.id,
-                            addr,
-                            data,
-                        },
-                    });
+                    self.recall_ack(addr, data);
                 }
             }
             Msg::RecallInv { addr } => {
                 self.check_line_ecc(addr);
-                let data = if let Some(line) = self.l2.remove(addr) {
-                    self.l1.remove(addr);
-                    self.end_epoch(addr, line.data.hash());
-                    self.invalidated.push(addr);
-                    Some(line.data)
-                } else {
-                    self.evicting.get(&addr).map(|b| b.data)
-                };
+                let data = self
+                    .invalidate_line(addr)
+                    .or_else(|| self.evicting.get(&addr).map(|b| b.data));
                 if let Some(data) = data {
-                    self.msg_out.push_back(Outbound {
-                        dst: self.home_of(addr),
-                        msg: Msg::RecallAck {
-                            from: self.id,
-                            addr,
-                            data,
-                        },
-                    });
+                    self.recall_ack(addr, data);
                 }
             }
             Msg::PutAck { addr, .. } => {
@@ -1378,93 +1294,75 @@ impl CacheNode {
         true
     }
 
+    /// Our own request for `block` reached its ordering point (snooping):
+    /// the MSHR records the order and the new `kind` epoch begins here.
+    /// Data that raced ahead of this point is installed now: a stash
+    /// answering this very request, or the buffer `reclaimed` from our own
+    /// writeback of the block that has not been ordered yet.
+    fn observe_own(&mut self, block: BlockAddr, kind: EpochKind, reclaimed: Option<Block>) {
+        let order = self.last_order;
+        let stashed = self.mshrs.get_mut(&block).and_then(|m| {
+            m.observed = true;
+            m.order = order;
+            m.stashed.take().filter(|_| m.stashed_order == order)
+        });
+        let data = match reclaimed {
+            Some(data) => {
+                self.restart_epoch_at(block, kind, data.hash(), self.logical_now());
+                Some((data, Mosi::M))
+            }
+            None => {
+                self.begin_epoch(block, kind, None);
+                stashed
+            }
+        };
+        if let Some((data, state)) = data {
+            self.fill(block, data, state, order);
+        }
+    }
+
     fn handle_snoop(&mut self, req: AddrReq) {
         let mine = req.req == self.id;
         let block = req.addr;
+        let order = self.last_order;
         match (req.kind, mine) {
-            (SnoopKind::GetS, true) => {
-                let order = self.last_order;
-                let stashed = match self.mshrs.get_mut(&block) {
-                    Some(m) => {
-                        m.observed = true;
-                        m.order = order;
-                        if m.stashed_order == order {
-                            m.stashed.take()
-                        } else {
-                            m.stashed = None;
-                            None
-                        }
-                    }
-                    None => None,
-                };
-                self.begin_epoch(block, EpochKind::ReadOnly, None);
-                if let Some((data, state)) = stashed {
-                    self.fill(block, data, state, order);
-                }
-            }
+            (SnoopKind::GetS, true) => self.observe_own(block, EpochKind::ReadOnly, None),
             (SnoopKind::GetM, true) => {
                 if let Some(line) = self.l2.lookup_mut(block) {
                     // Upgrade in place: permission is granted by the
                     // observation point; we already hold the data.
                     line.state = Mosi::M;
                     let hash = line.data.hash();
-                    self.end_epoch(block, hash);
-                    self.begin_epoch(block, EpochKind::ReadWrite, Some(hash));
+                    self.restart_epoch_at(block, EpochKind::ReadWrite, hash, self.logical_now());
                     self.complete_waiters(block);
-                } else if let Some(buf) = self.evicting.remove(&block) {
-                    // Our upgrade was ordered while our own writeback of
+                } else {
+                    // If our upgrade was ordered while our own writeback of
                     // this block still awaited its ordering point (the
                     // request was issued before the eviction, so the
                     // writeback deferral in `issue_request` could not
-                    // catch it). We are still the owner: nobody else will
-                    // supply data, so waiting deadlocks, and the old
-                    // epoch would stay open past the upgrade. Reclaim the
-                    // buffer, cancel the writeback (the stale PutM
-                    // observation finds no buffer and is a no-op), and
-                    // upgrade in place.
-                    let order = self.last_order;
-                    if let Some(m) = self.mshrs.get_mut(&block) {
-                        m.observed = true;
-                        m.order = order;
-                        m.stashed = None;
-                    }
-                    let hash = buf.data.hash();
-                    self.end_epoch(block, hash);
-                    self.begin_epoch(block, EpochKind::ReadWrite, Some(hash));
-                    self.fill(block, buf.data, Mosi::M, order);
-                } else {
-                    let order = self.last_order;
-                    let stashed = match self.mshrs.get_mut(&block) {
-                        Some(m) => {
-                            m.observed = true;
-                            m.order = order;
-                            if m.stashed_order == order {
-                                m.stashed.take()
-                            } else {
-                                m.stashed = None;
-                                None
-                            }
-                        }
-                        None => None,
-                    };
-                    self.begin_epoch(block, EpochKind::ReadWrite, None);
-                    if let Some((data, state)) = stashed {
-                        self.fill(block, data, state, order);
-                    }
+                    // catch it), we are still the owner: nobody else will
+                    // supply data, so waiting deadlocks, and the old epoch
+                    // would stay open past the upgrade. Reclaim the buffer
+                    // and upgrade in place; our PutM's ordering point then
+                    // finds no buffer (see below).
+                    let reclaimed = self.evicting.remove(&block).map(|b| b.data);
+                    self.observe_own(block, EpochKind::ReadWrite, reclaimed);
                 }
             }
             (SnoopKind::PutM, true) => {
                 if let Some(buf) = self.evicting.remove(&block) {
                     self.end_epoch(block, buf.data.hash());
                     if buf.state.dirty() {
-                        self.msg_out.push_back(Outbound {
-                            dst: self.home_of(block),
-                            msg: Msg::PutM {
-                                req: self.id,
-                                addr: block,
-                                data: buf.data,
-                            },
-                        });
+                        self.send_put_m(block, buf.data);
+                    }
+                } else if !self.mshrs.contains_key(&block)
+                    && self.l2.peek(block).is_some_and(|l| l.state.dirty())
+                {
+                    // An upgrade reclaimed this writeback's buffer, but the
+                    // home takes this PutM from the owner as a writeback
+                    // and waits for its data: write the line back now.
+                    if let Some(data) = self.invalidate_line(block) {
+                        self.send_put_m(block, data);
                     }
                 }
                 // Release any request for this block that waited for the
@@ -1484,108 +1382,63 @@ impl CacheNode {
                 if self.record_obligation(block, SnoopKind::GetS, req.req) {
                     return;
                 }
-                // Owner supplies data and downgrades M -> O.
-                if let Some(line) = self.l2.lookup_mut(block) {
-                    if line.state.dirty() {
-                        let data = line.data;
-                        let was_m = line.state == Mosi::M;
-                        line.state = Mosi::O;
-                        if was_m {
-                            let hash = data.hash();
-                            self.end_epoch(block, hash);
-                            self.begin_epoch(block, EpochKind::ReadOnly, Some(hash));
+                // Owner supplies data and downgrades M -> O. A resident
+                // line is looked up (not peeked) even when clean: the
+                // snoop refreshes its LRU age.
+                let ts = self.logical_now();
+                let data = match self.l2.lookup_mut(block) {
+                    Some(line) if line.state.dirty() => self.downgrade_line(block, ts),
+                    Some(_) => None,
+                    None => match self.evicting.get_mut(&block) {
+                        Some(buf) if buf.state.dirty() => {
+                            let was_m = buf.state == Mosi::M;
+                            buf.state = Mosi::O;
+                            let data = buf.data;
+                            // The reader's epoch begins at this GetS's
+                            // ordering point, so the writeback buffer's
+                            // Read-Write epoch must close here too —
+                            // deferring the close to our own PutM
+                            // observation stamps it after the reader's
+                            // start and the MET flags a spurious overlap.
+                            if was_m {
+                                self.restart_epoch_at(block, EpochKind::ReadOnly, data.hash(), ts);
+                            }
+                            Some(data)
                         }
-                        self.check_line_ecc(block);
-                        let order = self.last_order;
-                        self.msg_out.push_back(Outbound {
-                            dst: req.req,
-                            msg: Msg::SnoopData {
-                                addr: block,
-                                data,
-                                exclusive: false,
-                                order,
-                            },
-                        });
-                    }
-                } else if let Some(buf) = self.evicting.get_mut(&block) {
-                    if buf.state.dirty() {
-                        let was_m = buf.state == Mosi::M;
-                        buf.state = Mosi::O;
-                        let data = buf.data;
-                        // The reader's epoch begins at this GetS's ordering
-                        // point, so the writeback buffer's Read-Write epoch
-                        // must close here too — deferring the close to our
-                        // own PutM observation stamps it after the reader's
-                        // start and the MET flags a spurious overlap.
-                        if was_m {
-                            let hash = data.hash();
-                            self.end_epoch(block, hash);
-                            self.begin_epoch(block, EpochKind::ReadOnly, Some(hash));
-                        }
-                        let order = self.last_order;
-                        self.msg_out.push_back(Outbound {
-                            dst: req.req,
-                            msg: Msg::SnoopData {
-                                addr: block,
-                                data,
-                                exclusive: false,
-                                order,
-                            },
-                        });
-                    }
+                        _ => None,
+                    },
+                };
+                if let Some(data) = data {
+                    self.supply(req.req, block, data, false, order);
                 }
             }
             (SnoopKind::GetM, false) => {
                 if self.record_obligation(block, SnoopKind::GetM, req.req) {
                     return;
                 }
-                if let Some(line) = self.l2.remove(block) {
-                    self.l1.remove(block);
-                    if line.state.dirty() {
-                        self.check_removed_ecc(block, &line);
-                        let order = self.last_order;
-                        self.msg_out.push_back(Outbound {
-                            dst: req.req,
-                            msg: Msg::SnoopData {
-                                addr: block,
-                                data: line.data,
-                                exclusive: true,
-                                order,
-                            },
-                        });
+                if !self.surrender_line(block, req.req, order) {
+                    if let Some(buf) = self.evicting.remove(&block) {
+                        if buf.state.dirty() {
+                            self.supply(req.req, block, buf.data, true, order);
+                        }
+                        self.end_epoch(block, buf.data.hash());
                     }
-                    self.end_epoch(block, line.data.hash());
-                    self.invalidated.push(block);
-                } else if let Some(buf) = self.evicting.remove(&block) {
-                    if buf.state.dirty() {
-                        let order = self.last_order;
-                        self.msg_out.push_back(Outbound {
-                            dst: req.req,
-                            msg: Msg::SnoopData {
-                                addr: block,
-                                data: buf.data,
-                                exclusive: true,
-                                order,
-                            },
-                        });
-                    }
-                    self.end_epoch(block, buf.data.hash());
                 }
             }
             (SnoopKind::PutM, false) => {}
         }
     }
 
-    fn check_removed_ecc(&mut self, block: BlockAddr, line: &Line<Mosi>) {
-        if self.cfg.verify && !line.ecc_ok() {
-            self.violations.push(
-                CoherenceViolation::EccMismatch {
-                    node: self.id,
-                    addr: block,
-                }
-                .into(),
-            );
-        }
+    /// Answers a directory recall with our copy of `addr`.
+    fn recall_ack(&mut self, addr: BlockAddr, data: Block) {
+        self.msg_out.push_back(Outbound {
+            dst: self.home_of(addr),
+            msg: Msg::RecallAck {
+                from: self.id,
+                addr,
+                data,
+            },
+        });
     }
 }
 

@@ -107,8 +107,9 @@ impl Relabel {
     }
 }
 
-/// Whether a message is consumed by the home controller (mirrors the
-/// cluster's and the analyzer's dispatch rule).
+/// Whether a message is consumed by the home controller (as opposed to
+/// the cache controller) at its destination node — the dispatch rule of
+/// the cluster and the analyzer.
 pub fn home_bound(msg: &Msg) -> bool {
     matches!(
         msg,

@@ -401,3 +401,72 @@ fn concurrent_requests_from_all_nodes_converge() {
         assert!(v.is_empty(), "{p:?}: {v:?}");
     });
 }
+
+/// Snooping: our GetM for a block can be ordered while our writeback of
+/// the same block still waits in the eviction buffer. The upgrade takes
+/// the buffer back, yet the home, seeing our later PutM as the owner's
+/// writeback, waits for its data — so the PutM's ordering point must
+/// write the upgraded line back.
+#[test]
+fn snooping_upgrade_that_reclaims_its_writeback_still_writes_back() {
+    let mut cfg = ClusterConfig::paper_default(2, Protocol::Snooping);
+    // One line per cache, so blocks A and B conflict; a slow address
+    // network leaves the upgrade unordered while B's fill evicts A.
+    cfg.node.l1_bytes = 64;
+    cfg.node.l1_ways = 1;
+    cfg.node.l2_bytes = 64;
+    cfg.node.l2_ways = 1;
+    cfg.tree_latency = 500;
+    let mut c = Cluster::new(cfg);
+    let (a, b) = (0u64, 16u64);
+    write(&mut c, 0, a, 99);
+    assert_eq!(read(&mut c, 1, a), 99, "node 0 keeps A in O");
+    c.submit(
+        NodeId(0),
+        ProcReq::Read {
+            id: 1,
+            addr: WordAddr(b),
+        },
+    );
+    for _ in 0..400 {
+        c.tick();
+    }
+    c.submit(
+        NodeId(0),
+        ProcReq::Write {
+            id: 2,
+            addr: WordAddr(a + 1),
+            value: 7,
+        },
+    );
+    let mut upgrade_behind_writeback = false;
+    let mut done = Vec::new();
+    for _ in 0..10_000 {
+        c.tick();
+        let states: Vec<String> = c.node_mut(NodeId(0)).transient_states().collect();
+        upgrade_behind_writeback |= ["cache:IM_AD", "cache:WB_O"]
+            .iter()
+            .all(|s| states.iter().any(|t| t == s));
+        done.extend(std::iter::from_fn(|| c.pop_resp(NodeId(0))).map(|r| r.id));
+        if done.len() == 2 {
+            break;
+        }
+    }
+    assert!(upgrade_behind_writeback, "GetM behind our writeback");
+    done.sort_unstable();
+    assert_eq!(done, vec![1, 2]);
+    assert!(c.run_to_quiescence(20_000), "home receives the writeback");
+    assert_eq!(c.home_mut(NodeId(0)).transient_states().count(), 0);
+    assert_eq!(read(&mut c, 1, a), 99);
+    assert_eq!(read(&mut c, 1, a + 1), 7);
+    write(&mut c, 1, a, 5);
+    assert_eq!(read(&mut c, 0, a), 5);
+    let owners = (0..2)
+        .flat_map(|n| c.node_mut(NodeId(n)).probe_l2_states())
+        .filter(|&(blk, s)| blk == WordAddr(a).block() && s.dirty())
+        .count();
+    assert_eq!(owners, 1, "a single owner of A");
+    assert!(c.run_to_quiescence(20_000));
+    let v = c.finish();
+    assert!(v.is_empty(), "{v:?}");
+}

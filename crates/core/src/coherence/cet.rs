@@ -1,10 +1,10 @@
 //! The Cache Epoch Table kept by each cache controller (§4.3).
 
 use super::epoch::{EpochEnd, EpochKind, InformClosedEpoch, InformEpoch, InformOpenEpoch};
-use crate::obs::{CheckerEvent, EventSink, ObsRing};
+use crate::obs::{CheckerEvent, ObsRing};
 use crate::violation::{CoherenceViolation, Violation};
-use dvmc_types::{BlockAddr, NodeId, Ts16};
-use std::collections::{HashMap, VecDeque};
+use dvmc_types::{BlockAddr, FxMap, NodeId, Ts16};
+use std::collections::VecDeque;
 
 /// Scrub FIFO length (the paper uses 128 entries per CET).
 pub const CET_SCRUB_FIFO_LEN: usize = 128;
@@ -53,7 +53,7 @@ struct ScrubRec {
 #[derive(Clone, Debug)]
 pub struct CacheEpochTable {
     node: NodeId,
-    entries: HashMap<BlockAddr, CetEntry>,
+    entries: FxMap<BlockAddr, CetEntry>,
     scrub: VecDeque<ScrubRec>,
     obs: Option<ObsRing>,
 }
@@ -63,7 +63,7 @@ impl CacheEpochTable {
     pub fn new(node: NodeId) -> Self {
         CacheEpochTable {
             node,
-            entries: HashMap::new(),
+            entries: FxMap::default(),
             scrub: VecDeque::new(),
             obs: None,
         }

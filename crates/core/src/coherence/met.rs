@@ -2,8 +2,7 @@
 
 use super::epoch::{EpochKind, EpochMessage, InformClosedEpoch, InformEpoch, InformOpenEpoch};
 use crate::violation::{CoherenceViolation, Violation};
-use dvmc_types::{BlockAddr, NodeId, Ts16};
-use std::collections::HashMap;
+use dvmc_types::{BlockAddr, FxMap, NodeId, Ts16};
 
 /// Per-block MET state: 48 bits per entry in hardware (latest Read-Only
 /// end time, latest Read-Write end time, hash of the data at the end of
@@ -29,7 +28,7 @@ pub struct MetEntry {
 #[derive(Clone, Debug)]
 pub struct MemoryEpochTable {
     node: NodeId,
-    entries: HashMap<BlockAddr, MetEntry>,
+    entries: FxMap<BlockAddr, MetEntry>,
     processed: u64,
 }
 
@@ -38,7 +37,7 @@ impl MemoryEpochTable {
     pub fn new(node: NodeId) -> Self {
         MemoryEpochTable {
             node,
-            entries: HashMap::new(),
+            entries: FxMap::default(),
             processed: 0,
         }
     }

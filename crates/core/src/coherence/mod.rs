@@ -33,7 +33,7 @@ pub use epoch::{EpochEnd, EpochKind, EpochMessage, InformClosedEpoch, InformEpoc
 pub use met::{MemoryEpochTable, MetEntry};
 pub use sorter::EpochSorter;
 
-use crate::obs::{CheckerEvent, EventSink, ObsRing};
+use crate::obs::{CheckerEvent, ObsRing};
 use crate::violation::Violation;
 use dvmc_types::Ts16;
 

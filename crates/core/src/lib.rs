@@ -20,10 +20,13 @@
 //!
 //! The checkers are deliberately **simulator-independent**: each is a
 //! plain data structure driven by architectural events (commit, perform,
-//! epoch begin/end). The `dvmc-sim` crate wires them into a full-system
-//! multicore simulator; they can equally be driven by traces, unit tests,
-//! or a different substrate — mirroring the paper's claim that any checker
-//! can be replaced by a different scheme.
+//! epoch begin/end), called directly by its host. The `dvmc-sim` crate
+//! wires them into a full-system multicore simulator, whose hosts do more
+//! than observe (commit stalls on Verification Cache capacity, replays that
+//! miss it wait on an asynchronous cache read); unit tests and the
+//! `checker_trace` example drive each one alone from hand-written events —
+//! mirroring the paper's claim that any checker can be replaced by a
+//! different scheme.
 //!
 //! A checker that detects an invariant violation returns a [`Violation`];
 //! in a deployed system this triggers backward error recovery (the
@@ -36,7 +39,6 @@ pub mod coherence;
 pub mod cost;
 pub mod obs;
 pub mod reorder;
-pub mod trace;
 pub mod uniproc;
 pub mod violation;
 
@@ -44,11 +46,8 @@ pub use coherence::{
     CacheEpochTable, EpochKind, EpochMessage, EpochSorter, HomeChecker, InformEpoch,
     MemoryEpochTable,
 };
-pub use obs::{
-    CheckerEvent, EventSink, MetricsWindow, ObsMetrics, ObsRing, TimedEvent, ViolationReport,
-};
+pub use obs::{CheckerEvent, MetricsWindow, ObsMetrics, ObsRing, TimedEvent, ViolationReport};
 pub use reorder::ReorderChecker;
-pub use trace::{TraceChecker, TraceEvent};
 pub use uniproc::{ReplayLookup, UniprocChecker, UniprocCheckerConfig, UniprocStats};
 pub use violation::{
     CoherenceViolation, LostOpViolation, ReorderViolation, UniprocViolation, Violation,

@@ -7,9 +7,8 @@
 //! * [`CheckerEvent`] — the taxonomy of checker-internal events (VC
 //!   traffic, replay outcomes, `max{OP}` updates, membar checks, epoch
 //!   lifecycle, Inform-Epoch queueing),
-//! * [`EventSink`] / [`ObsRing`] — a bounded ring buffer of
-//!   cycle-stamped events plus monotonically growing [`ObsMetrics`]
-//!   counters, and
+//! * [`ObsRing`] — a bounded ring buffer of cycle-stamped events plus
+//!   monotonically growing [`ObsMetrics`] counters, and
 //! * [`ViolationReport`] — a forensic snapshot of the last ring-buffer
 //!   events taken when the first violation of a run is reported, so
 //!   fault-injection experiments can attribute a detection to a concrete
@@ -302,16 +301,6 @@ impl MetricsWindow {
     }
 }
 
-/// A consumer of checker events.
-///
-/// The shipped implementation is [`ObsRing`]; the trait exists so traces
-/// can be redirected (e.g. straight to a file in a debugging build)
-/// without touching the checkers.
-pub trait EventSink {
-    /// Records one event at the sink's current cycle.
-    fn record(&mut self, event: CheckerEvent);
-}
-
 /// Default ring-buffer capacity: deep enough to hold the event chain
 /// between a fault's first architectural consequence and its detection for
 /// every checker, small enough to be free to keep per node.
@@ -358,21 +347,14 @@ impl ObsRing {
         self.metrics
     }
 
-    /// Mutable counter access, for metrics without a ring event (e.g. the
-    /// sorter occupancy high-water mark).
-    pub fn metrics_mut(&mut self) -> &mut ObsMetrics {
-        &mut self.metrics
-    }
-
     /// Snapshots up to the last `n` events, oldest first.
     pub fn tail(&self, n: usize) -> Vec<TimedEvent> {
         let skip = self.buf.len().saturating_sub(n);
         self.buf.iter().skip(skip).copied().collect()
     }
-}
 
-impl EventSink for ObsRing {
-    fn record(&mut self, event: CheckerEvent) {
+    /// Records one event at the ring's current cycle.
+    pub fn record(&mut self, event: CheckerEvent) {
         let m = &mut self.metrics;
         m.events += 1;
         match event {

@@ -21,7 +21,7 @@
 //! consistency models (runtime model switching; 32-bit code regions run
 //! TSO), and membar ordering requirements computed from the 4-bit mask.
 
-use crate::obs::{CheckerEvent, EventSink, ObsRing};
+use crate::obs::{CheckerEvent, ObsRing};
 use crate::violation::{LostOpViolation, ReorderViolation, Violation};
 use dvmc_consistency::{Model, OpClass, OpKind, Requirement};
 use std::collections::BTreeSet;

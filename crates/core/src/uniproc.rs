@@ -23,11 +23,11 @@
 //! ([`UniprocCheckerConfig::cache_load_values`], the optimization cited
 //! from dynamic verification of single-threaded execution).
 
-use crate::obs::{CheckerEvent, EventSink, ObsRing};
+use crate::obs::{CheckerEvent, ObsRing};
 use crate::violation::{UniprocViolation, Violation};
-use dvmc_types::WordAddr;
+use dvmc_types::{FxMap, WordAddr};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Configuration of the Uniprocessor Ordering checker.
 #[derive(Clone, Copy, Debug)]
@@ -102,7 +102,7 @@ pub struct UniprocStats {
 #[derive(Clone, Debug)]
 pub struct UniprocChecker {
     cfg: UniprocCheckerConfig,
-    vc: HashMap<WordAddr, VcEntry>,
+    vc: FxMap<WordAddr, VcEntry>,
     /// FIFO of load-value entries for capacity eviction.
     load_lru: VecDeque<WordAddr>,
     store_entries: usize,
@@ -115,7 +115,7 @@ impl UniprocChecker {
     pub fn new(cfg: UniprocCheckerConfig) -> Self {
         UniprocChecker {
             cfg,
-            vc: HashMap::new(),
+            vc: FxMap::default(),
             load_lru: VecDeque::new(),
             store_entries: 0,
             stats: UniprocStats::default(),

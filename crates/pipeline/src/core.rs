@@ -22,8 +22,8 @@ use dvmc_coherence::{ProcReq, ProcResp};
 use dvmc_consistency::{CommitRecord, MembarMask, Model, OpClass};
 use dvmc_core::violation::{UniprocViolation, Violation};
 use dvmc_core::{ReorderChecker, ReplayLookup, UniprocChecker, UniprocCheckerConfig};
-use dvmc_types::{BlockAddr, Cycle, SeqNum, WordAddr};
-use std::collections::{HashMap, VecDeque};
+use dvmc_types::{BlockAddr, Cycle, FxMap, SeqNum, WordAddr};
+use std::collections::VecDeque;
 
 /// Core configuration (Table 7 defaults).
 #[derive(Clone, Copy, Debug)]
@@ -191,7 +191,7 @@ pub struct Core {
     uniproc: Option<UniprocChecker>,
     next_seq: SeqNum,
     next_req: u64,
-    pending: HashMap<u64, Pending>,
+    pending: FxMap<u64, Pending>,
     out: Vec<ProcReq>,
     decode_delay: u32,
     awaiting: Option<SeqNum>,
@@ -231,7 +231,7 @@ impl Core {
             uniproc: cfg.dvmc.then(|| UniprocChecker::new(uniproc_cfg)),
             next_seq: SeqNum(0),
             next_req: 0,
-            pending: HashMap::new(),
+            pending: FxMap::default(),
             out: Vec::new(),
             decode_delay: 0,
             awaiting: None,

@@ -10,8 +10,8 @@ use dvmc_ber::SafetyNet;
 use dvmc_coherence::{Cluster, Protocol};
 use dvmc_consistency::Model;
 use dvmc_core::{
-    CheckerEvent, CoherenceViolation, EventSink, MetricsWindow, ObsMetrics, ObsRing, TimedEvent,
-    Violation, ViolationReport,
+    CheckerEvent, CoherenceViolation, MetricsWindow, ObsMetrics, ObsRing, TimedEvent, Violation,
+    ViolationReport,
 };
 use dvmc_faults::{Fault, FaultPlan};
 use dvmc_pipeline::Core;
@@ -63,7 +63,6 @@ pub struct System {
     rng: DetRng,
     violations: Vec<Violation>,
     fault_injected_at: Option<Cycle>,
-    fault_done: bool,
     /// Per-core (retired count, last progress cycle) for the hang watchdog.
     progress: Vec<(u64, Cycle)>,
     hung: bool,
@@ -202,7 +201,6 @@ impl System {
             rng: det_rng(derive_seed(cfg.workload.seed, 0xFA17)),
             violations: Vec::new(),
             fault_injected_at: None,
-            fault_done: pending_faults.is_empty(),
             pending_faults,
             outstanding: Vec::new(),
             last_injected: None,
@@ -359,14 +357,6 @@ impl System {
     /// [`CommitRecord`]: dvmc_consistency::CommitRecord
     pub fn commit_logs(&mut self) -> Vec<Vec<dvmc_consistency::CommitRecord>> {
         self.cores.iter_mut().map(Core::take_commit_log).collect()
-    }
-
-    /// Debug helper: per-core retired counts plus hang flag.
-    pub fn report_peek(&self) -> (Vec<u64>, bool) {
-        (
-            self.cores.iter().map(Core::retired_ops).collect(),
-            self.hung,
-        )
     }
 
     /// Debug helper: renders every core and cache controller, followed —
@@ -612,7 +602,7 @@ impl System {
     }
 
     fn maybe_inject_fault(&mut self, now: Cycle) {
-        if self.fault_done {
+        if self.pending_faults.is_empty() {
             return;
         }
         // Attempt every *due* plan each tick (the queue is sorted by
@@ -632,7 +622,6 @@ impl System {
                 i += 1;
             }
         }
-        self.fault_done = self.pending_faults.is_empty();
     }
 
     /// One injection attempt; `true` when it took. Some faults need state
@@ -782,11 +771,6 @@ impl System {
         m
     }
 
-    /// Faults injected so far.
-    pub fn faults_injected(&self) -> u64 {
-        self.total_injected
-    }
-
     // ----- service mode (DESIGN.md §13) ----------------------------------
 
     /// Arms service mode: the run becomes open-ended, with a streaming
@@ -877,7 +861,6 @@ impl System {
     pub fn finish_service(&mut self) -> ServiceReport {
         assert!(self.service.is_some(), "arm_service before finish_service");
         self.pending_faults.clear();
-        self.fault_done = true;
         let fatal = self.service.as_ref().and_then(|s| s.stopped).is_some();
         // Grace drain: an episode mid-recovery at the horizon gets up to
         // two watchdog periods to come clean before shutdown.
@@ -1201,7 +1184,6 @@ impl System {
                 self.pending_faults.push_front(plan);
             }
         }
-        self.fault_done = self.pending_faults.is_empty();
         true
     }
 
@@ -1600,16 +1582,22 @@ mod tests {
             }
         }
         run_until(&mut sys, 30_000);
-        assert!(sys.fault_done, "the stuck bit was injected");
+        assert!(sys.pending_faults.is_empty(), "the stuck bit was injected");
         // First manifestation.
         sys.hung = true;
         assert!(sys.try_recover(), "first retry rolls back");
         assert_eq!(sys.recovery_attempts, 1);
         assert!(!sys.hung, "rollback clears the hang");
         assert_eq!(sys.now(), 0, "only the initial checkpoint predates the fault");
-        assert!(!sys.fault_done, "persistent: the defect re-arms for replay");
+        assert!(
+            !sys.pending_faults.is_empty(),
+            "persistent: the defect re-arms for replay"
+        );
         run_until(&mut sys, 30_000);
-        assert!(sys.fault_done, "the stuck bit re-manifested during replay");
+        assert!(
+            sys.pending_faults.is_empty(),
+            "the stuck bit re-manifested during replay"
+        );
         // Second manifestation: escalation kicks in.
         sys.hung = true;
         assert!(sys.try_recover(), "second retry still rolls back");

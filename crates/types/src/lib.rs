@@ -15,14 +15,18 @@
 //! * [`rng`] — deterministic seeded RNG helpers so every experiment is
 //!   reproducible and perturbable (§5 runs each simulation ten times with
 //!   small pseudo-random perturbations).
+//! * [`hash::FxMap`] / [`hash::FxSet`] — maps with a fixed, inlined
+//!   hasher for the simulator's hot integer-keyed state.
 
 pub mod addr;
 pub mod crc;
+pub mod hash;
 pub mod ids;
 pub mod rng;
 pub mod time;
 
 pub use addr::{Block, BlockAddr, WordAddr, BLOCK_BYTES, WORDS_PER_BLOCK, WORD_BYTES};
 pub use crc::crc16;
+pub use hash::{FxMap, FxSet};
 pub use ids::{NodeId, SeqNum};
 pub use time::{Cycle, Ts16};
