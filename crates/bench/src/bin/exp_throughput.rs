@@ -20,6 +20,13 @@
 //! — or the campaign aborts: the event kernel is only admissible while
 //! it is invisible.
 //!
+//! **Snapshot-size gate:** in every cell, the bytes logged per checkpoint
+//! per node (`ckpt_bytes / (ckpt_taken × nodes)`) must be at most
+//! 256 KiB. A snapshot copies what the caches hold — a 4-byte tag per way
+//! plus the resident lines — while capacity-sized L1 and L2 arrays alone
+//! would cost at least 1,504 KiB per node, so a regression to dense cache
+//! storage fails here instead of silently inflating memory.
+//!
 //! The canonical JSON written to `--out` contains only integers reduced
 //! in submission order from pure-function cells, so it is byte-identical
 //! at any `--jobs` (CI compares `--jobs=1` against `--jobs=2`).
@@ -38,6 +45,9 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 const WATCHDOG: Cycle = 100_000;
+
+/// The snapshot-size gate: most bytes one checkpoint may log per node.
+const SNAPSHOT_BYTES_PER_NODE_MAX: u64 = 256 * 1024;
 
 /// The two kernel modes under comparison, both checkpointing whole
 /// snapshots.
@@ -208,6 +218,13 @@ fn main() {
                 cell.spec.tag
             ),
         }
+        let ckpt = &got.checkpoint;
+        let per_node = ckpt.bytes_logged / (ckpt.snapshots_taken * opts.nodes as u64).max(1);
+        assert!(
+            per_node <= SNAPSHOT_BYTES_PER_NODE_MAX,
+            "{}: {per_node} bytes per node per snapshot, over the 256 KiB gate",
+            cell.spec.tag
+        );
         rows.push(vec![
             cell.spec.tag.clone(),
             format!("{}", svc.report.cycles),
@@ -282,6 +299,6 @@ fn main() {
     println!("wrote {out}");
     println!(
         "throughput holds: the event kernel skips >=5x on quiet traffic, never loses ground, \
-         and both modes are behaviourally identical."
+         both modes are behaviourally identical, and no snapshot logs over 256 KiB per node."
     );
 }

@@ -54,11 +54,22 @@ impl<S> Line<S> {
 }
 
 /// A set-associative, LRU-replacement cache array.
+///
+/// Stored the way hardware stores it: a tag array with one `u32` per way
+/// over a data pool that holds only resident lines. A way reads 0 when
+/// empty and otherwise 1 + the index of its line in the pool, so building
+/// or cloning the array (every checkpoint capture and rollback restore
+/// clones it) costs 4 bytes per way plus the resident lines, not a line
+/// slot per way. `remove` swap-removes from the pool and repoints the
+/// moved line's way; nothing observable depends on pool order, because
+/// every choice among lines is keyed on an address or on a line's unique
+/// last-use tick.
 #[derive(Clone, Debug)]
 pub struct CacheArray<S> {
     sets: usize,
     ways: usize,
-    lines: Vec<Option<Line<S>>>,
+    tags: Vec<u32>,
+    pool: Vec<Line<S>>,
     tick: u64,
 }
 
@@ -67,15 +78,20 @@ impl<S> CacheArray<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero, or if `sets` is not a power of
-    /// two.
+    /// Panics if `sets` or `ways` is zero, if `sets` is not a power of
+    /// two, or if the capacity does not fit a `u32` tag.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0 && ways > 0, "cache geometry must be non-zero");
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        assert!(
+            u32::try_from(sets * ways).is_ok(),
+            "cache capacity must fit a u32 tag"
+        );
         CacheArray {
             sets,
             ways,
-            lines: (0..sets * ways).map(|_| None).collect(),
+            tags: vec![0; sets * ways],
+            pool: Vec::new(),
             tick: 0,
         }
     }
@@ -95,26 +111,30 @@ impl<S> CacheArray<S> {
         set * self.ways..(set + 1) * self.ways
     }
 
-    /// Looks up `addr`, updating LRU on hit.
-    #[allow(clippy::manual_inspect)]
+    /// Where `addr` is resident: its way (tag-array index) and the pool
+    /// index of its line.
+    fn locate(&self, addr: BlockAddr) -> Option<(usize, usize)> {
+        let range = self.set_range(addr);
+        let start = range.start;
+        self.tags[range].iter().enumerate().find_map(|(w, &t)| {
+            let p = (t as usize).checked_sub(1)?;
+            (self.pool[p].addr == addr).then_some((start + w, p))
+        })
+    }
+
+    /// Looks up `addr`, updating LRU on hit. A miss still advances the LRU
+    /// clock.
     pub fn lookup_mut(&mut self, addr: BlockAddr) -> Option<&mut Line<S>> {
         self.tick += 1;
-        let tick = self.tick;
-        let range = self.set_range(addr);
-        self.lines[range]
-            .iter_mut()
-            .flatten()
-            .find(|l| l.addr == addr)
-            .map(|l| {
-                l.last_used = tick;
-                l
-            })
+        let (_, p) = self.locate(addr)?;
+        let line = &mut self.pool[p];
+        line.last_used = self.tick;
+        Some(line)
     }
 
     /// Looks up `addr` without touching LRU state.
     pub fn peek(&self, addr: BlockAddr) -> Option<&Line<S>> {
-        let range = self.set_range(addr);
-        self.lines[range].iter().flatten().find(|l| l.addr == addr)
+        self.locate(addr).map(|(_, p)| &self.pool[p])
     }
 
     /// Inserts a line, evicting the LRU way of the set if full. Returns the
@@ -149,47 +169,74 @@ impl<S> CacheArray<S> {
             "insert of already-present line {addr}"
         );
         self.tick += 1;
-        let tick = self.tick;
-        let range = self.set_range(addr);
         let new_line = Line {
             addr,
             ecc: data.hash(),
             data,
             state,
-            last_used: tick,
+            last_used: self.tick,
         };
-        // Prefer an empty way.
-        if let Some(slot) = self.lines[range.clone()].iter_mut().find(|l| l.is_none()) {
-            *slot = Some(new_line);
+        let range = self.set_range(addr);
+        // Prefer the first empty way.
+        if let Some(w) = self.tags[range.clone()].iter().position(|&t| t == 0) {
+            self.pool.push(new_line);
+            self.tags[range.start + w] = self.pool.len() as u32;
+            debug_assert!(self.consistent_around(addr));
             return None;
         }
-        // Evict the least recently used unpinned way.
-        let victim_idx = range
-            .clone()
-            .filter(|&i| {
-                self.lines[i]
-                    .as_ref()
-                    .is_some_and(|l| !pinned(l.addr))
-            })
-            .min_by_key(|&i| self.lines[i].as_ref().map_or(0, |l| l.last_used))
-            .or_else(|| {
-                range
-                    .clone()
-                    .min_by_key(|&i| self.lines[i].as_ref().map_or(0, |l| l.last_used))
-            })
-            .expect("non-empty set range");
-        self.lines[victim_idx].replace(new_line)
+        // The set is full: evict the least recently used unpinned way, or
+        // the least recently used way if every way is pinned. The new line
+        // takes over the victim's pool entry, so its way needs no update.
+        let pool = &self.pool;
+        let set = || self.tags[range.clone()].iter().map(|&t| t as usize - 1);
+        let victim = set()
+            .filter(|&p| !pinned(pool[p].addr))
+            .min_by_key(|&p| pool[p].last_used)
+            .or_else(|| set().min_by_key(|&p| pool[p].last_used))
+            .expect("a full set has ways");
+        Some(std::mem::replace(&mut self.pool[victim], new_line))
     }
 
     /// Removes and returns the line for `addr`.
     pub fn remove(&mut self, addr: BlockAddr) -> Option<Line<S>> {
-        let range = self.set_range(addr);
-        for i in range {
-            if self.lines[i].as_ref().is_some_and(|l| l.addr == addr) {
-                return self.lines[i].take();
-            }
+        let (way, p) = self.locate(addr)?;
+        self.tags[way] = 0;
+        let line = self.pool.swap_remove(p);
+        if let Some(moved) = self.pool.get(p).map(|l| l.addr) {
+            // The pool's last line moved into slot `p`: repoint its way.
+            let old_tag = self.pool.len() as u32 + 1;
+            let range = self.set_range(moved);
+            let w = range.start
+                + self.tags[range]
+                    .iter()
+                    .position(|&t| t == old_tag)
+                    .expect("a pooled line has a way");
+            self.tags[w] = p as u32 + 1;
+            debug_assert!(self.consistent_around(moved));
         }
-        None
+        debug_assert!(self.consistent_around(addr));
+        Some(line)
+    }
+
+    /// Debug check, after each insert and remove, that the tag array and
+    /// the pool agree around `addr`: every way of its set is empty or
+    /// points at a pooled line of that set. When the LRU clock is a
+    /// multiple of 256 the whole array is checked as well — every way, and
+    /// as many occupied ways as pooled lines — because scanning all 16K
+    /// ways of an L2 after every change would slow debug runs several-fold.
+    fn consistent_around(&self, addr: BlockAddr) -> bool {
+        let in_own_set = |w: usize| {
+            let t = self.tags[w] as usize;
+            t == 0
+                || self
+                    .pool
+                    .get(t - 1)
+                    .is_some_and(|l| self.set_range(l.addr).contains(&w))
+        };
+        self.set_range(addr).all(in_own_set)
+            && (!self.tick.is_multiple_of(256)
+                || (self.tags.iter().filter(|&&t| t != 0).count() == self.pool.len()
+                    && (0..self.tags.len()).all(in_own_set)))
     }
 
     /// Writes a word with ECC maintenance (a legitimate store).
@@ -208,12 +255,12 @@ impl<S> CacheArray<S> {
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.lines.iter().flatten().count()
+        self.pool.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.pool.is_empty()
     }
 
     /// Total line capacity.
@@ -229,46 +276,32 @@ impl<S> CacheArray<S> {
         self.sets
     }
 
-    /// Iterates over resident lines.
-    pub fn iter(&self) -> impl Iterator<Item = &Line<S>> {
-        self.lines.iter().flatten()
+    /// Bytes the array's contents occupy — 4 per way for the tag array
+    /// plus one [`Line`] per resident block — which is what a clone (a
+    /// checkpoint snapshot) copies.
+    pub fn approx_bytes(&self) -> u64 {
+        (self.tags.len() * std::mem::size_of::<u32>()
+            + self.pool.len() * std::mem::size_of::<Line<S>>()) as u64
     }
 
-    /// Flips one data bit of the `idx`-th resident line (modulo residency)
-    /// *without* updating the ECC — the fault-injection entry point.
-    /// Returns the affected block address, or `None` if the cache is empty.
-    pub fn corrupt_resident_line(&mut self, idx: usize, bit: usize) -> Option<BlockAddr> {
-        let n = self.len();
-        if n == 0 {
-            return None;
-        }
-        let target = idx % n;
-        let line = self.lines.iter_mut().flatten().nth(target)?;
-        line.data.flip_bit(bit % 512);
-        Some(line.addr)
+    /// Iterates over resident lines, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = &Line<S>> {
+        self.pool.iter()
     }
 
     /// Flips one data bit of the most-recently-used resident line without
     /// updating the ECC. Hot lines manifest corruption quickly, matching
     /// the §6.1 methodology where every injected error is soon observed.
     pub fn corrupt_mru_line(&mut self, bit: usize) -> Option<BlockAddr> {
-        let line = self
-            .lines
-            .iter_mut()
-            .flatten()
-            .max_by_key(|l| l.last_used)?;
+        let line = self.pool.iter_mut().max_by_key(|l| l.last_used)?;
         line.data.flip_bit(bit % 512);
         Some(line.addr)
     }
 
     /// Resident block addresses ordered most-recently-used first.
     pub fn addrs_by_recency(&self) -> Vec<BlockAddr> {
-        let mut v: Vec<(u64, BlockAddr)> = self
-            .lines
-            .iter()
-            .flatten()
-            .map(|l| (l.last_used, l.addr))
-            .collect();
+        let mut v: Vec<(u64, BlockAddr)> =
+            self.pool.iter().map(|l| (l.last_used, l.addr)).collect();
         v.sort_unstable_by_key(|&(t, _)| std::cmp::Reverse(t));
         v.into_iter().map(|(_, a)| a).collect()
     }
@@ -293,9 +326,8 @@ impl<S> CacheArray<S> {
         pred: impl Fn(&S) -> bool,
     ) -> Option<BlockAddr> {
         let line = self
-            .lines
+            .pool
             .iter_mut()
-            .flatten()
             .filter(|l| pred(&l.state))
             .max_by_key(|l| l.last_used);
         match line {
@@ -375,19 +407,105 @@ mod tests {
     fn corruption_breaks_ecc_until_rewritten() {
         let mut c: CacheArray<Mosi> = CacheArray::new(2, 2);
         c.insert(BlockAddr(1), filled_block(3), Mosi::M);
-        let hit = c.corrupt_resident_line(0, 77).unwrap();
-        assert_eq!(hit, BlockAddr(1));
+        c.insert(BlockAddr(2), filled_block(4), Mosi::S);
+        assert_eq!(c.corrupt_mru_line(77), Some(BlockAddr(2)));
+        assert!(!c.peek(BlockAddr(2)).unwrap().ecc_ok());
+        assert!(c.corrupt_addr(BlockAddr(1), 600));
         assert!(!c.peek(BlockAddr(1)).unwrap().ecc_ok());
         // A legitimate write recomputes the ECC over the (corrupt) data —
         // ECC only guarantees data didn't change *without* a store.
         c.write_word(BlockAddr(1), 0, 5);
         assert!(c.peek(BlockAddr(1)).unwrap().ecc_ok());
+        assert!(!c.peek(BlockAddr(2)).unwrap().ecc_ok());
     }
 
     #[test]
     fn corrupt_empty_cache_is_none() {
         let mut c: CacheArray<()> = CacheArray::new(2, 2);
-        assert_eq!(c.corrupt_resident_line(3, 9), None);
+        assert_eq!(c.corrupt_mru_line(9), None);
+        assert_eq!(c.corrupt_mru_line_where(9, |_| true), None);
+        assert!(!c.corrupt_addr(BlockAddr(3), 9));
+        assert!(c.is_empty());
+    }
+
+    #[test]
+    fn insert_takes_the_first_empty_way_and_misses_tick() {
+        let mut c: CacheArray<()> = CacheArray::new(1, 4);
+        for a in 0..4 {
+            c.insert(BlockAddr(a), Block::ZERO, ());
+        }
+        c.remove(BlockAddr(2));
+        c.remove(BlockAddr(1));
+        c.insert(BlockAddr(9), Block::ZERO, ());
+        assert_eq!(c.locate(BlockAddr(9)).map(|(way, _)| way), Some(1));
+        // A miss advances the LRU clock, as a hit does.
+        let tick = c.tick;
+        assert!(c.lookup_mut(BlockAddr(5)).is_none());
+        assert_eq!(c.tick, tick + 1);
+    }
+
+    #[test]
+    fn remove_repoints_the_moved_line() {
+        // Removing a line that is not last in the pool moves the last one;
+        // it must stay reachable through its own way.
+        let mut c: CacheArray<()> = CacheArray::new(2, 2);
+        for a in [0, 1, 2, 3] {
+            c.insert(BlockAddr(a), filled_block(a), ());
+        }
+        assert_eq!(c.remove(BlockAddr(0)).unwrap().addr, BlockAddr(0));
+        for a in [1, 2, 3] {
+            assert_eq!(c.peek(BlockAddr(a)).unwrap().data, filled_block(a));
+        }
+        assert_eq!(c.len(), 3);
+        // The freed way is the set's first empty way again.
+        assert!(c.insert(BlockAddr(4), Block::ZERO, ()).is_none());
+        assert_eq!(c.len(), 4);
+    }
+
+    #[test]
+    fn clone_is_independent() {
+        // A checkpoint clones the caches and the machine runs on; a
+        // rollback clones the checkpoint back and runs on again. Either
+        // way, mutating one copy must leave the other's lines and recency
+        // untouched.
+        let mut c: CacheArray<Mosi> = CacheArray::new(2, 2);
+        for a in 0..4 {
+            c.insert(BlockAddr(a), filled_block(a), Mosi::S);
+        }
+        c.lookup_mut(BlockAddr(0));
+        let recency = c.addrs_by_recency();
+        let untouched = |c: &CacheArray<Mosi>| {
+            assert_eq!(c.len(), 4);
+            assert_eq!(c.addrs_by_recency(), recency);
+            for a in 0..4 {
+                let line = c.peek(BlockAddr(a)).unwrap();
+                assert_eq!((line.data, line.state), (filled_block(a), Mosi::S));
+                assert!(line.ecc_ok());
+            }
+        };
+        let mutate = |c: &mut CacheArray<Mosi>| {
+            c.write_word(BlockAddr(1), 3, 0xBAD);
+            c.lookup_mut(BlockAddr(2)).unwrap().state = Mosi::M;
+            c.remove(BlockAddr(0));
+            c.insert(BlockAddr(6), Block::ZERO, Mosi::O);
+            c.corrupt_mru_line(5);
+        };
+        mutate(&mut c.clone());
+        untouched(&c);
+        let snap = c.clone();
+        mutate(&mut c);
+        untouched(&snap);
+    }
+
+    #[test]
+    fn approx_bytes_counts_tags_and_resident_lines() {
+        let mut c: CacheArray<Mosi> = CacheArray::with_bytes(1024 * 1024, 4);
+        assert_eq!(c.approx_bytes(), 16384 * 4, "an empty array is its tags");
+        c.insert(BlockAddr(7), Block::ZERO, Mosi::S);
+        assert_eq!(
+            c.approx_bytes(),
+            16384 * 4 + std::mem::size_of::<Line<Mosi>>() as u64
+        );
     }
 
     #[test]

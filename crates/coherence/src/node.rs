@@ -495,7 +495,9 @@ impl CacheNode {
     pub fn approx_state_bytes(&self) -> u64 {
         let line = dvmc_types::BLOCK_BYTES as u64 + 16;
         std::mem::size_of::<Self>() as u64
-            + (self.l1.len() + self.l2.len() + self.evicting.len()) as u64 * line
+            + self.l1.approx_bytes()
+            + self.l2.approx_bytes()
+            + self.evicting.len() as u64 * line
             + self.cet.approx_bytes()
             + (self.mshrs.len() * 96
                 + self.proc_in.len() * 24
@@ -544,8 +546,8 @@ impl CacheNode {
                 // L1 hit?
                 if let Some(line) = self.l1.lookup_mut(addr.block()) {
                     let value = line.data.word(addr.offset());
-                    let ecc_ok = line.ecc_ok();
-                    if self.cfg.verify && !ecc_ok {
+                    let corrupt = self.cfg.verify && !line.ecc_ok();
+                    if corrupt {
                         self.ecc_mismatch(addr.block());
                     }
                     if !replay {

@@ -167,9 +167,11 @@ impl Block {
         out
     }
 
-    /// CRC-16 hash of the block contents (§4.3 "Data Block Hashing").
+    /// CRC-16 hash of the block contents (§4.3 "Data Block Hashing"):
+    /// the checksum of [`to_bytes`](Self::to_bytes), computed from the
+    /// words directly.
     pub fn hash(&self) -> u16 {
-        crate::crc::crc16(&self.to_bytes())
+        crate::crc::crc16_le_words(&self.words)
     }
 
     /// Flips bit `bit` (0..512) of the block, for fault injection.
