@@ -4,7 +4,7 @@
 //! processing rate at the MET — the numbers behind the paper's claim that
 //! the checker logic is simple and off the critical path (§6.3).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use dvmc_consistency::{Model, OpClass};
 use dvmc_core::coherence::{EpochKind, EpochMessage, EpochSorter, InformEpoch, MemoryEpochTable};
 use dvmc_core::{ReorderChecker, UniprocChecker, UniprocCheckerConfig};
@@ -110,6 +110,28 @@ fn bench_met_processing(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         );
+    });
+    // What every home tick and every event-kernel step asks of a sorter
+    // that holds informs none of which is old enough to release yet.
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("sorter_idle_drain", |b| {
+        let mut q = EpochSorter::new(256);
+        for i in 0..64u16 {
+            let t = 1000 + (i ^ 3);
+            q.push(EpochMessage::Inform(InformEpoch {
+                addr: BlockAddr(i as u64),
+                kind: EpochKind::ReadOnly,
+                node: NodeId(0),
+                start: Ts16(t),
+                end: Ts16(t + 1),
+                start_hash: 0,
+                end_hash: 0,
+            }));
+        }
+        b.iter(|| {
+            let released = q.drain_older_than(black_box(Ts16(900)));
+            (released.len(), q.oldest_start())
+        });
     });
     g.finish();
 }

@@ -10,8 +10,17 @@
 //! watermark (the last timestamp released). All resident timestamps stay
 //! within half a window of each other — guaranteed by the CET scrub
 //! machinery and the bounded queue residence time — which makes this
-//! ordering exact. With the paper's capacity of 256 entries, linear-scan
-//! extraction is cheap.
+//! ordering exact.
+//!
+//! The MET only ever consumes the head, and a home asks for it every
+//! executed cycle, usually to learn that nothing is old enough to release
+//! yet. So the queue keeps the index of its first minimum-key message.
+//! Keys are measured from the watermark, which only a release moves, so
+//! an insertion needs one comparison against the cached head: a strictly
+//! smaller key replaces it, which keeps among equal keys the message a
+//! full scan would find first. Only a release rescans the queue. Reading
+//! the head is O(1); a release is one linear scan over at most the
+//! paper's 256 entries.
 
 use super::epoch::EpochMessage;
 use dvmc_types::Ts16;
@@ -22,27 +31,44 @@ pub struct EpochSorter {
     items: Vec<EpochMessage>,
     capacity: usize,
     watermark: Ts16,
+    /// Index in `items` of the first message with the smallest key; only
+    /// meaningful while `items` is non-empty. A `u32` fits the padding
+    /// after `watermark`, so the sorter stays 40 bytes.
+    head: u32,
 }
 
 impl EpochSorter {
+    /// The largest capacity the `u32` head index can address (a full
+    /// queue briefly holds `capacity + 1` messages while it spills).
+    pub const MAX_CAPACITY: usize = u32::MAX as usize;
+
     /// Creates a sorter holding at most `capacity` messages (Table 6
     /// configures 256).
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or exceeds [`Self::MAX_CAPACITY`].
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "sorter capacity must be positive");
+        assert!(
+            capacity <= Self::MAX_CAPACITY,
+            "sorter capacity {capacity} exceeds {}",
+            Self::MAX_CAPACITY
+        );
         EpochSorter {
             items: Vec::with_capacity(capacity),
             capacity,
             watermark: Ts16(0),
+            head: 0,
         }
     }
 
     /// Inserts a message. If the queue is full, the earliest message is
     /// released and returned for immediate processing.
     pub fn push(&mut self, msg: EpochMessage) -> Vec<EpochMessage> {
+        if self.items.is_empty() || self.key(&msg) < self.key(&self.items[self.head as usize]) {
+            self.head = self.items.len() as u32;
+        }
         self.items.push(msg);
         let mut out = Vec::new();
         while self.items.len() > self.capacity {
@@ -126,24 +152,26 @@ impl EpochSorter {
 
     fn peek_min_time(&self) -> Option<Ts16> {
         self.items
-            .iter()
-            .min_by_key(|m| self.key(m))
-            .map(super::epoch::EpochMessage::sort_time)
+            .get(self.head as usize)
+            .map(EpochMessage::sort_time)
     }
 
     fn pop_min(&mut self) -> Option<EpochMessage> {
         if self.items.is_empty() {
             return None;
         }
-        let (idx, _) = self
-            .items
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, m)| self.key(m))?;
-        let msg = self.items.swap_remove(idx);
+        let msg = self.items.swap_remove(self.head as usize);
         // The watermark advances monotonically: a late-arriving old-start
         // inform must not drag the reference backwards.
         self.watermark = self.watermark.max_windowed(msg.sort_time());
+        // Every key moved with the watermark and the swap moved the last
+        // message into the head's slot: find the first minimum afresh.
+        self.head = self
+            .items
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, m)| self.key(m))
+            .map_or(0, |(i, _)| i as u32);
         Some(msg)
     }
 }
@@ -223,6 +251,14 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_rejected() {
         let _ = EpochSorter::new(0);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn cached_head_fits_the_padding() {
+        // Checkpoint byte counts charge each home controller its
+        // `size_of`, so caching the head must not grow the sorter.
+        assert_eq!(std::mem::size_of::<EpochSorter>(), 40);
     }
 
     #[test]

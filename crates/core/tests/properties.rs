@@ -3,7 +3,10 @@
 //! always rejected.
 
 use dvmc_consistency::{Model, OpClass};
-use dvmc_core::coherence::{EpochKind, HomeChecker, InformEpoch};
+use dvmc_core::coherence::{
+    EpochKind, EpochMessage, EpochSorter, HomeChecker, InformClosedEpoch, InformEpoch,
+    InformOpenEpoch,
+};
 use dvmc_core::{ReorderChecker, ReplayLookup, UniprocChecker, UniprocCheckerConfig, Violation};
 use dvmc_types::{BlockAddr, NodeId, SeqNum, Ts16, WordAddr};
 use proptest::prelude::*;
@@ -350,5 +353,154 @@ proptest! {
             matches!(result, Err(Violation::Coherence(_))),
             "concurrent writers must be detected"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Epoch sorter
+// ---------------------------------------------------------------------
+
+/// The reference model: the epoch sorter as it was before it cached its
+/// head. Every peek and every release rescans the whole queue for the
+/// first message with the smallest key.
+struct RescanModel {
+    items: Vec<EpochMessage>,
+    capacity: usize,
+    watermark: Ts16,
+}
+
+impl RescanModel {
+    fn new(capacity: usize) -> Self {
+        RescanModel {
+            items: Vec::new(),
+            capacity,
+            watermark: Ts16(0),
+        }
+    }
+
+    /// Wrapping distance from half a window behind the watermark.
+    fn distance(&self, t: Ts16) -> u16 {
+        t.0.wrapping_sub(self.watermark.0.wrapping_sub(Ts16::WINDOW / 2))
+    }
+
+    /// Start time, then message rank, then end time (open epochs last).
+    fn key(&self, m: &EpochMessage) -> (u16, u8, u32) {
+        let secondary = m
+            .tiebreak_end()
+            .map_or(u32::MAX, |end| u32::from(self.distance(end)));
+        (self.distance(m.sort_time()), m.tiebreak_rank(), secondary)
+    }
+
+    fn oldest_start(&self) -> Option<Ts16> {
+        self.items
+            .iter()
+            .min_by_key(|m| self.key(m))
+            .map(EpochMessage::sort_time)
+    }
+
+    fn pop_min(&mut self) -> Option<EpochMessage> {
+        let (idx, _) = self
+            .items
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, m)| self.key(m))?;
+        let msg = self.items.swap_remove(idx);
+        self.watermark = self.watermark.max_windowed(msg.sort_time());
+        Some(msg)
+    }
+
+    fn push(&mut self, msg: EpochMessage) -> Vec<EpochMessage> {
+        self.items.push(msg);
+        let mut out = Vec::new();
+        while self.items.len() > self.capacity {
+            out.extend(self.pop_min());
+        }
+        out
+    }
+
+    fn drain_older_than(&mut self, watermark: Ts16) -> Vec<EpochMessage> {
+        let mut out = Vec::new();
+        while self
+            .oldest_start()
+            .is_some_and(|t| t.earlier_than(watermark))
+        {
+            out.extend(self.pop_min());
+        }
+        out
+    }
+
+    fn flush(&mut self) -> Vec<EpochMessage> {
+        std::iter::from_fn(|| self.pop_min()).collect()
+    }
+}
+
+/// A message for push `n` at `start`: every push gets its own address, so
+/// two messages with equal keys are still told apart by what is released.
+fn sorter_msg(n: u64, start: Ts16, variant: u8) -> EpochMessage {
+    let addr = BlockAddr(n);
+    let end = Ts16(start.0.wrapping_add(u16::from(variant / 3 % 3)));
+    match variant % 3 {
+        0 => EpochMessage::Inform(InformEpoch {
+            addr,
+            kind: EpochKind::ReadOnly,
+            node: NodeId(0),
+            start,
+            end,
+            start_hash: 0,
+            end_hash: 0,
+        }),
+        1 => EpochMessage::Open(InformOpenEpoch {
+            addr,
+            kind: EpochKind::ReadWrite,
+            node: NodeId(1),
+            start,
+            start_hash: 0,
+        }),
+        _ => EpochMessage::Closed(InformClosedEpoch {
+            addr,
+            node: NodeId(2),
+            end: start,
+            end_hash: 0,
+        }),
+    }
+}
+
+proptest! {
+    /// The head-caching sorter releases exactly the messages the
+    /// rescanning model releases, in the same order, over random
+    /// interleavings of pushes, drains and flushes. Times come from a
+    /// narrow band that creeps across the `u16` wrap, so most pushes tie
+    /// on their whole key with a queued message, and small capacities
+    /// make pushes spill.
+    #[test]
+    fn sorter_matches_rescanning_model(
+        capacity in 1usize..=8,
+        ops in proptest::collection::vec((0u8..10, 0u16..16, any::<u8>()), 1..300),
+    ) {
+        let mut sorter = EpochSorter::new(capacity);
+        let mut model = RescanModel::new(capacity);
+        for (step, (op, offset, variant)) in ops.into_iter().enumerate() {
+            // The band straddles the wrap from the first step and
+            // advances one tick every four steps.
+            let base = Ts16(0xFFF8u16.wrapping_add(step as u16 / 4));
+            let t = Ts16(base.0.wrapping_add(offset));
+            let (got, want) = match op {
+                0..=5 => {
+                    let msg = sorter_msg(step as u64, t, variant);
+                    (sorter.push(msg), model.push(msg))
+                }
+                6..=8 => {
+                    // Drain boundaries land behind, inside and ahead of
+                    // the band.
+                    let wm = Ts16(t.0.wrapping_sub(4));
+                    (sorter.drain_older_than(wm), model.drain_older_than(wm))
+                }
+                _ => (sorter.flush(), model.flush()),
+            };
+            prop_assert_eq!(got, want, "step {}", step);
+            prop_assert_eq!(sorter.oldest_start(), model.oldest_start(), "step {}", step);
+            prop_assert_eq!(sorter.len(), model.items.len());
+        }
+        prop_assert_eq!(sorter.flush(), model.flush());
     }
 }

@@ -777,33 +777,28 @@ impl Core {
             self.out.push(ProcReq::Atomic { id, addr, value });
         }
 
-        // Loads issue out of order.
-        let mut to_issue: Vec<usize> = Vec::new();
-        let mut membar_block = false;
-        for (i, e) in self.rob.iter().enumerate() {
+        // Loads issue out of order, oldest first, until the load limit.
+        // `issue_load` changes only entry `i`, so issuing during the walk
+        // cannot change which later entries issue.
+        for i in 0..self.rob.len() {
+            if self.outstanding_loads >= self.cfg.max_loads {
+                break;
+            }
+            let e = &self.rob[i];
             if e.class.is_barrier() && self.cfg.model == Model::Rmo {
                 // Under RMO loads perform at execution, so a membar with
-                // #LL or #SL holds younger loads at issue (Table 4).
+                // #LL or #SL holds every younger load at issue (Table 4).
                 let holds_loads = e
                     .class
                     .membar_mask()
                     .intersects(MembarMask::LL | MembarMask::SL);
                 if holds_loads && !e.performed {
-                    membar_block = true;
+                    break;
                 }
             }
-            if membar_block {
-                continue;
-            }
             if e.class == OpClass::Load && e.state == EState::Waiting {
-                to_issue.push(i);
+                self.issue_load(i);
             }
-        }
-        for i in to_issue {
-            if self.outstanding_loads >= self.cfg.max_loads {
-                break;
-            }
-            self.issue_load(i);
         }
     }
 
@@ -1258,5 +1253,63 @@ impl std::fmt::Debug for Core {
             .field("wb", &self.wb.len())
             .field("retired", &self.stats.retired_ops)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::stream::ScriptedStream;
+
+    fn core(model: Model, max_loads: u32, script: Vec<Instr>) -> Core {
+        let cfg = CoreConfig {
+            model,
+            max_loads,
+            ..CoreConfig::default()
+        };
+        Core::new(cfg, Box::new(ScriptedStream::new(script)))
+    }
+
+    /// The word addresses of the loads a tick issued, in issue order.
+    fn reads(reqs: &[ProcReq]) -> Vec<u64> {
+        reqs.iter()
+            .filter_map(|r| match r {
+                ProcReq::Read { addr, .. } => Some(addr.0),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn execute_stops_issuing_at_the_load_limit() {
+        let script = [8, 16, 24, 32].map(Instr::load).to_vec();
+        let mut c = core(Model::Tso, 2, script);
+        // Execute runs before decode, so cycle 0 only fills the ROB.
+        assert!(reads(&c.tick(0)).is_empty());
+        assert_eq!(reads(&c.tick(1)), vec![8, 16], "the two oldest loads");
+        assert!(reads(&c.tick(2)).is_empty(), "both load slots stay taken");
+    }
+
+    #[test]
+    fn an_unperformed_rmo_load_membar_holds_every_younger_load() {
+        for (mask, issued) in [
+            (MembarMask::LL, vec![8, 16]),
+            // A store-store membar holds no load.
+            (MembarMask::SS, vec![8, 16, 24, 32]),
+        ] {
+            let script = vec![
+                Instr::load(8),
+                Instr::load(16),
+                Instr::membar(mask),
+                Instr::load(24),
+                Instr::load(32),
+            ];
+            let mut c = core(Model::Rmo, 4, script);
+            let mut out = Vec::new();
+            for now in 0..4 {
+                out.extend(reads(&c.tick(now)));
+            }
+            assert_eq!(out, issued, "membar {mask:?}");
+        }
     }
 }

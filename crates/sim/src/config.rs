@@ -3,6 +3,7 @@
 use dvmc_ber::{BerConfigError, SafetyNetConfig};
 use dvmc_coherence::{ClusterConfig, Protocol};
 use dvmc_consistency::Model;
+use dvmc_core::EpochSorter;
 use dvmc_faults::FaultPlan;
 use dvmc_pipeline::CoreConfig;
 use dvmc_workloads::spec::{WorkloadKind, WorkloadParams};
@@ -136,6 +137,14 @@ pub enum ConfigError {
     RecoveryWithoutBer,
     /// The SafetyNet configuration itself is invalid.
     Ber(BerConfigError),
+    /// `link_bandwidth` was zero: no torus link could move a byte.
+    ZeroLinkBandwidth,
+    /// `sorter_capacity` was zero, or larger than the epoch sorter's
+    /// `u32` head index can address ([`EpochSorter::MAX_CAPACITY`]).
+    SorterCapacity {
+        /// The requested capacity.
+        capacity: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -152,6 +161,12 @@ impl std::fmt::Display for ConfigError {
                 "recovery needs BER protection: without SafetyNet there is no checkpoint to roll back to"
             ),
             ConfigError::Ber(e) => write!(f, "invalid SafetyNet configuration: {e}"),
+            ConfigError::ZeroLinkBandwidth => write!(f, "link bandwidth must be positive"),
+            ConfigError::SorterCapacity { capacity } => write!(
+                f,
+                "epoch-sorter capacity {capacity} is outside 1..={}",
+                EpochSorter::MAX_CAPACITY
+            ),
         }
     }
 }
@@ -228,6 +243,14 @@ impl SystemConfig {
         }
         if self.recovery.is_some() && !self.protection.ber {
             return Err(ConfigError::RecoveryWithoutBer);
+        }
+        if self.link_bandwidth == 0 {
+            return Err(ConfigError::ZeroLinkBandwidth);
+        }
+        if !(1..=EpochSorter::MAX_CAPACITY).contains(&self.sorter_capacity) {
+            return Err(ConfigError::SorterCapacity {
+                capacity: self.sorter_capacity,
+            });
         }
         Ok(())
     }
@@ -606,6 +629,34 @@ mod tests {
             .is_ok());
         assert!(SystemBuilder::new()
             .recovery(RecoveryPolicy::default())
+            .into_config()
+            .is_ok());
+    }
+
+    #[test]
+    fn zero_link_bandwidth_is_refused() {
+        assert_eq!(
+            SystemBuilder::new().link_bandwidth(0).try_build().err(),
+            Some(ConfigError::ZeroLinkBandwidth)
+        );
+    }
+
+    #[test]
+    fn sorter_capacity_must_fit_the_head_index() {
+        assert_eq!(
+            SystemBuilder::new().sorter_capacity(0).try_build().err(),
+            Some(ConfigError::SorterCapacity { capacity: 0 })
+        );
+        let too_big = EpochSorter::MAX_CAPACITY + 1;
+        assert_eq!(
+            SystemBuilder::new()
+                .sorter_capacity(too_big)
+                .try_build()
+                .err(),
+            Some(ConfigError::SorterCapacity { capacity: too_big })
+        );
+        assert!(SystemBuilder::new()
+            .sorter_capacity(1)
             .into_config()
             .is_ok());
     }
