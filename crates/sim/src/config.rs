@@ -188,15 +188,11 @@ pub struct SystemConfig {
     pub link_bandwidth: u32,
     /// Workload selection.
     pub workload: WorkloadParams,
-    /// Optional fault to inject (§6.1).
-    pub fault: Option<FaultPlan>,
-    /// Additional scheduled faults beyond [`fault`](Self::fault) — a
-    /// fault *storm* for soak runs (DESIGN.md §13). Injected in schedule
-    /// order, one at a time: the next fault begins its injection attempts
-    /// only once the previous one has taken, so a single-`fault`
-    /// configuration draws the identical RNG sequence whether this is
-    /// empty or not.
-    pub storm: Vec<FaultPlan>,
+    /// The fault schedule: §6.1's single fault, a soak run's storm
+    /// (DESIGN.md §13), or both. Injected in time order; plans due the
+    /// same cycle keep their order here, and each due plan retries every
+    /// cycle until its target state exists.
+    pub faults: Vec<FaultPlan>,
     /// SafetyNet parameters (checkpoint cadence, validation latency, log
     /// depth, coordination traffic). Only consulted when
     /// [`Protection::ber`] is on.
@@ -524,8 +520,8 @@ impl SystemBuilder {
                 perturbation: self.perturbation,
                 model: self.model,
             },
-            fault: self.fault,
-            storm: self.storm,
+            // The single fault first, so it keeps its place on ties.
+            faults: self.fault.into_iter().chain(self.storm).collect(),
             ber: self.ber,
             recovery: self.recovery,
             watchdog_cycles: self.watchdog_cycles,
