@@ -278,7 +278,7 @@ impl Core {
         let Some(model) = self.pending_model else {
             return;
         };
-        if !(self.rob.is_empty() && self.wb.is_empty() && self.pending.is_empty()) {
+        if !self.is_idle() {
             return;
         }
         self.pending_model = None;
@@ -348,7 +348,15 @@ impl Core {
 
     /// Whether the program finished and the machine drained.
     pub fn is_done(&self) -> bool {
-        self.stream_done && self.rob.is_empty() && self.wb.is_empty() && self.pending.is_empty()
+        self.stream_done && self.is_idle()
+    }
+
+    /// Whether the core holds no work: its ROB, write buffer and
+    /// outstanding-request table are all empty. An idle core is never
+    /// hung, however long it waits for its next arrival — a due arrival
+    /// is decoded on the next tick, since the ROB has room.
+    pub fn is_idle(&self) -> bool {
+        self.rob.is_empty() && self.wb.is_empty() && self.pending.is_empty()
     }
 
     /// One-line internal state dump for debugging stuck systems.
@@ -398,9 +406,7 @@ impl Core {
         if self.is_done() {
             return true;
         }
-        self.rob.is_empty()
-            && self.wb.is_empty()
-            && self.pending.is_empty()
+        self.is_idle()
             && self.pending_model.is_none()
             && (self.stream_done || self.decode_delay > 0)
             && !self.membar_due_at(now)
@@ -415,6 +421,11 @@ impl Core {
         if self.is_done() {
             return None;
         }
+        // The queue tests are written out rather than calling `is_idle()`:
+        // this runs for every core on every executed cycle, and in this
+        // form the compiler merges them with `is_done`'s (the call cost
+        // about 5 % of simbench `paper_closed` throughput on a 2-vCPU
+        // x86-64 host).
         if !self.rob.is_empty()
             || !self.wb.is_empty()
             || !self.pending.is_empty()

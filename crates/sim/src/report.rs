@@ -78,6 +78,12 @@ pub struct EpisodeReport {
     /// When the machine was clean again (`None`: still open at shutdown,
     /// or unrecoverable).
     pub recovered_at: Option<Cycle>,
+    /// Cycles simulated (executed plus skipped) up to the first
+    /// detection. Unlike the machine clock, rollback never rewinds this
+    /// count.
+    pub detected_sim: Option<Cycle>,
+    /// Cycles simulated up to the close (`None` when `recovered_at` is).
+    pub recovered_sim: Option<Cycle>,
 }
 
 impl EpisodeReport {
@@ -91,12 +97,10 @@ impl EpisodeReport {
         self.detected_at.map(|d| d.saturating_sub(self.injected_at))
     }
 
-    /// Detection-to-clean latency, when recovered.
+    /// Detection-to-clean latency, when recovered: the cycles simulated
+    /// from the first detection to the close, every replay included.
     pub fn recovery_latency(&self) -> Option<Cycle> {
-        match (self.detected_at, self.recovered_at) {
-            (Some(d), Some(r)) => Some(r.saturating_sub(d)),
-            _ => None,
-        }
+        Some(self.recovered_sim?.saturating_sub(self.detected_sim?))
     }
 }
 
@@ -366,13 +370,17 @@ mod tests {
             attempts: 2,
             rollback_depth: 3_500,
             recovered_at: Some(9_000),
+            detected_sim: Some(4_000),
+            recovered_sim: Some(16_000),
         };
         assert_eq!(e.overlap(), 2);
         assert_eq!(e.detection_latency(), Some(3_000));
-        assert_eq!(e.recovery_latency(), Some(5_000));
+        assert_eq!(e.recovery_latency(), Some(12_000), "replayed cycles count");
         let masked = EpisodeReport {
             detected_at: None,
             recovered_at: None,
+            detected_sim: None,
+            recovered_sim: None,
             ..e
         };
         assert_eq!(masked.detection_latency(), None);

@@ -280,3 +280,74 @@ proptest! {
         );
     }
 }
+
+/// `finish_service`'s grace drain: a message dropped just before the
+/// horizon hangs a core after it, so the episode is open at the horizon
+/// and the watchdog catches it in the drain. Both kernels drain it
+/// identically; the drain ends within two watchdog periods with the
+/// episode on record; and it streams no window, so the final partial
+/// window spans every boundary the drain crossed.
+#[test]
+fn grace_drain_matches_across_kernels() {
+    const HORIZON: u64 = 100_000;
+    const WINDOW: u64 = 25_000;
+    const WATCHDOG: u64 = 60_000;
+    let run = |kernel: KernelMode| {
+        let mut sys = SystemBuilder::new()
+            .nodes(2)
+            .workload(WorkloadKind::Service { mean_gap: 400 }, u64::MAX / 2)
+            .recovery(Default::default())
+            .watchdog(WATCHDOG)
+            .obs(32)
+            .seed(11)
+            .kernel(kernel)
+            .fault(FaultPlan {
+                at_cycle: HORIZON - 40,
+                fault: Fault::DropMessage,
+            })
+            .build();
+        sys.arm_service(WINDOW);
+        let mut windows: Vec<WindowSnapshot> = Vec::new();
+        let stop = sys.run_service_until(HORIZON, &mut |snap| windows.push(*snap));
+        assert_eq!(stop, ServiceStop::Horizon);
+        let svc = sys.finish_service();
+        (format!("{windows:?}"), windows.len(), svc)
+    };
+    let legacy = run(KernelMode::Legacy);
+    let (windows, streamed, svc) = run(KernelMode::Event);
+    assert_eq!(legacy.0, windows, "window streams diverge");
+    assert_eq!(
+        format!("{:?}", legacy.2),
+        format!("{svc:?}"),
+        "service reports diverge"
+    );
+    assert_eq!(svc.stopped, ServiceStop::Horizon);
+    let [ep] = svc.episodes.as_slice() else {
+        panic!("one episode: {:?}", svc.episodes)
+    };
+    assert!(
+        ep.detected_at.is_some_and(|d| d > HORIZON),
+        "detected in the drain: {ep:?}"
+    );
+    let last = svc.windows.last().expect("a final partial window");
+    assert!(
+        last.end <= HORIZON + 2 * WATCHDOG,
+        "drained until {}",
+        last.end
+    );
+    assert!(
+        ep.recovered_at.is_some_and(|r| r <= last.end),
+        "closed in the drain: {ep:?}"
+    );
+    assert_eq!(
+        streamed as u64,
+        HORIZON / WINDOW,
+        "no window streams in the drain"
+    );
+    assert_eq!(svc.windows.len(), streamed + 1);
+    assert_eq!(last.start, HORIZON);
+    assert!(
+        last.end > HORIZON + WINDOW,
+        "the drain crossed a boundary: {last:?}"
+    );
+}

@@ -4,7 +4,7 @@
 
 use dvmc_consistency::Model;
 use dvmc_faults::{Fault, FaultPlan};
-use dvmc_sim::{Protection, Protocol, SystemBuilder};
+use dvmc_sim::{Protection, Protocol, RecoveryPolicy, ServiceStop, SystemBuilder};
 use dvmc_types::NodeId;
 use dvmc_workloads::spec::WorkloadKind;
 
@@ -207,4 +207,34 @@ fn fault_free_baseline_reports_no_detection() {
     let report = sys.run_to_completion(10_000_000);
     assert!(report.detection.is_none());
     assert!(report.completed);
+}
+
+/// An idle open-loop core is never hung, however long it waits between
+/// arrivals: with a 200k mean gap and a 100k watchdog, fault-free
+/// service runs reach their horizon. The watchdog used to exempt only
+/// finished cores, and these seeds stopped `Unrecoverable` at cycle
+/// 100,002, with or without recovery armed.
+#[test]
+fn an_idle_core_never_trips_the_watchdog() {
+    for seed in [0, 2, 3, 5] {
+        for recovery in [false, true] {
+            let mut b = SystemBuilder::new()
+                .nodes(2)
+                .workload(WorkloadKind::Service { mean_gap: 200_000 }, u64::MAX / 2)
+                .watchdog(100_000)
+                .seed(seed);
+            if recovery {
+                b = b.recovery(RecoveryPolicy::default());
+            }
+            let mut sys = b.build();
+            sys.arm_service(500_000);
+            let stop = sys.run_service_until(2_000_000, &mut |_| {});
+            assert_eq!(
+                stop,
+                ServiceStop::Horizon,
+                "seed {seed}, recovery {recovery}"
+            );
+            assert_eq!(sys.now(), 2_000_000);
+        }
+    }
 }
