@@ -1,111 +1,54 @@
-//! `dvmc-campaign` — the standalone front end of the parallel campaign
-//! runner: expands a named sweep into cells, fans them across `--jobs`
-//! workers, prints a per-tag summary, and writes the machine-readable
-//! `BENCH_campaign.json`.
+//! `dvmc-campaign` — the smoke and metrics front end of the parallel
+//! campaign runner: expands a small sanity grid (two contrasting
+//! workloads, protected vs. not) into cells, fans them across `--jobs`
+//! workers, prints a per-tag summary, and writes machine-readable JSON to
+//! the paths it is given. The paper's figures come from the `exp_*`
+//! binaries.
 //!
 //! ```text
-//! dvmc-campaign --sweep=smoke --jobs=4 --out=results/BENCH_campaign.json
+//! dvmc-campaign --jobs=4 --metrics --out=BENCH_campaign.json --obs-out=BENCH_obs.json
 //! ```
 //!
-//! Flags beyond the common `exp_*` set:
+//! Flags beyond the common `exp_*` set (nothing is written without a
+//! path):
 //!
-//! * `--sweep=smoke|runtime|error-detection` — which grid to run
-//!   (default `smoke`)
-//! * `--out=PATH` — full JSON, cells + timing (default
-//!   `results/BENCH_campaign.json`)
+//! * `--out=PATH` — full JSON, cells + timing
 //! * `--canonical-out=PATH` — cells-only canonical JSON, byte-identical
 //!   across `--jobs` values (the CI smoke job diffs two of these)
-//! * `--metrics` — attach checker observability rings to every cell and
-//!   write the per-node metrics + forensics JSON (also byte-identical
-//!   across `--jobs`)
-//! * `--obs-out=PATH` — where `--metrics` writes its JSON (default
-//!   `results/BENCH_obs.json`)
+//! * `--metrics` — attach checker observability rings to every cell
+//!   (their counters also land in the canonical JSON)
+//! * `--obs-out=PATH` — the per-node metrics + forensics JSON of
+//!   `--metrics` (also byte-identical across `--jobs`)
 //!
 //! Per-cell seeds come from `dvmc_types::rng::campaign_cell_seed`, a
 //! SplitMix64 derivation of (base seed, cell index, trial) computed
 //! during serial expansion — worker count and completion order never
 //! influence them.
 
-use dvmc_bench::{print_table, Campaign, ExpOpts, RunSpec};
-use dvmc_consistency::Model;
-use dvmc_faults::random_plan;
-use dvmc_sim::{Protection, Protocol, SystemBuilder};
-use dvmc_types::rng::{campaign_cell_seed, det_rng};
+use dvmc_bench::{print_table, write_artifact, Campaign, ExpOpts};
+use dvmc_sim::Protection;
+use dvmc_types::rng::campaign_cell_seed;
 use dvmc_workloads::spec::WorkloadKind;
 use std::path::PathBuf;
 
-fn sweep_usage() -> ! {
-    eprintln!(
-        "usage: dvmc-campaign [--sweep=smoke|runtime|error-detection] [--out=PATH] \
-         [--canonical-out=PATH] [--metrics] [--obs-out=PATH] [common exp_* flags]"
-    );
-    std::process::exit(2)
-}
-
-/// Queues `opts.runs` trials of `spec`, with per-trial perturbations
-/// derived from the cell index (decorrelated across the whole sweep).
-fn push_cells(campaign: &mut Campaign, opts: &ExpOpts, tag: String, spec: RunSpec) {
-    let cell = campaign.len() as u64;
-    for trial in 0..opts.runs {
-        let perturbation = campaign_cell_seed(opts.seed, cell, trial);
-        campaign.push(tag.clone(), trial, spec.config(opts.seed, perturbation), opts.max_cycles);
-    }
-}
-
-/// A fast sanity grid: two contrasting workloads, protected vs. not.
+/// The smoke grid: two contrasting workloads, protected vs. not, each
+/// trial perturbed by a seed derived from its cell index (decorrelated
+/// across the grid).
 fn smoke(opts: &ExpOpts) -> Campaign {
     let mut campaign = Campaign::new();
     for kind in [WorkloadKind::Jbb, WorkloadKind::Slash] {
         for protection in [Protection::BASE, Protection::FULL] {
-            let mut spec = RunSpec::new(opts, kind);
-            spec.protection = protection;
-            push_cells(&mut campaign, opts, format!("{kind}/{}", protection.label()), spec);
-        }
-    }
-    campaign
-}
-
-/// The Figure 3/4 grid: workload × model × {Base, DVMC}.
-fn runtime(opts: &ExpOpts) -> Campaign {
-    let mut campaign = Campaign::new();
-    for kind in dvmc_bench::workloads() {
-        for model in [Model::Sc, Model::Tso, Model::Pso, Model::Rmo] {
-            for protection in [Protection::BASE, Protection::FULL] {
-                let mut spec = RunSpec::new(opts, kind);
-                spec.model = model;
-                spec.protection = protection;
-                push_cells(
-                    &mut campaign,
-                    opts,
-                    format!("{kind}/{model}/{}", protection.label()),
-                    spec,
-                );
-            }
-        }
-    }
-    campaign
-}
-
-/// The §6.1 random fault-injection grid: model × protocol × random plans.
-fn error_detection(opts: &ExpOpts) -> Campaign {
-    let mut campaign = Campaign::new();
-    for model in [Model::Sc, Model::Tso, Model::Pso, Model::Rmo] {
-        for protocol in [Protocol::Directory, Protocol::Snooping] {
-            let mut rng = det_rng(opts.seed ^ model as u64 ^ ((protocol as u64) << 8));
-            for t in 0..opts.runs.max(2) {
-                let plan = random_plan(&mut rng, opts.nodes, 10_000, 60_000);
-                let cfg = SystemBuilder::new()
-                    .nodes(opts.nodes)
-                    .model(model)
-                    .protocol(protocol)
-                    .workload(WorkloadKind::Oltp, u64::MAX / 2)
-                    .seed(opts.seed + t as u64)
-                    .fault(plan)
-                    .watchdog(100_000)
-                    .max_cycles(3_000_000)
+            let tag = format!("{kind}/{}", protection.label());
+            let cell = campaign.len() as u64;
+            for trial in 0..opts.runs {
+                let cfg = opts
+                    .builder(kind)
+                    .protection(protection)
+                    .seed(opts.seed)
+                    .perturbation(campaign_cell_seed(opts.seed, cell, trial))
                     .into_config()
-                    .expect("valid trial config");
-                campaign.push(format!("{model}/{protocol:?}"), t, cfg, 3_000_000);
+                    .expect("valid smoke cell");
+                campaign.push(tag.clone(), trial, cfg, opts.max_cycles);
             }
         }
     }
@@ -113,18 +56,13 @@ fn error_detection(opts: &ExpOpts) -> Campaign {
 }
 
 fn main() {
-    let mut sweep = String::from("smoke");
-    let mut out = PathBuf::from("results/BENCH_campaign.json");
+    let mut out: Option<PathBuf> = None;
     let mut canonical_out: Option<PathBuf> = None;
     let mut metrics = false;
-    let mut obs_out = PathBuf::from("results/BENCH_obs.json");
+    let mut obs_out: Option<PathBuf> = None;
     let opts = ExpOpts::from_args_with(|key, value| match key {
-        "--sweep" => {
-            sweep = value.to_string();
-            true
-        }
         "--out" => {
-            out = PathBuf::from(value);
+            out = Some(PathBuf::from(value));
             true
         }
         "--canonical-out" => {
@@ -136,23 +74,18 @@ fn main() {
             true
         }
         "--obs-out" => {
-            obs_out = PathBuf::from(value);
+            obs_out = Some(PathBuf::from(value));
             true
         }
         _ => false,
     });
 
-    let mut campaign = match sweep.as_str() {
-        "smoke" => smoke(&opts),
-        "runtime" => runtime(&opts),
-        "error-detection" => error_detection(&opts),
-        _ => sweep_usage(),
-    };
+    let mut campaign = smoke(&opts);
     if metrics {
         campaign.enable_obs(dvmc_core::obs::DEFAULT_RING_CAPACITY);
     }
     println!(
-        "campaign: sweep={sweep}, {} cells, {} jobs, {} nodes, {} txns/thread, seed {}",
+        "campaign: smoke grid, {} cells, {} jobs, {} nodes, {} txns/thread, seed {}",
         campaign.len(),
         opts.jobs,
         opts.nodes,
@@ -192,21 +125,13 @@ fn main() {
         result.jobs()
     );
 
-    result.write_json(&out);
-    if let Some(path) = canonical_out {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-        std::fs::write(&path, result.canonical_json())
-            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        eprintln!("[campaign] wrote {} (canonical)", path.display());
+    if let Some(path) = out {
+        write_artifact(&path, &result.json());
     }
-    if metrics {
-        if let Some(dir) = obs_out.parent() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-        std::fs::write(&obs_out, result.obs_json())
-            .unwrap_or_else(|e| panic!("write {}: {e}", obs_out.display()));
-        eprintln!("[campaign] wrote {} (observability)", obs_out.display());
+    if let Some(path) = canonical_out {
+        write_artifact(&path, &result.canonical_json());
+    }
+    if let Some(path) = obs_out {
+        write_artifact(&path, &result.obs_json());
     }
 }

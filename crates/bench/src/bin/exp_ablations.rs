@@ -24,21 +24,16 @@ const SORTER_CAPACITIES: [usize; 4] = [16, 64, 256, 1024];
 fn main() {
     let opts = ExpOpts::from_args();
 
-    // Phase 1: expand all three sweeps into one campaign.
+    // Phase 1: expand all three sweeps into one campaign. The VC and
+    // sorter sweeps run directory TSO whatever `--protocol` says.
+    let oltp = || {
+        SystemBuilder::new()
+            .nodes(opts.nodes)
+            .workload(WorkloadKind::Oltp, opts.txns)
+    };
     let mut campaign = Campaign::new();
     for vc_words in VC_WORDS {
-        for run in 0..opts.runs {
-            let p = dvmc_types::rng::perturbation_seed(opts.seed, run);
-            let cfg = SystemBuilder::new()
-                .nodes(opts.nodes)
-                .workload(WorkloadKind::Oltp, opts.txns)
-                .seed(opts.seed)
-                .perturbation(p)
-                .vc_words(vc_words)
-                .into_config()
-                .expect("valid ablation config");
-            campaign.push(format!("vc/{vc_words}"), run, cfg, opts.max_cycles);
-        }
+        campaign.push_spec(&opts, format!("vc/{vc_words}"), oltp().vc_words(vc_words));
     }
     for period in MEMBAR_PERIODS {
         for run in 0..opts.runs {
@@ -52,25 +47,14 @@ fn main() {
                     fault: Fault::WbDropStore { node: NodeId(1) },
                 })
                 .watchdog(2_000_000)
-                .max_cycles(4_000_000)
                 .into_config()
                 .expect("valid ablation config");
             campaign.push(format!("membar/{period}"), run, cfg, 4_000_000);
         }
     }
     for capacity in SORTER_CAPACITIES {
-        for run in 0..opts.runs {
-            let p = dvmc_types::rng::perturbation_seed(opts.seed, run);
-            let cfg = SystemBuilder::new()
-                .nodes(opts.nodes)
-                .workload(WorkloadKind::Oltp, opts.txns)
-                .seed(opts.seed)
-                .perturbation(p)
-                .sorter_capacity(capacity)
-                .into_config()
-                .expect("valid ablation config");
-            campaign.push(format!("sorter/{capacity}"), run, cfg, opts.max_cycles);
-        }
+        let builder = oltp().sorter_capacity(capacity);
+        campaign.push_spec(&opts, format!("sorter/{capacity}"), builder);
     }
     let result = campaign.run(opts.jobs);
 

@@ -5,8 +5,9 @@
 //! consistent ~20–30% traffic overhead from Inform-Epoch messages; load
 //! replay has no measurable bandwidth impact; SafetyNet adds little.
 
-use dvmc_bench::{print_table, Campaign, ExpOpts, RunSpec};
+use dvmc_bench::{print_table, Campaign, ExpOpts};
 use dvmc_sim::{Protection, RunReport};
+use dvmc_workloads::spec::WorkloadKind;
 
 const CONFIGS: [Protection; 4] = [
     Protection::BASE,
@@ -34,11 +35,10 @@ fn main() {
     );
 
     let mut campaign = Campaign::new();
-    for kind in dvmc_bench::workloads() {
+    for kind in WorkloadKind::ALL {
         for protection in CONFIGS {
-            let mut spec = RunSpec::new(&opts, kind);
-            spec.protection = protection;
-            campaign.push_spec(&opts, format!("{kind}/{}", protection.label()), spec);
+            let tag = format!("{kind}/{}", protection.label());
+            campaign.push_spec(&opts, tag, opts.builder(kind).protection(protection));
         }
     }
     let result = campaign.run(opts.jobs);
@@ -47,7 +47,7 @@ fn main() {
         "workload", "Base", "SN", "SN+DVCC", "DVMC", "DVCC overhead", "inform share",
     ];
     let mut rows = Vec::new();
-    for kind in dvmc_bench::workloads() {
+    for kind in WorkloadKind::ALL {
         let mut bws = Vec::new();
         let mut informs = 0.0;
         for protection in CONFIGS {

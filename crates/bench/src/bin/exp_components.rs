@@ -7,8 +7,9 @@
 //! dominant cause of slowdown; each mechanism alone adds little; full
 //! DVMC is no slower than SN+DVUO.
 
-use dvmc_bench::{fmt_pm, normalize, print_table, runtime_stats, Campaign, ExpOpts, RunSpec};
+use dvmc_bench::{fmt_pm, normalize, print_table, runtime_stats, Campaign, ExpOpts};
 use dvmc_sim::Protection;
+use dvmc_workloads::spec::WorkloadKind;
 
 const CONFIGS: [Protection; 5] = [
     Protection::BASE,
@@ -26,11 +27,10 @@ fn main() {
     );
 
     let mut campaign = Campaign::new();
-    for kind in dvmc_bench::workloads() {
+    for kind in WorkloadKind::ALL {
         for protection in CONFIGS {
-            let mut spec = RunSpec::new(&opts, kind);
-            spec.protection = protection;
-            campaign.push_spec(&opts, format!("{kind}/{}", protection.label()), spec);
+            let tag = format!("{kind}/{}", protection.label());
+            campaign.push_spec(&opts, tag, opts.builder(kind).protection(protection));
         }
     }
     let result = campaign.run(opts.jobs);
@@ -40,7 +40,7 @@ fn main() {
         .collect();
     let mut rows = Vec::new();
     let mut dominant_holds = true;
-    for kind in dvmc_bench::workloads() {
+    for kind in WorkloadKind::ALL {
         let stats_of = |protection: Protection| {
             runtime_stats(result.expect_clean(&format!("{kind}/{}", protection.label())))
         };

@@ -54,7 +54,6 @@ fn trial_config(
         .seed(seed)
         .fault(plan)
         .watchdog(100_000)
-        .max_cycles(MAX_CYCLES)
         .into_config()
         .expect("valid trial config")
 }

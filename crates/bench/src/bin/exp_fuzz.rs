@@ -22,11 +22,12 @@
 //!
 //! Every cell is a pure function of its config, all seeds are fixed at
 //! expansion time, and disagreement aggregation happens serially in
-//! submission order — so `--out` is byte-identical at any `--jobs` (the
-//! CI gate compares `--jobs=1` against `--jobs=2`).
+//! submission order — so the JSON written to `--out=PATH` (nothing is
+//! written without one) is byte-identical at any `--jobs` (the CI gate
+//! compares `--jobs=1` against `--jobs=2`).
 
 use dvmc_bench::campaign::json_str;
-use dvmc_bench::{print_table, Campaign, ExpOpts};
+use dvmc_bench::{print_table, write_artifact, Campaign, ExpOpts};
 use dvmc_consistency::{verify, CommitRecord, Model, Verdict};
 use dvmc_faults::{Fault, FaultPlan};
 use dvmc_sim::{Protocol, RecoveryPolicy, RunReport, SystemBuilder, SystemConfig};
@@ -71,8 +72,7 @@ fn cell(
         .seed(derive_seed(program_seed, 1))
         .perturbation(derive_seed(program_seed, 2))
         .record_commits(true)
-        .watchdog(200_000)
-        .max_cycles(MAX_CYCLES);
+        .watchdog(200_000);
     if faulted {
         b = b
             .recovery(RecoveryPolicy::default())
@@ -125,7 +125,7 @@ fn commit_count(logs: &[Vec<CommitRecord>]) -> usize {
 
 fn main() {
     let mut programs: u64 = 64;
-    let mut out = String::from("results/BENCH_fuzz.json");
+    let mut out: Option<std::path::PathBuf> = None;
     let mut mutant: Option<String> = None;
     let mut mixed = false;
     let opts = ExpOpts::from_args_with(|key, value| match key {
@@ -138,7 +138,7 @@ fn main() {
             true
         }
         "--out" => {
-            out = value.to_string();
+            out = Some(value.into());
             true
         }
         "--mutant" => {
@@ -273,12 +273,9 @@ fn main() {
         opts.seed,
         disagreements.len(),
     );
-    let path = std::path::Path::new(&out);
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
+    if let Some(path) = out {
+        write_artifact(&path, &json);
     }
-    std::fs::write(path, json).expect("write fuzz artifact");
-    println!("\nwrote {out}");
 
     assert!(
         disagreements.is_empty(),

@@ -5,7 +5,7 @@
 //! bandwidth and DVMC overhead — checker traffic rides in the idle gaps
 //! between demand-traffic bursts.
 
-use dvmc_bench::{fmt_pm, mean_ratio_of, print_table, push_ratio_cells, Campaign, ExpOpts, RunSpec};
+use dvmc_bench::{fmt_pm, mean_ratio_of, print_table, push_ratio_cells, Campaign, ExpOpts};
 use dvmc_sim::Protocol;
 
 fn main() {
@@ -21,10 +21,7 @@ fn main() {
     for protocol in [Protocol::Directory, Protocol::Snooping] {
         for bw in bandwidths {
             push_ratio_cells(&mut campaign, &opts, &format!("{protocol:?}/{bw}"), |kind| {
-                let mut spec = RunSpec::new(&opts, kind);
-                spec.protocol = protocol;
-                spec.link_bandwidth = bw;
-                spec
+                opts.builder(kind).protocol(protocol).link_bandwidth(bw)
             });
         }
     }

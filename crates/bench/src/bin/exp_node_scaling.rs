@@ -5,7 +5,7 @@
 //! DVMC overhead — checker traffic is all unicast and scales linearly with
 //! demand traffic, so relative bandwidth consumption stays constant.
 
-use dvmc_bench::{fmt_pm, mean_ratio_of, print_table, push_ratio_cells, Campaign, ExpOpts, RunSpec};
+use dvmc_bench::{fmt_pm, mean_ratio_of, print_table, push_ratio_cells, Campaign, ExpOpts};
 use dvmc_sim::Protocol;
 
 fn main() {
@@ -19,12 +19,8 @@ fn main() {
     let mut campaign = Campaign::new();
     for protocol in [Protocol::Directory, Protocol::Snooping] {
         for nodes in node_counts {
-            let mut o = opts;
-            o.nodes = nodes;
-            push_ratio_cells(&mut campaign, &o, &format!("{protocol:?}/{nodes}p"), |kind| {
-                let mut spec = RunSpec::new(&o, kind);
-                spec.protocol = protocol;
-                spec
+            push_ratio_cells(&mut campaign, &opts, &format!("{protocol:?}/{nodes}p"), |kind| {
+                opts.builder(kind).nodes(nodes).protocol(protocol)
             });
         }
     }

@@ -13,11 +13,11 @@
 //! forensics.
 //!
 //! Every cell is a pure function of its config and all seeds are fixed at
-//! expansion time, so the canonical JSON written to `--out` is
-//! byte-identical at any `--jobs` (the CI gate compares `--jobs=1`
-//! against `--jobs=2`).
+//! expansion time, so the canonical JSON written to `--out=PATH` (nothing
+//! is written without one) is byte-identical at any `--jobs` (the CI gate
+//! compares `--jobs=1` against `--jobs=2`).
 
-use dvmc_bench::{print_table, Campaign, ExpOpts};
+use dvmc_bench::{print_table, write_artifact, Campaign, ExpOpts};
 use dvmc_faults::{all_faults, Fault, FaultPlan};
 use dvmc_sim::{
     RecoveryOutcome, RecoveryPolicy, RunReport, SafetyNetConfig, SystemBuilder, SystemConfig,
@@ -58,8 +58,7 @@ fn cell(opts: &ExpOpts, txns: u64, fault: Option<Fault>) -> SystemConfig {
             max_retries: MAX_RETRIES,
             backoff_factor: 2,
         })
-        .watchdog(100_000)
-        .max_cycles(MAX_CYCLES);
+        .watchdog(100_000);
     if let Some(fault) = fault {
         b = b.fault(FaultPlan {
             at_cycle: INJECT_AT,
@@ -79,10 +78,10 @@ fn outcome_label(report: &RunReport) -> &'static str {
 }
 
 fn main() {
-    let mut out = String::from("results/BENCH_recovery.json");
+    let mut out: Option<std::path::PathBuf> = None;
     let opts = ExpOpts::from_args_with(|key, value| match key {
         "--out" => {
-            out = value.to_string();
+            out = Some(value.into());
             true
         }
         _ => false,
@@ -252,6 +251,7 @@ fn main() {
 
     // Canonical (timing-free) form: the artifact itself is the CI
     // determinism gate, byte-compared across `--jobs` values.
-    result.write_canonical_json(std::path::Path::new(&out));
-    println!("\nwrote {out}");
+    if let Some(path) = out {
+        write_artifact(&path, &result.canonical_json());
+    }
 }

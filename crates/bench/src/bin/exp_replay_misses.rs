@@ -6,8 +6,9 @@
 //! in lock spin loops (a failed acquire's polled line is invalidated by
 //! the eventual owner between execution and replay).
 
-use dvmc_bench::{print_table, Campaign, ExpOpts, RunSpec};
+use dvmc_bench::{print_table, Campaign, ExpOpts};
 use dvmc_sim::RunReport;
+use dvmc_workloads::spec::WorkloadKind;
 
 fn ratio(reports: &[&RunReport]) -> (f64, f64, f64) {
     let mut replay = 0u64;
@@ -37,8 +38,8 @@ fn main() {
     );
 
     let mut campaign = Campaign::new();
-    for kind in dvmc_bench::workloads() {
-        campaign.push_spec(&opts, kind.name(), RunSpec::new(&opts, kind));
+    for kind in WorkloadKind::ALL {
+        campaign.push_spec(&opts, kind.name(), opts.builder(kind));
     }
     let result = campaign.run(opts.jobs);
 
@@ -49,7 +50,7 @@ fn main() {
         "replays",
     ];
     let mut rows = Vec::new();
-    for kind in dvmc_bench::workloads() {
+    for kind in WorkloadKind::ALL {
         let (vs_demand, rate, replays) = ratio(&result.expect_clean(kind.name()));
         rows.push(vec![
             kind.to_string(),

@@ -8,13 +8,14 @@
 //! benchmark; PSO/RMO add little over TSO; DVMC slowdown is bounded
 //! (≤11% worst case, ≤6% in most configurations) and is largest for SC.
 
-use dvmc_bench::{fmt_pm, normalize, print_table, runtime_stats, Campaign, ExpOpts, RunSpec};
+use dvmc_bench::{fmt_pm, normalize, print_table, runtime_stats, Campaign, ExpOpts};
 use dvmc_consistency::Model;
 use dvmc_sim::Protection;
+use dvmc_workloads::spec::WorkloadKind;
 
 const MODELS: [Model; 4] = [Model::Sc, Model::Tso, Model::Pso, Model::Rmo];
 
-fn tag(kind: dvmc_workloads::spec::WorkloadKind, model: Model, protection: Protection) -> String {
+fn tag(kind: WorkloadKind, model: Model, protection: Protection) -> String {
     format!("{kind}/{model}/{}", protection.label())
 }
 
@@ -32,13 +33,11 @@ fn main() {
 
     // Phase 1: expand the whole (workload × model × protection) grid.
     let mut campaign = Campaign::new();
-    for kind in dvmc_bench::workloads() {
+    for kind in WorkloadKind::ALL {
         for model in MODELS {
             for protection in [Protection::BASE, Protection::FULL] {
-                let mut spec = RunSpec::new(&opts, kind);
-                spec.model = model;
-                spec.protection = protection;
-                campaign.push_spec(&opts, tag(kind, model, protection), spec);
+                let builder = opts.builder(kind).model(model).protection(protection);
+                campaign.push_spec(&opts, tag(kind, model, protection), builder);
             }
         }
     }
@@ -50,7 +49,7 @@ fn main() {
         "RMO base", "RMO dvmc",
     ];
     let mut rows = Vec::new();
-    for kind in dvmc_bench::workloads() {
+    for kind in WorkloadKind::ALL {
         let sc_base = runtime_stats(result.expect_clean(&tag(kind, Model::Sc, Protection::BASE)));
         let mut row = vec![kind.to_string()];
         for model in MODELS {
@@ -67,7 +66,7 @@ fn main() {
     println!("\nslowdown of DVMC vs its own base, per model (geomean over workloads):");
     for model in MODELS {
         let mut ratios = Vec::new();
-        for kind in dvmc_bench::workloads() {
+        for kind in WorkloadKind::ALL {
             let mean_of =
                 |protection| runtime_stats(result.expect_clean(&tag(kind, model, protection))).0;
             ratios.push(mean_of(Protection::FULL) / mean_of(Protection::BASE));

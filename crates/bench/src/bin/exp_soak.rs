@@ -16,14 +16,14 @@
 //!   `Unrecoverable` (a stuck bit cannot be replayed away).
 //!
 //! Window snapshots stream to stderr as each window closes (tagged, one
-//! line each). The canonical JSON written to `--out` contains only
-//! integers reduced in submission order from pure-function cells, so it
-//! is byte-identical at any `--jobs` (the CI gate compares `--jobs=1`
-//! against `--jobs=2`).
+//! line each). The canonical JSON written to `--out=PATH` (nothing is
+//! written without one) contains only integers reduced in submission
+//! order from pure-function cells, so it is byte-identical at any
+//! `--jobs` (the CI gate compares `--jobs=1` against `--jobs=2`).
 
 use dvmc_bench::campaign::json_str;
 use dvmc_bench::soak::{run_soak, SoakOutcome, SoakSpec};
-use dvmc_bench::{parallel_map_indexed, print_table, ExpOpts};
+use dvmc_bench::{parallel_map_indexed, print_table, write_artifact, ExpOpts};
 use dvmc_consistency::Model;
 use dvmc_faults::{storm_plan, Fault, FaultPlan, StormConfig};
 use dvmc_sim::{CheckpointMode, KernelMode, Protocol, ServiceStop};
@@ -66,7 +66,7 @@ fn main() {
     let mut duration: Cycle = 2_000_000;
     let mut window: Cycle = 100_000;
     let mut mean_gap: u32 = 400;
-    let mut out = String::from("results/BENCH_soak.json");
+    let mut out: Option<std::path::PathBuf> = None;
     let opts = ExpOpts::from_args_with(|key, value| match key {
         "--duration" => {
             duration = value.parse().expect("--duration=CYCLES");
@@ -81,7 +81,7 @@ fn main() {
             true
         }
         "--out" => {
-            out = value.to_string();
+            out = Some(value.into());
             true
         }
         _ => false,
@@ -363,12 +363,9 @@ fn main() {
          \"mean_gap\":{mean_gap},\"nodes\":{},\"seed\":{},\"cells\":[{cells_json}]}}\n",
         opts.nodes, opts.seed,
     );
-    let path = std::path::Path::new(&out);
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
+    if let Some(path) = out {
+        write_artifact(&path, &json);
     }
-    std::fs::write(path, json).expect("write soak artifact");
-    println!("\nwrote {out}");
     println!(
         "soak holds: zero unrecovered transients, zero false violations, \
          bounded latency percentiles."

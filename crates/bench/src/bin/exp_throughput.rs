@@ -27,15 +27,16 @@
 //! would cost at least 1,504 KiB per node, so a regression to dense cache
 //! storage fails here instead of silently inflating memory.
 //!
-//! The canonical JSON written to `--out` contains only integers reduced
-//! in submission order from pure-function cells, so it is byte-identical
-//! at any `--jobs` (CI compares `--jobs=1` against `--jobs=2`).
+//! The canonical JSON written to `--out=PATH` (nothing is written
+//! without one) contains only integers reduced in submission order from
+//! pure-function cells, so it is byte-identical at any `--jobs` (CI
+//! compares `--jobs=1` against `--jobs=2`).
 //! Wall-clock timings are printed to the table for human eyes but kept
 //! **out** of the artifact.
 
 use dvmc_bench::campaign::json_str;
 use dvmc_bench::soak::{run_soak, SoakOutcome, SoakSpec};
-use dvmc_bench::{parallel_map_indexed, print_table, ExpOpts};
+use dvmc_bench::{parallel_map_indexed, print_table, write_artifact, ExpOpts};
 use dvmc_consistency::Model;
 use dvmc_faults::{storm_plan, StormConfig};
 use dvmc_sim::{CheckpointMode, KernelMode, ServiceStop};
@@ -67,7 +68,7 @@ fn main() {
     let mut window: Cycle = 50_000;
     let mut quiet_gap: u32 = 16_000;
     let mut busy_gap: u32 = 400;
-    let mut out = String::from("results/BENCH_throughput.json");
+    let mut out: Option<std::path::PathBuf> = None;
     let opts = ExpOpts::from_args_with(|key, value| match key {
         "--duration" => {
             duration = value.parse().expect("--duration=CYCLES");
@@ -86,7 +87,7 @@ fn main() {
             true
         }
         "--out" => {
-            out = value.to_string();
+            out = Some(value.into());
             true
         }
         _ => false,
@@ -291,12 +292,9 @@ fn main() {
          \"cells\":[{cells_json}]}}\n",
         opts.nodes, opts.seed,
     );
-    let path = std::path::Path::new(&out);
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
+    if let Some(path) = out {
+        write_artifact(&path, &json);
     }
-    std::fs::write(path, json).expect("write throughput artifact");
-    println!("wrote {out}");
     println!(
         "throughput holds: the event kernel skips >=5x on quiet traffic, never loses ground, \
          both modes are behaviourally identical, and no snapshot logs over 256 KiB per node."

@@ -28,7 +28,7 @@
 
 use crate::ExpOpts;
 use dvmc_core::ObsMetrics;
-use dvmc_sim::{RunReport, SystemConfig};
+use dvmc_sim::{RunReport, SystemBuilder, SystemConfig};
 
 
 use std::time::{Duration, Instant};
@@ -114,20 +114,26 @@ impl Campaign {
         }
     }
 
-    /// Queues `opts.runs` perturbed trials of `spec` under `tag`, with
-    /// the same per-trial seeds the serial harness
-    /// ([`crate::run_spec`]) uses — porting a binary onto the campaign
-    /// runner changes the schedule, never the numbers.
-    pub fn push_spec(&mut self, opts: &ExpOpts, tag: impl Into<String>, spec: crate::RunSpec) {
+    /// Queues `opts.runs` trials of `builder` under `tag`, the §5 way:
+    /// every trial runs the program of seed `opts.seed`, and trial `t`
+    /// perturbs its timing with `perturbation_seed(opts.seed, t)`. Every
+    /// other setting is the builder's.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid configuration ([`ExpOpts::from_args`] rejects
+    /// out-of-range node counts before any cell is queued).
+    pub fn push_spec(&mut self, opts: &ExpOpts, tag: impl Into<String>, builder: SystemBuilder) {
         let tag = tag.into();
         for trial in 0..opts.runs {
             let perturbation = dvmc_types::rng::perturbation_seed(opts.seed, trial);
-            self.push(
-                tag.clone(),
-                trial,
-                spec.config(opts.seed, perturbation),
-                opts.max_cycles,
-            );
+            let cfg = builder
+                .clone()
+                .seed(opts.seed)
+                .perturbation(perturbation)
+                .into_config()
+                .unwrap_or_else(|e| panic!("invalid campaign cell {tag}: {e}"));
+            self.push(tag.clone(), trial, cfg, opts.max_cycles);
         }
     }
 
@@ -205,8 +211,7 @@ impl CampaignResult {
     }
 
     /// Like [`reports`](Self::reports), but asserts every run completed
-    /// cleanly — the campaign equivalent of [`crate::run_spec`]'s
-    /// invariant for error-free evaluation runs.
+    /// cleanly, as error-free evaluation runs must.
     ///
     /// # Panics
     ///
@@ -366,46 +371,6 @@ impl CampaignResult {
         out.push_str("  ]\n}\n");
         out
     }
-
-    /// Writes the canonical (timing-free) JSON to `path`, creating parent
-    /// directories. This is the variant to publish when the artifact
-    /// itself is byte-compared across `--jobs` values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written.
-    pub fn write_canonical_json(&self, path: &std::path::Path) {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-        std::fs::write(path, self.canonical_json())
-            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        eprintln!(
-            "[campaign] wrote {} ({} cells, canonical)",
-            path.display(),
-            self.outcomes.len()
-        );
-    }
-
-    /// Writes the full JSON to `path`, creating parent directories.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written.
-    pub fn write_json(&self, path: &std::path::Path) {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-        std::fs::write(path, self.json())
-            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        eprintln!(
-            "[campaign] wrote {} ({} cells, {} workers, speedup {:.2}x)",
-            path.display(),
-            self.outcomes.len(),
-            self.jobs,
-            self.speedup()
-        );
-    }
 }
 
 /// One [`ObsMetrics`] as a JSON object with a fixed key order.
@@ -458,7 +423,7 @@ pub fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RunSpec;
+    use dvmc_consistency::Model;
     use dvmc_workloads::spec::WorkloadKind;
 
     fn tiny_opts() -> ExpOpts {
@@ -471,20 +436,35 @@ mod tests {
     }
 
     #[test]
-    fn campaign_matches_serial_harness() {
-        // Porting a spec onto the campaign must not change its numbers.
-        let opts = tiny_opts();
-        let spec = RunSpec::new(&opts, WorkloadKind::Jbb);
-        let serial = crate::run_spec(&opts, spec);
+    fn push_spec_stamps_the_section_5_seeds() {
+        // Trial t runs the program of seed `opts.seed` under perturbation
+        // `perturbation_seed(opts.seed, t)`; every other field is the
+        // builder's. The figure binaries' numbers rest on exactly these
+        // seeds.
+        let opts = ExpOpts {
+            runs: 3,
+            seed: 9,
+            ..tiny_opts()
+        };
+        let builder = opts
+            .builder(WorkloadKind::Apache)
+            .model(Model::Pso)
+            .protection(dvmc_sim::Protection::SN)
+            .link_bandwidth(3);
         let mut campaign = Campaign::new();
-        campaign.push_spec(&opts, "jbb", spec);
-        let result = campaign.run(2);
-        let parallel = result.expect_clean("jbb");
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(parallel) {
-            assert_eq!(s.cycles, p.cycles);
-            assert_eq!(s.transactions, p.transactions);
-            assert_eq!(s.total_bytes, p.total_bytes);
+        campaign.push_spec(&opts, "apache", builder.clone());
+        assert_eq!(campaign.len(), 3);
+        let built = builder.into_config().expect("valid builder");
+        for (t, cell) in campaign.cells.iter().enumerate() {
+            assert_eq!((cell.tag.as_str(), cell.trial), ("apache", t as u32));
+            assert_eq!(cell.max_cycles, opts.max_cycles);
+            let perturbation = dvmc_types::rng::perturbation_seed(opts.seed, t as u32);
+            assert_eq!(cell.cfg.workload.seed, opts.seed);
+            assert_eq!(cell.cfg.workload.perturbation, perturbation);
+            let mut cfg = cell.cfg.clone();
+            cfg.workload.seed = built.workload.seed;
+            cfg.workload.perturbation = built.workload.perturbation;
+            assert_eq!(format!("{cfg:?}"), format!("{built:?}"), "trial {t}");
         }
     }
 
@@ -492,8 +472,8 @@ mod tests {
     fn outcomes_keep_submission_order() {
         let opts = tiny_opts();
         let mut campaign = Campaign::new();
-        campaign.push_spec(&opts, "a", RunSpec::new(&opts, WorkloadKind::Jbb));
-        campaign.push_spec(&opts, "b", RunSpec::new(&opts, WorkloadKind::Apache));
+        campaign.push_spec(&opts, "a", opts.builder(WorkloadKind::Jbb));
+        campaign.push_spec(&opts, "b", opts.builder(WorkloadKind::Apache));
         let result = campaign.run(4);
         let tags: Vec<&str> = result.outcomes().iter().map(|o| o.tag.as_str()).collect();
         assert_eq!(tags, ["a", "a", "b", "b"]);
@@ -508,7 +488,7 @@ mod tests {
             ..tiny_opts()
         };
         let mut campaign = Campaign::new();
-        campaign.push_spec(&opts, "jbb", RunSpec::new(&opts, WorkloadKind::Jbb));
+        campaign.push_spec(&opts, "jbb", opts.builder(WorkloadKind::Jbb));
         let result = campaign.run(1);
         let canonical = result.canonical_json();
         assert!(canonical.contains("\"schema\": \"dvmc-campaign/v1\""));
@@ -538,7 +518,7 @@ mod tests {
         let opts = tiny_opts();
         let build = || {
             let mut campaign = Campaign::new();
-            campaign.push_spec(&opts, "jbb", RunSpec::new(&opts, WorkloadKind::Jbb));
+            campaign.push_spec(&opts, "jbb", opts.builder(WorkloadKind::Jbb));
             campaign.enable_obs(16);
             campaign
         };
@@ -553,7 +533,7 @@ mod tests {
         assert!(serial.canonical_json().contains("\"obs\": {"));
         // … while an uninstrumented campaign reports none.
         let mut plain = Campaign::new();
-        plain.push_spec(&opts, "jbb", RunSpec::new(&opts, WorkloadKind::Jbb));
+        plain.push_spec(&opts, "jbb", opts.builder(WorkloadKind::Jbb));
         let plain = plain.run(1);
         assert!(plain.canonical_json().contains("\"obs\": null"));
         assert!(plain.obs_json().contains("\"nodes\": []"));

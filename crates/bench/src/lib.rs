@@ -27,8 +27,9 @@ pub use campaign::{Campaign, CampaignResult, Cell, CellOutcome};
 pub use pool::parallel_map_indexed;
 pub use soak::{run_soak, SoakOutcome, SoakSpec};
 
-use dvmc_sim::{mean_std, Protection, Protocol, RunReport, System, SystemBuilder, SystemConfig};
+use dvmc_sim::{mean_std, Protection, Protocol, RunReport, SystemBuilder};
 use dvmc_workloads::spec::WorkloadKind;
+use std::path::Path;
 
 /// Options parsed from the command line.
 #[derive(Clone, Copy, Debug)]
@@ -115,6 +116,17 @@ impl ExpOpts {
         }
         o
     }
+
+    /// The run these options describe for workload `kind`: their node
+    /// count, protocol and transactions per thread, and otherwise the
+    /// builder's defaults (TSO, full DVMC, 2 B/cycle links). Campaign
+    /// cells stamp the seeds ([`Campaign::push_spec`]).
+    pub fn builder(&self, kind: WorkloadKind) -> SystemBuilder {
+        SystemBuilder::new()
+            .nodes(self.nodes)
+            .protocol(self.protocol)
+            .workload(kind, self.txns)
+    }
 }
 
 fn usage(arg: &str) -> ! {
@@ -124,89 +136,6 @@ fn usage(arg: &str) -> ! {
          [--max-cycles=N] [--jobs=N] [--protocol=directory|snooping]"
     );
     std::process::exit(2)
-}
-
-/// A fully specified run configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct RunSpec {
-    /// Workload.
-    pub kind: WorkloadKind,
-    /// Consistency model.
-    pub model: dvmc_consistency::Model,
-    /// Coherence protocol.
-    pub protocol: Protocol,
-    /// Protection mechanisms.
-    pub protection: Protection,
-    /// Nodes.
-    pub nodes: usize,
-    /// Transactions per thread.
-    pub txns: u64,
-    /// Link bandwidth in bytes/cycle.
-    pub link_bandwidth: u32,
-}
-
-impl RunSpec {
-    /// A spec from the experiment options, TSO directory full-DVMC by
-    /// default.
-    pub fn new(opts: &ExpOpts, kind: WorkloadKind) -> RunSpec {
-        RunSpec {
-            kind,
-            model: dvmc_consistency::Model::Tso,
-            protocol: opts.protocol,
-            protection: Protection::FULL,
-            nodes: opts.nodes,
-            txns: opts.txns,
-            link_bandwidth: 2,
-        }
-    }
-
-    /// The validated [`SystemConfig`] for this spec and seed pair — the
-    /// campaign runner expands specs into configs up front and builds the
-    /// systems later, on worker threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid configuration ([`ExpOpts::from_args`] rejects
-    /// out-of-range node counts before any spec is constructed).
-    pub fn config(&self, base_seed: u64, perturbation: u64) -> SystemConfig {
-        SystemBuilder::new()
-            .nodes(self.nodes)
-            .protocol(self.protocol)
-            .model(self.model)
-            .protection(self.protection)
-            .link_bandwidth(self.link_bandwidth)
-            .workload(self.kind, self.txns)
-            .seed(base_seed)
-            .perturbation(perturbation)
-            .into_config()
-            .unwrap_or_else(|e| panic!("invalid run spec {self:?}: {e}"))
-    }
-
-    fn build(&self, base_seed: u64, perturbation: u64) -> System {
-        System::new(self.config(base_seed, perturbation))
-    }
-}
-
-/// Runs a spec `opts.runs` times with §5-style perturbation seeds; panics
-/// if any run fails to complete cleanly (evaluation runs are error-free).
-pub fn run_spec(opts: &ExpOpts, spec: RunSpec) -> Vec<RunReport> {
-    let reports = dvmc_sim::perturbed_runs(opts.runs, opts.seed, opts.max_cycles, |perturbation| {
-        spec.build(opts.seed, perturbation)
-    });
-    for r in &reports {
-        assert!(
-            r.completed && !r.hung,
-            "run did not complete: {spec:?} -> cycles={} hung={}",
-            r.cycles,
-            r.hung
-        );
-        assert!(
-            r.violations.is_empty(),
-            "error-free run raised violations: {spec:?} -> {:?}",
-            r.violations
-        );
-    }
-    reports
 }
 
 /// Mean ± std of the runtimes (cycles) of a report set (accepts owned
@@ -261,27 +190,22 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// The workloads in the paper's presentation order.
-pub fn workloads() -> [WorkloadKind; 5] {
-    WorkloadKind::ALL
-}
-
 /// For Figures 8 and 9: queues, under `prefix`, the unprotected and the
-/// fully protected variant of every workload's spec (tags
+/// fully protected variant of every workload's run (tags
 /// `"{prefix}/{kind}/Base"` and `"{prefix}/{kind}/DVMC"`), with `make`
-/// supplying the per-workload spec (protection is overridden here).
+/// supplying the per-workload builder (protection is overridden here).
 /// Aggregate with [`mean_ratio_of`].
 pub fn push_ratio_cells(
     campaign: &mut Campaign,
     opts: &ExpOpts,
     prefix: &str,
-    make: impl Fn(WorkloadKind) -> RunSpec,
+    make: impl Fn(WorkloadKind) -> SystemBuilder,
 ) {
-    for kind in workloads() {
-        let mut spec = make(kind);
+    for kind in WorkloadKind::ALL {
+        let builder = make(kind);
         for protection in [Protection::BASE, Protection::FULL] {
-            spec.protection = protection;
-            campaign.push_spec(opts, format!("{prefix}/{kind}/{}", protection.label()), spec);
+            let tag = format!("{prefix}/{kind}/{}", protection.label());
+            campaign.push_spec(opts, tag, builder.clone().protection(protection));
         }
     }
 }
@@ -291,12 +215,26 @@ pub fn push_ratio_cells(
 /// [`push_ratio_cells`] with the same `prefix`.
 pub fn mean_ratio_of(result: &CampaignResult, prefix: &str) -> (f64, f64) {
     let mut ratios = Vec::new();
-    for kind in workloads() {
+    for kind in WorkloadKind::ALL {
         let base = runtime_stats(result.expect_clean(&format!("{prefix}/{kind}/Base"))).0;
         let full = runtime_stats(result.expect_clean(&format!("{prefix}/{kind}/DVMC"))).0;
         ratios.push(full / base);
     }
     mean_std(&ratios)
+}
+
+/// Writes an artifact to `path`, creating its parent directory, and
+/// reports the path on stderr.
+///
+/// # Panics
+///
+/// Panics if the directory or the file cannot be written.
+pub fn write_artifact(path: &Path, contents: &str) {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+    }
+    std::fs::write(path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    eprintln!("wrote {}", path.display());
 }
 
 #[cfg(test)]
@@ -309,20 +247,6 @@ mod tests {
         assert!((n.0 - 1.1).abs() < 1e-9);
         assert!((n.1 - 0.055).abs() < 1e-9);
         assert_eq!(fmt_pm((1.0, 0.05)), " 1.00 ±0.05");
-    }
-
-    #[test]
-    fn small_run_spec_completes() {
-        let opts = ExpOpts {
-            runs: 1,
-            txns: 2,
-            nodes: 2,
-            ..ExpOpts::default()
-        };
-        let spec = RunSpec::new(&opts, WorkloadKind::Jbb);
-        let reports = run_spec(&opts, spec);
-        assert_eq!(reports.len(), 1);
-        assert!(reports[0].cycles > 0);
     }
 
     #[test]

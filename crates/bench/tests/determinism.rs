@@ -3,7 +3,7 @@
 //! This is the contract every `exp_*` number rests on — `--jobs` may only
 //! change the wall clock, never a result.
 
-use dvmc_bench::{Campaign, ExpOpts, RunSpec};
+use dvmc_bench::{Campaign, ExpOpts};
 use dvmc_consistency::Model;
 use dvmc_sim::Protection;
 use dvmc_workloads::spec::WorkloadKind;
@@ -13,10 +13,9 @@ fn small_sweep(opts: &ExpOpts) -> Campaign {
     for kind in [WorkloadKind::Jbb, WorkloadKind::Oltp, WorkloadKind::Slash] {
         for model in [Model::Tso, Model::Rmo] {
             for protection in [Protection::BASE, Protection::FULL] {
-                let mut spec = RunSpec::new(opts, kind);
-                spec.model = model;
-                spec.protection = protection;
-                campaign.push_spec(opts, format!("{kind}/{model}/{}", protection.label()), spec);
+                let tag = format!("{kind}/{model}/{}", protection.label());
+                let builder = opts.builder(kind).model(model).protection(protection);
+                campaign.push_spec(opts, tag, builder);
             }
         }
     }

@@ -204,8 +204,6 @@ pub struct SystemConfig {
     pub recovery: Option<RecoveryPolicy>,
     /// Declare a hang if no processor retires for this many cycles.
     pub watchdog_cycles: u64,
-    /// Hard cycle limit.
-    pub max_cycles: u64,
     /// Verification cache capacity in words (§6.3: 32–256 bytes).
     pub vc_words: usize,
     /// Cycles between artificial membar injections (§4.2).
@@ -311,7 +309,6 @@ pub struct SystemBuilder {
     ber: SafetyNetConfig,
     recovery: Option<RecoveryPolicy>,
     watchdog_cycles: u64,
-    max_cycles: u64,
     vc_words: usize,
     membar_injection_period: u64,
     sorter_capacity: usize,
@@ -337,7 +334,6 @@ impl Default for SystemBuilder {
             ber: SafetyNetConfig::default(),
             recovery: None,
             watchdog_cycles: 200_000,
-            max_cycles: 50_000_000,
             vc_words: 32,
             membar_injection_period: 100_000,
             sorter_capacity: 256,
@@ -451,12 +447,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Overrides the hard cycle limit.
-    pub fn max_cycles(mut self, cycles: u64) -> Self {
-        self.max_cycles = cycles;
-        self
-    }
-
     /// Overrides the verification-cache capacity in words (ablations).
     pub fn vc_words(mut self, words: usize) -> Self {
         self.vc_words = words;
@@ -525,7 +515,6 @@ impl SystemBuilder {
             ber: self.ber,
             recovery: self.recovery,
             watchdog_cycles: self.watchdog_cycles,
-            max_cycles: self.max_cycles,
             vc_words: self.vc_words,
             membar_injection_period: self.membar_injection_period,
             sorter_capacity: self.sorter_capacity,

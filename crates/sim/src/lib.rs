@@ -11,9 +11,9 @@
 //! consistency, runs measured in completed transactions, and ten
 //! pseudo-randomly perturbed repetitions per configuration.
 //!
-//! Entry points: [`SystemBuilder`] for one-off systems, [`System`] for the
-//! cycle loop, [`RunReport`] for results, and [`perturbed_runs`] for the
-//! §5 repetition methodology.
+//! Entry points: [`SystemBuilder`] describes a run, [`System`] runs the
+//! cycle loop up to the limit its run call names, and [`RunReport`] holds
+//! the results.
 
 pub mod config;
 pub mod report;
@@ -46,25 +46,6 @@ pub use system::System;
 /// Panics if `cfg` fails [`SystemConfig::validate`].
 pub fn run_cell(cfg: &SystemConfig, max_cycles: u64) -> RunReport {
     System::new(cfg.clone()).run_to_completion(max_cycles)
-}
-
-/// Runs `runs` perturbed repetitions of the configuration produced by
-/// `make` (which receives the per-run *perturbation* seed; the program
-/// seed should stay fixed across runs), as §5 prescribes, and returns the
-/// reports.
-pub fn perturbed_runs(
-    runs: u32,
-    base_seed: u64,
-    max_cycles: u64,
-    make: impl Fn(u64) -> System,
-) -> Vec<RunReport> {
-    (0..runs)
-        .map(|r| {
-            let perturbation = dvmc_types::rng::perturbation_seed(base_seed, r);
-            let mut sys = make(perturbation);
-            sys.run_to_completion(max_cycles)
-        })
-        .collect()
 }
 
 #[cfg(test)]

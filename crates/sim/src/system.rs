@@ -70,10 +70,6 @@ pub struct System {
     /// forensic attribution (per-processor violations don't name their
     /// node; coherence violations do).
     first_violation_node: Option<usize>,
-    /// Rollback/replay attempts performed so far.
-    recovery_attempts: u32,
-    /// Retry escalations (checkpoint-interval widenings).
-    recovery_escalations: u32,
     /// The first detection, preserved across rollbacks (recovery rewinds
     /// the live evidence).
     recovery_detection: Option<Detection>,
@@ -99,8 +95,6 @@ pub struct System {
     /// SafetyNet window without a detection. Non-empty only while an
     /// episode is open.
     outstanding: Vec<(FaultPlan, Cycle)>,
-    /// Faults injected over the whole run.
-    total_injected: u64,
     /// Outstanding faults that aged out architecturally masked.
     masked: u64,
     /// The open recovery episode, if any: from a fault's injection until
@@ -197,7 +191,6 @@ impl System {
             violations: Vec::new(),
             pending_faults: pending.into(),
             outstanding: Vec::new(),
-            total_injected: 0,
             masked: 0,
             episode: None,
             clean_after: 0,
@@ -207,8 +200,6 @@ impl System {
             progress: vec![(0, 0); cfg.nodes],
             hung: false,
             first_violation_node: None,
-            recovery_attempts: 0,
-            recovery_escalations: 0,
             recovery_detection: None,
             recovery_forensics: None,
             recovery_checkpoint: 0,
@@ -672,7 +663,6 @@ impl System {
                 .is_some(),
         };
         if took {
-            self.total_injected += 1;
             self.outstanding.push((plan, now));
             // Open (or extend) the recovery episode: overlapping faults
             // pile into one episode until the machine is clean again.
@@ -692,7 +682,7 @@ impl System {
     }
 
     /// Runs to completion (all threads finish their transaction quota),
-    /// detection (when a fault is scheduled), hang, or the cycle limit.
+    /// detection (when a fault is scheduled), hang, or cycle `max_cycles`.
     ///
     /// With recovery armed, a detection — checker violation or watchdog
     /// hang — triggers rollback to the newest validated pre-error
@@ -704,8 +694,7 @@ impl System {
     /// out after the SafetyNet window would turn its late detection into
     /// a false violation, and §6.1 counts late detections.
     pub fn run_to_completion(&mut self, max_cycles: u64) -> RunReport {
-        let limit = max_cycles.min(self.cfg.max_cycles);
-        while self.now() < limit {
+        while self.now() < max_cycles {
             self.tick();
             if self.episode.is_some() && (!self.violations.is_empty() || self.hung) {
                 // Detected, by a checker or by the hang watchdog.
@@ -717,14 +706,10 @@ impl System {
             if self.hung || self.all_done() {
                 break;
             }
-            self.advance_quiescent(limit);
+            self.advance_quiescent(max_cycles);
         }
-        if self.recovery_attempts > 0
-            && !self.unrecoverable
-            && self.all_done()
-            && self.violations.is_empty()
-        {
-            let attempt = self.recovery_attempts;
+        let attempt = self.recovery_attempts();
+        if attempt > 0 && !self.unrecoverable && self.all_done() && self.violations.is_empty() {
             self.record_recovery(self.now(), CheckerEvent::RecoveryCompleted { attempt });
         }
         self.report()
@@ -883,10 +868,11 @@ impl System {
         // An episode still open at shutdown goes on record unrecovered
         // (or, if never detected, masked-in-progress).
         self.close_episode(false);
+        let injected = self.injected();
         ServiceReport {
             windows: svc.windows,
             episodes: std::mem::take(&mut self.episodes),
-            injected: self.total_injected,
+            injected,
             masked: self.masked,
             stopped: svc.stopped.unwrap_or(ServiceStop::Horizon),
             report,
@@ -943,6 +929,21 @@ impl System {
         self.ticks_executed + self.ticks_skipped
     }
 
+    /// The fault ledger: every closed episode, then the open one.
+    fn ledger(&self) -> impl Iterator<Item = &EpisodeReport> {
+        self.episodes.iter().chain(&self.episode)
+    }
+
+    /// Rollback/replay attempts over the whole ledger.
+    fn recovery_attempts(&self) -> u32 {
+        self.ledger().map(|ep| ep.attempts).sum()
+    }
+
+    /// Faults injected over the whole ledger.
+    fn injected(&self) -> u64 {
+        self.ledger().map(|ep| ep.faults.len() as u64).sum()
+    }
+
     /// Closes the open episode as recovered once the machine has run
     /// clean past the episode's last detection point: no outstanding
     /// faults, no violations, not hung, and the replay has re-passed the
@@ -991,6 +992,7 @@ impl System {
     fn window_snapshot(&mut self, svc: &mut ServiceState) -> WindowSnapshot {
         let retired: u64 = self.cores.iter().map(Core::retired_ops).sum();
         let requests: u64 = self.cores.iter().map(Core::transactions).sum();
+        let (injected, attempts) = (self.injected(), self.recovery_attempts());
         let closed = &self.episodes[svc.last_episodes.min(self.episodes.len())..];
         let detection: Vec<Cycle> =
             closed.iter().filter_map(EpisodeReport::detection_latency).collect();
@@ -1008,7 +1010,7 @@ impl System {
             end: svc.next_boundary,
             retired_ops: retired.saturating_sub(svc.last_retired),
             requests: requests.saturating_sub(svc.last_requests),
-            injected: self.total_injected - svc.last_injected,
+            injected: injected - svc.last_injected,
             masked: self.masked - svc.last_masked,
             episodes_closed: closed.len() as u64,
             detection_latency_sum: detection.iter().sum(),
@@ -1016,7 +1018,7 @@ impl System {
             recovery_latency_sum: recovery.iter().sum(),
             recovery_latency_count: recovery.len() as u64,
             rollback_depth_max: std::mem::take(&mut self.window_rollback_depth),
-            retries: u64::from(self.recovery_attempts - svc.last_retries),
+            retries: u64::from(attempts - svc.last_retries),
             sorter_hwm: delta.sorter_occupancy_hwm,
             informs: delta.informs_enqueued,
             crc_checks: delta.crc_checks,
@@ -1027,10 +1029,10 @@ impl System {
         };
         svc.last_retired = retired;
         svc.last_requests = requests;
-        svc.last_injected = self.total_injected;
+        svc.last_injected = injected;
         svc.last_masked = self.masked;
         svc.last_episodes = self.episodes.len();
-        svc.last_retries = self.recovery_attempts;
+        svc.last_retries = attempts;
         snap
     }
 
@@ -1082,7 +1084,6 @@ impl System {
             return false;
         };
         self.restore(*snap);
-        self.recovery_attempts += 1;
         let depth = now.saturating_sub(taken_at);
         self.window_rollback_depth = self.window_rollback_depth.max(depth);
         let ep = self.episode.as_mut().expect("still open");
@@ -1100,7 +1101,6 @@ impl System {
         // escalate by widening the checkpoint cadence (cheaper
         // checkpoints, wider window) before trying again.
         if attempt > 1 {
-            self.recovery_escalations += 1;
             if let Some(ber) = self.ber.as_mut() {
                 ber.widen_interval(policy.backoff_factor);
             }
@@ -1238,7 +1238,10 @@ impl System {
                 if self.cluster.is_quiescent() {
                     break;
                 }
+                // The drain moves the clock, so its cycles are executed
+                // ones: executed + skipped keeps tiling the timeline.
                 self.cluster.tick();
+                self.ticks_executed += 1;
             }
             self.violations.extend(self.cluster.drain_violations());
         }
@@ -1269,10 +1272,12 @@ impl System {
             .then(|| self.forensics())
             .flatten()
             .or_else(|| self.recovery_forensics.clone());
-        let recovery = if self.recovery_attempts > 0 || self.unrecoverable {
+        let attempts = self.recovery_attempts();
+        let recovery = if attempts > 0 || self.unrecoverable {
             Some(RecoveryReport {
-                attempts: self.recovery_attempts,
-                escalations: self.recovery_escalations,
+                attempts,
+                // Every attempt after an episode's first escalated.
+                escalations: self.ledger().map(|ep| ep.attempts.saturating_sub(1)).sum(),
                 checkpoint: self.recovery_checkpoint,
                 outcome: if self.unrecoverable {
                     RecoveryOutcome::Unrecoverable
@@ -1559,7 +1564,7 @@ mod tests {
         // First manifestation.
         sys.hung = true;
         assert!(sys.try_recover(), "first retry rolls back");
-        assert_eq!(sys.recovery_attempts, 1);
+        assert_eq!(sys.recovery_attempts(), 1);
         assert!(!sys.hung, "rollback clears the hang");
         assert_eq!(sys.now(), 0, "only the initial checkpoint predates the fault");
         assert!(
@@ -1574,8 +1579,12 @@ mod tests {
         // Second manifestation: escalation kicks in.
         sys.hung = true;
         assert!(sys.try_recover(), "second retry still rolls back");
-        assert_eq!(sys.recovery_attempts, 2);
-        assert_eq!(sys.recovery_escalations, 1);
+        assert_eq!(sys.recovery_attempts(), 2);
+        assert_eq!(
+            sys.episode.as_ref().map(|ep| ep.attempts),
+            Some(2),
+            "both attempts belong to the one open episode, so the second escalates"
+        );
         assert_eq!(
             sys.ber.as_ref().unwrap().config().checkpoint_interval,
             2 * sys.cfg.ber.checkpoint_interval,
@@ -1699,7 +1708,6 @@ mod tests {
             fault: Fault::MemoryBitFlip { node: NodeId(1) },
         };
         sys.outstanding.push((plan, 100));
-        sys.total_injected = 1;
         sys.episode = Some(EpisodeReport {
             faults: vec![plan.fault],
             injected_at: 100,
@@ -1719,6 +1727,7 @@ mod tests {
         assert!(sys.episode.is_none(), "the never-detected episode closed");
         assert!(sys.outstanding.is_empty());
         let svc = sys.finish_service();
+        assert_eq!(svc.injected, 1, "the ledger's one fault");
         assert_eq!(svc.masked, 1);
         assert_eq!(svc.unrecovered(), 0, "masked faults are not unrecovered");
         let ep = &svc.episodes[0];

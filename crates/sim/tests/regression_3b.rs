@@ -23,7 +23,6 @@ fn run_silent(protocol: Protocol, seed: u64) {
         .workload(WorkloadKind::Oltp, 1_000_000)
         .seed(seed)
         .watchdog(100_000)
-        .max_cycles(MAX_CYCLES)
         .build();
     let report = sys.run_to_completion(MAX_CYCLES);
     assert!(

@@ -238,3 +238,22 @@ fn an_idle_core_never_trips_the_watchdog() {
         }
     }
 }
+
+/// The end-of-run drain in `report()` ticks the memory system until it is
+/// quiescent; those cycles count as executed, so executed + skipped still
+/// tiles the timeline after `finish_service`. They used to go uncounted:
+/// this run read 100,000 executed + skipped against 100,005 cycles.
+#[test]
+fn the_report_drain_counts_as_executed_cycles() {
+    let mut sys = SystemBuilder::new()
+        .nodes(2)
+        .workload(WorkloadKind::Service { mean_gap: 400 }, u64::MAX / 2)
+        .seed(11)
+        .build();
+    sys.arm_service(25_000);
+    let stop = sys.run_service_until(100_000, &mut |_| {});
+    assert_eq!(stop, ServiceStop::Horizon);
+    let svc = sys.finish_service();
+    let (executed, skipped) = sys.kernel_stats();
+    assert_eq!(executed + skipped, svc.report.cycles);
+}

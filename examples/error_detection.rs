@@ -32,7 +32,6 @@ fn main() {
                 fault,
             })
             .watchdog(100_000)
-            .max_cycles(3_000_000)
             .build();
         let report = system.run_to_completion(3_000_000);
         match report.detection {

@@ -248,7 +248,6 @@ fn every_fault_category_is_detected_on_both_protocols() {
                         fault,
                     })
                     .watchdog(100_000)
-                    .max_cycles(4_000_000)
                     .build();
                 sys.run_to_completion(4_000_000).detection.is_some()
             });

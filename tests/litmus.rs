@@ -36,7 +36,6 @@ fn run_one(test: LitmusTest, model: Model, protocol: Protocol, seed: u64) -> boo
         .seed(seed)
         .record_commits(true)
         .watchdog(100_000)
-        .max_cycles(2_000_000)
         .build();
     let report = sys.run_to_completion(2_000_000);
     let label = format!("{test}/{model}/{protocol:?}/seed{seed}");
@@ -146,7 +145,6 @@ fn litmus_conformance_survives_recovery() {
                             fault: Fault::CacheBitFlip { node: NodeId(0) },
                         })
                         .watchdog(100_000)
-                        .max_cycles(2_000_000)
                         .build();
                     let report = sys.run_to_completion(2_000_000);
                     let label = format!("{test}/{model}/{protocol:?}/seed{seed}+fault");

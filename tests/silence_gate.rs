@@ -35,7 +35,6 @@ fn silent_ops(protocol: Protocol, model: Model) -> u64 {
         .workload(WorkloadKind::Oltp, 1_000_000)
         .seed(7)
         .watchdog(100_000)
-        .max_cycles(HORIZON)
         .build();
     let report = sys.run_to_completion(HORIZON);
     assert!(
