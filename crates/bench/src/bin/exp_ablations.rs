@@ -9,7 +9,10 @@
 //!    premature processing of out-of-order informs.
 //!
 //! Each sweep reports the relevant cost/benefit pair. All three sweeps
-//! expand into one campaign and run together on the worker pool.
+//! expand into one campaign and run together on the worker pool, under
+//! the `--protocol` given. The VC and sorter sweeps also follow `--nodes`
+//! and `--txns`; the membar sweep always runs 4 nodes of 1M-transaction
+//! Jbb, long enough for its periods to fire, and its heading says so.
 
 use dvmc_bench::{fmt_pm, print_table, Campaign, ExpOpts};
 use dvmc_faults::{Fault, FaultPlan};
@@ -24,13 +27,9 @@ const SORTER_CAPACITIES: [usize; 4] = [16, 64, 256, 1024];
 fn main() {
     let opts = ExpOpts::from_args();
 
-    // Phase 1: expand all three sweeps into one campaign. The VC and
-    // sorter sweeps run directory TSO whatever `--protocol` says.
-    let oltp = || {
-        SystemBuilder::new()
-            .nodes(opts.nodes)
-            .workload(WorkloadKind::Oltp, opts.txns)
-    };
+    // Phase 1: expand all three sweeps into one campaign.
+    let oltp = || opts.builder(WorkloadKind::Oltp);
+    let protocol = opts.protocol;
     let mut campaign = Campaign::new();
     for vc_words in VC_WORDS {
         campaign.push_spec(&opts, format!("vc/{vc_words}"), oltp().vc_words(vc_words));
@@ -39,6 +38,7 @@ fn main() {
         for run in 0..opts.runs {
             let cfg = SystemBuilder::new()
                 .nodes(4)
+                .protocol(protocol)
                 .workload(WorkloadKind::Jbb, 1_000_000)
                 .seed(opts.seed + run as u64)
                 .membar_injection_period(period)
@@ -62,7 +62,10 @@ fn main() {
     // The VC must hold every committed-but-unperformed store (§4.1); the
     // write buffer is 32 entries, so 32 words suffice by construction.
     // Smaller VCs stall commit.
-    println!("Ablation 1 — verification cache size (oltp, TSO, {} nodes)", opts.nodes);
+    println!(
+        "Ablation 1 — verification cache size (oltp, TSO, {protocol:?} protocol, {} nodes)",
+        opts.nodes
+    );
     let mut rows = Vec::new();
     for vc_words in VC_WORDS {
         let reports = result.expect_clean(&format!("vc/{vc_words}"));
@@ -85,7 +88,10 @@ fn main() {
     );
 
     // ----- 2. Membar injection period vs detection latency -------------
-    println!("\nAblation 2 — membar injection period vs lost-store detection latency");
+    println!(
+        "\nAblation 2 — membar injection period vs lost-store detection latency \
+         (jbb, TSO, {protocol:?} protocol, 4 nodes, 1M txns/thread)"
+    );
     let mut rows = Vec::new();
     for period in MEMBAR_PERIODS {
         let reports = result.reports(&format!("membar/{period}"));
@@ -114,7 +120,10 @@ fn main() {
     println!(" negligible overhead; shorter periods buy latency with barriers.)");
 
     // ----- 3. Epoch-sorter capacity ------------------------------------
-    println!("\nAblation 3 — epoch-sorter capacity (oltp, TSO, {} nodes)", opts.nodes);
+    println!(
+        "\nAblation 3 — epoch-sorter capacity (oltp, TSO, {protocol:?} protocol, {} nodes)",
+        opts.nodes
+    );
     let mut rows = Vec::new();
     for capacity in SORTER_CAPACITIES {
         let clean = result

@@ -7,13 +7,15 @@
 //!
 //! * `quiet` — sparse arrivals (most cycles are quiescent; the
 //!   event kernel's best case). **Gate:** the event kernel covers at
-//!   least 5× the cycles per executed tick that the legacy kernel does
-//!   (`skip ratio ≥ 5`), while behaving bit-identically.
-//! * `busy` — saturating arrivals (the event kernel's worst case; the
-//!   gate is only that it never *loses* ground: ratio ≥ 1).
+//!   least 40× the cycles per executed tick that the legacy kernel does
+//!   (`skip ratio ≥ 40`), while behaving bit-identically.
+//! * `busy` — saturating arrivals (the event kernel's worst case).
+//!   **Gate:** `skip ratio ≥ 2`: cores asleep on a miss or on
+//!   verification, and traffic with known arrival times, no longer pin
+//!   every cycle.
 //! * `storm` — busy traffic plus a transient fault storm with in-line
 //!   rollback/recovery, proving the skip machinery holds up under the
-//!   full recovery path.
+//!   full recovery path (same 2× gate).
 //!
 //! Within each traffic arm, both modes must report identical machine
 //! behaviour — same final cycle, same memory digest, same window stream
@@ -201,18 +203,16 @@ fn main() {
         // live in the byte-compared artifact (wall-clock cannot).
         let ratio_milli = covered * 1_000 / got.executed.max(1);
         match (cell.arm, cell.spec.kernel) {
-            ("quiet", KernelMode::Event) => assert!(
-                ratio_milli >= 5_000,
-                "{}: quiet-arm skip ratio {}.{:03}x under the 5x gate",
-                cell.spec.tag,
-                ratio_milli / 1_000,
-                ratio_milli % 1_000
-            ),
-            (_, KernelMode::Event) => assert!(
-                ratio_milli >= 1_000,
-                "{}: the event kernel lost ground",
-                cell.spec.tag
-            ),
+            (arm, KernelMode::Event) => {
+                let gate = if arm == "quiet" { 40 } else { 2 };
+                assert!(
+                    ratio_milli >= gate * 1_000,
+                    "{}: skip ratio {}.{:03}x under the {gate}x gate",
+                    cell.spec.tag,
+                    ratio_milli / 1_000,
+                    ratio_milli % 1_000
+                );
+            }
             (_, KernelMode::Legacy) => assert_eq!(
                 got.skipped, 0,
                 "{}: the legacy kernel must never skip",
@@ -296,7 +296,8 @@ fn main() {
         write_artifact(&path, &json);
     }
     println!(
-        "throughput holds: the event kernel skips >=5x on quiet traffic, never loses ground, \
-         both modes are behaviourally identical, and no snapshot logs over 256 KiB per node."
+        "throughput holds: the event kernel skips >=40x on quiet traffic and >=2x on busy \
+         and storm traffic, both modes are behaviourally identical, and no snapshot logs over \
+         256 KiB per node."
     );
 }

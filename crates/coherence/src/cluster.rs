@@ -244,13 +244,13 @@ impl Cluster {
 
     /// Jumps the whole memory system from its current cycle to `target`
     /// without simulating the span — every controller gets the exact state
-    /// change a sequence of quiescent ticks would have applied (a clock
-    /// stamp of the last skipped cycle, `target - 1`). Only legal when
-    /// [`is_quiescent`](Self::is_quiescent) holds and no sorter drain,
-    /// scrub boundary, or delivery falls inside the span; the
-    /// event-scheduled kernel guarantees that by construction.
+    /// change the skipped ticks would have applied (a clock stamp of the
+    /// last skipped cycle, `target - 1`). Only legal when `target` is at
+    /// most [`next_event_at`](Self::next_event_at); the event-scheduled
+    /// kernel guarantees that by construction.
     pub fn advance_to(&mut self, target: Cycle) {
         debug_assert!(target >= self.now);
+        debug_assert!(target <= self.next_event_at(self.now), "skipping past a cluster event");
         let last_skipped = target.saturating_sub(1);
         for node in &mut self.nodes {
             node.idle_stamp(last_skipped);
@@ -261,19 +261,31 @@ impl Cluster {
         self.now = target;
     }
 
-    /// The earliest cycle at which any home's periodic watermark drain
-    /// could release a queued inform (see
-    /// [`HomeCtrl::next_sorter_drain_at`](crate::home::HomeCtrl::next_sorter_drain_at)).
-    pub fn next_sorter_drain_at(&self, now: Cycle) -> Option<Cycle> {
-        self.homes
+    /// The earliest cycle at or after `now` at which the memory system
+    /// does anything but stamp clocks, or hands its cores input: `now`
+    /// while a message is queued anywhere, otherwise the earliest torus
+    /// hop or fault-delayed release, tree arbitration or fan-out, home
+    /// memory-latency reply or sorter drain, cache L1-ready request or
+    /// due response, and the next CET scrub boundary (which also covers
+    /// the MET scrub at every second one). A transaction waiting on a
+    /// message adds nothing: the message is in flight with its own
+    /// arrival time.
+    pub fn next_event_at(&self, now: Cycle) -> Cycle {
+        let mut best = now.next_multiple_of(self.scrub_period.max(1));
+        let components = self
+            .nodes
             .iter()
-            .filter_map(|h| h.next_sorter_drain_at(now))
-            .min()
-    }
-
-    /// The periodic CET-scrub cadence, in cycles.
-    pub fn scrub_period(&self) -> u64 {
-        self.scrub_period
+            .map(|n| n.next_event_at(now))
+            .chain(self.homes.iter().map(|h| h.next_event_at(now)))
+            .chain([self.data_net.next_event_at(now)])
+            .chain(self.addr_net.as_ref().map(|t| t.next_event_at(now)));
+        for t in components.flatten() {
+            if t <= now {
+                return now;
+            }
+            best = best.min(t);
+        }
+        best
     }
 
     /// Approximate serialized size of the whole memory system, in bytes

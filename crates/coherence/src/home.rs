@@ -482,8 +482,9 @@ impl HomeCtrl {
     }
 
     /// Stamps the controller's clock without doing any work — exactly the
-    /// state change a tick performs on a quiescent, empty-sorter home.
-    /// Used by the event-scheduled kernel when skipping quiescent spans.
+    /// state change a tick performs before its
+    /// [`next_event_at`](Self::next_event_at). Used by the
+    /// event-scheduled kernel when skipping spans with nothing due.
     pub fn idle_stamp(&mut self, now: Cycle) {
         self.now = now;
         if let Some(o) = self.checker.as_mut().and_then(HomeChecker::obs_mut) {
@@ -500,24 +501,53 @@ impl HomeCtrl {
         }
     }
 
-    /// The earliest cycle at or after which the periodic watermark drain
-    /// could release a queued inform, given wall-clock `now`. Directory
-    /// only: its logical clock advances with the wall clock, so a queued
-    /// sorter is a future event source even on an otherwise quiescent
+    /// The first cycle at or after `now` whose [`tick`](Self::tick)
+    /// releases a queued inform through the periodic watermark drain.
+    /// Directory only: its logical clock advances with the wall clock, so
+    /// a queued sorter is a future event source even on an otherwise idle
     /// machine; snooping logical time only moves with address traffic,
     /// which is an event source in its own right (`None` there, and when
-    /// nothing is queued). Conservative: possibly a logical tick early,
-    /// never later than the true drain cycle.
-    pub fn next_sorter_drain_at(&self, now: Cycle) -> Option<Cycle> {
+    /// nothing is queued). Exact: the drain at logical tick `l` releases
+    /// the sorter's head once its start is earlier than `l - slack`
+    /// (`slack + 1` ticks behind), and never drains while the 16-bit
+    /// logical clock reads below `slack`.
+    fn next_sorter_drain_at(&self, now: Cycle) -> Option<Cycle> {
         if self.protocol != Protocol::Directory {
             return None;
         }
         let oldest = self.checker.as_ref().and_then(HomeChecker::oldest_queued)?;
-        let slack = u64::from(self.drain_slack());
-        let logical_now = now >> self.cfg.lt_shift;
-        let behind = u64::from(Ts16::from_full(logical_now).0.wrapping_sub(oldest.0));
-        let remaining = slack.saturating_sub(behind);
-        Some((logical_now + remaining) << self.cfg.lt_shift)
+        let slack = self.drain_slack();
+        let mut logical = now >> self.cfg.lt_shift;
+        loop {
+            let clock = Ts16::from_full(logical).0;
+            if clock < slack {
+                logical += u64::from(slack - clock);
+            } else if oldest.earlier_than(Ts16(clock - slack)) {
+                return Some((logical << self.cfg.lt_shift).max(now));
+            } else {
+                // Wait until the head is `slack + 1` ticks behind.
+                let behind = clock.wrapping_sub(oldest.0);
+                logical += u64::from((slack + 1).wrapping_sub(behind));
+            }
+        }
+    }
+
+    /// The earliest cycle at or after `now` at which this controller has
+    /// work: `now` while a message, snoop or outbound message is queued;
+    /// otherwise the release of a memory-latency-delayed reply or the
+    /// next sorter drain. `None` when it only waits on messages.
+    /// The MET scrub every 2,048 cycles is not included: it falls on a
+    /// CET scrub boundary, which the cluster schedules. Exact: a tick
+    /// before it only stamps clocks.
+    pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
+        if !self.inbox.is_empty()
+            || !self.snoop_in.is_empty()
+            || !self.msg_out.is_empty()
+        {
+            return Some(now);
+        }
+        let replies = self.out_delayed.iter().map(|&(t, _)| t);
+        replies.chain(self.next_sorter_drain_at(now)).min().map(|t| t.max(now))
     }
 
     /// Number of Inform-Epoch messages waiting in the epoch sorter.
@@ -996,5 +1026,40 @@ impl std::fmt::Debug for HomeCtrl {
             .field("blocks", &self.memory.len())
             .field("busy", &self.busy.len())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dvmc_core::{EpochKind, InformEpoch};
+
+    /// The drain estimate is the first cycle whose tick releases the
+    /// sorter's head: a start at logical tick 100 is released once the
+    /// clock is `slack + 1` = 65 ticks past it, at tick 165, cycle 2,640.
+    #[test]
+    fn the_sorter_drain_estimate_is_exact() {
+        let mut home = HomeCtrl::new(NodeId(0), Protocol::Directory, HomeConfig::default());
+        home.ingest_epoch(
+            InformEpoch {
+                addr: BlockAddr(0),
+                kind: EpochKind::ReadOnly,
+                node: NodeId(1),
+                start: Ts16(100),
+                end: Ts16(101),
+                start_hash: 0,
+                end_hash: 0,
+            }
+            .into(),
+        );
+        assert_eq!(home.next_sorter_drain_at(0), Some(2_640));
+        assert_eq!(home.next_sorter_drain_at(1_600), Some(2_640), "asked at the start's tick");
+        assert_eq!(home.next_sorter_drain_at(2_639), Some(2_640));
+        assert_eq!(home.next_event_at(0), Some(2_640));
+        home.tick(2_639);
+        assert_eq!(home.queued(), 1, "one cycle early, the head stays queued");
+        home.tick(2_640);
+        assert_eq!(home.queued(), 0, "released at the estimate");
+        assert_eq!(home.next_sorter_drain_at(2_641), None);
     }
 }

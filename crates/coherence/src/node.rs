@@ -265,6 +265,27 @@ impl CacheNode {
             && self.addr_out.is_empty()
     }
 
+    /// The earliest cycle at or after `now` at which this controller has
+    /// work or its core has input: `now` while a message, snoop,
+    /// outbound request or invalidation notice is queued; otherwise the first cycle whose [`tick`](Self::tick) services a
+    /// processor request past its L1 latency, or at which the core pops a
+    /// response (the core is fed before the cluster ticks, so a response
+    /// stamped `t` is popped at `t + 1`). `None` when the controller only
+    /// waits on messages. Exact: a tick before it only stamps clocks.
+    pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
+        if !self.inbox.is_empty()
+            || !self.snoop_in.is_empty()
+            || !self.msg_out.is_empty()
+            || !self.addr_out.is_empty()
+            || !self.invalidated.is_empty()
+        {
+            return Some(now);
+        }
+        let request = self.proc_in.front().map(|&(ready, _)| ready);
+        let responses = self.resp_out.iter().map(|&(t, _)| t + 1);
+        responses.chain(request).min().map(|t| t.max(now))
+    }
+
     /// The L2-resident blocks and their MOSI states, sorted by address —
     /// the observable the analyzer's SWMR invariant quantifies over.
     pub fn probe_l2_states(&self) -> Vec<(BlockAddr, Mosi)> {
@@ -479,10 +500,11 @@ impl CacheNode {
     }
 
     /// Re-stamps the controller's clock as if it had ticked idly up to
-    /// `now` — exactly the state a quiescent [`tick`](Self::tick) leaves
-    /// behind (a quiescent tick only stamps clocks; the processing phases
-    /// find every queue empty). The event-scheduled kernel uses this to
-    /// skip runs of quiescent cycles without perturbing state.
+    /// `now` — exactly the state a [`tick`](Self::tick) before its
+    /// [`next_event_at`](Self::next_event_at) leaves behind (such a tick
+    /// only stamps clocks; the processing phases find nothing due). The
+    /// event-scheduled kernel uses this to skip spans with nothing due
+    /// without perturbing state.
     pub fn idle_stamp(&mut self, now: Cycle) {
         self.now = now;
         if let Some(o) = self.cet.obs_mut() {

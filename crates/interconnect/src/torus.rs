@@ -290,6 +290,21 @@ impl<T> Torus<T> {
         self.inboxes[node.index()].pop_front()
     }
 
+    /// The earliest cycle at or after `now` at which the network has
+    /// work: `now` while an inbox holds a message for [`recv`](Self::recv),
+    /// otherwise the first cycle whose [`tick`](Self::tick) finishes a hop
+    /// or releases a fault-delayed message. `None` when nothing is queued
+    /// or in flight. Exact: no tick before it forwards or delivers
+    /// anything.
+    pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
+        if self.inboxes.iter().any(|q| !q.is_empty()) {
+            return Some(now);
+        }
+        let hops = self.in_flight.iter().map(|m| m.arrives_at);
+        let releases = self.delayed.iter().map(|d| d.0);
+        hops.chain(releases).min().map(|t| t.max(now))
+    }
+
     /// Whether any traffic is still in flight or queued for delivery.
     pub fn is_quiescent(&self) -> bool {
         self.in_flight.is_empty()

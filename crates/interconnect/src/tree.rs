@@ -140,6 +140,21 @@ impl<T> BroadcastTree<T> {
         self.inboxes[node.index()].pop_front()
     }
 
+    /// The earliest cycle at or after `now` at which the tree has work:
+    /// `now` while an inbox holds a request for [`recv`](Self::recv),
+    /// otherwise the first cycle whose [`tick`](Self::tick) arbitrates a
+    /// pending request through the root (once the root is free) or fans
+    /// one out to the leaves. `None` when nothing is pending or in
+    /// flight. Exact: no tick before it arbitrates or delivers anything.
+    pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
+        if self.inboxes.iter().any(|q| !q.is_empty()) {
+            return Some(now);
+        }
+        let arbitration = self.pending.front().map(|_| self.root_free_at);
+        let fanouts = self.in_flight.iter().map(|m| m.deliver_at);
+        fanouts.chain(arbitration).min().map(|t| t.max(now))
+    }
+
     /// Whether any request is still pending, in flight, or undelivered.
     pub fn is_quiescent(&self) -> bool {
         self.pending.is_empty()

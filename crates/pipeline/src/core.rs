@@ -213,6 +213,13 @@ pub struct Core {
     /// A requested consistency-model switch, applied at the next quiescent
     /// point (service mode switches models mid-run; see DESIGN.md §13).
     pending_model: Option<Model>,
+    /// The last tick changed nothing but the clocks and the decode
+    /// countdown, and no input arrived since: the core waits for an input
+    /// or a self-timed trigger (see [`next_event_at`](Self::next_event_at)).
+    /// Every tick sets it; every stage that makes progress, and every
+    /// input, clears it. A `bool` fits the struct's padding, so the core
+    /// (and with it every snapshot) stays the same size.
+    asleep: bool,
 }
 
 impl Core {
@@ -249,6 +256,7 @@ impl Core {
             now: 0,
             queue_delays: Vec::new(),
             pending_model: None,
+            asleep: false,
             cfg,
         }
     }
@@ -272,6 +280,7 @@ impl Core {
             return;
         }
         self.pending_model = Some(model);
+        self.wake();
     }
 
     fn apply_pending_model(&mut self) {
@@ -284,6 +293,7 @@ impl Core {
         self.pending_model = None;
         self.cfg.model = model;
         self.stream.switch_model(model);
+        self.wake();
     }
 
     /// Takes the committed-operation log (requires
@@ -397,70 +407,62 @@ impl Core {
         (std::mem::size_of::<Self>() + queued * 48) as u64
     }
 
-    /// Whether a tick at `now` would leave the core bit-identical except
-    /// for its clock and decode-delay countdown — no decode, issue,
-    /// commit, retire, drain, or membar injection can happen. The
-    /// event-scheduled kernel may only skip cycles where every core is
-    /// inert.
-    pub fn is_inert_at(&self, now: Cycle) -> bool {
-        if self.is_done() {
-            return true;
-        }
-        self.is_idle()
-            && self.pending_model.is_none()
-            && (self.stream_done || self.decode_delay > 0)
-            && !self.membar_due_at(now)
-    }
-
-    /// The earliest cycle at or after `now` at which this core can do
-    /// observable work, or `None` if the core is done and will never work
-    /// again. Exact for idle cores (the decode-delay countdown and the
-    /// membar-injection cadence are the only self-timed wake sources);
-    /// `now` for busy ones.
+    /// The earliest cycle at or after `now` at which a tick can change
+    /// more than the core's clocks and decode countdown, or `None` if no
+    /// self-timed trigger remains and only an input can wake it. `now`
+    /// unless the core is asleep (its last tick made no progress and no
+    /// input arrived since). An asleep core's state is a fixed point of
+    /// its tick until one of three self-timed triggers fires: the ROB
+    /// head finishing verification (`verify_done_at`), the end of the
+    /// decode countdown when decode is not otherwise blocked, and the
+    /// artificial-membar cadence while the ROB has room. Everything else
+    /// it waits for (a response, an invalidation, a model switch, a
+    /// fault) is an input, and every input wakes it.
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        if self.is_done() {
-            return None;
-        }
-        // The queue tests are written out rather than calling `is_idle()`:
-        // this runs for every core on every executed cycle, and in this
-        // form the compiler merges them with `is_done`'s (the call cost
-        // about 5 % of simbench `paper_closed` throughput on a 2-vCPU
-        // x86-64 host).
-        if !self.rob.is_empty()
-            || !self.wb.is_empty()
-            || !self.pending.is_empty()
-            || self.pending_model.is_some()
-            || (self.decode_delay == 0 && !self.stream_done)
-        {
+        if !self.asleep {
             return Some(now);
         }
-        // Idle: queues empty, stream not done (else is_done), counting
-        // down decode_delay. Wake when the countdown expires or the
-        // membar-injection cadence fires, whichever is earlier.
-        let mut at = now.saturating_add(u64::from(self.decode_delay));
-        if self.cfg.dvmc && self.cfg.membar_injection_period != 0 {
-            let due = self
-                .last_injection
-                .saturating_add(self.cfg.membar_injection_period);
-            at = at.min(due.max(now));
-        }
-        Some(at)
+        let verified = self
+            .rob
+            .front()
+            .filter(|e| e.committed && e.vstate == VState::Done)
+            .map(|e| e.verify_done_at);
+        let room = self.rob.len() < self.cfg.rob_size;
+        let decode = (room && !self.stream_done && self.awaiting.is_none())
+            .then(|| now.saturating_add(u64::from(self.decode_delay)));
+        let period = self.cfg.membar_injection_period;
+        let membar = (room && self.cfg.dvmc && period != 0 && !self.is_done())
+            .then(|| self.last_injection.saturating_add(period));
+        [verified, decode, membar].into_iter().flatten().min().map(|t| t.max(now))
     }
 
-    /// Applies the state change `k` consecutive inert ticks would have
-    /// made: the decode-delay countdown advances by `k`. The clock stamp
-    /// the skipped ticks would have left is reapplied by the next real
-    /// tick before any observable work.
-    pub fn catch_up(&mut self, k: u64) {
+    /// Applies the state change `k` consecutive ticks of an asleep core
+    /// would have made, the last of them at cycle `last`: the decode
+    /// countdown advances by `k`, and the core's clock and both checker
+    /// rings read `last` (a response delivered before the next tick is
+    /// stamped with it, as it would be after a real tick).
+    pub fn catch_up(&mut self, k: u64, last: Cycle) {
+        self.stamp(last);
         self.decode_delay = self
             .decode_delay
             .saturating_sub(u32::try_from(k).unwrap_or(u32::MAX));
     }
 
-    fn membar_due_at(&self, now: Cycle) -> bool {
-        self.cfg.dvmc
-            && self.cfg.membar_injection_period != 0
-            && now.saturating_sub(self.last_injection) >= self.cfg.membar_injection_period
+    /// Sets the core's clock and stamps the checkers' event rings:
+    /// checkers never learn physical time themselves.
+    fn stamp(&mut self, now: Cycle) {
+        self.now = now;
+        if let Some(o) = self.uniproc.as_mut().and_then(UniprocChecker::obs_mut) {
+            o.set_now(now);
+        }
+        if let Some(o) = self.reorder.as_mut().and_then(ReorderChecker::obs_mut) {
+            o.set_now(now);
+        }
+    }
+
+    /// Marks progress or an input: the next tick must run.
+    fn wake(&mut self) {
+        self.asleep = false;
     }
 
     /// Completes a cache request previously emitted by [`tick`](Self::tick).
@@ -468,6 +470,7 @@ impl Core {
         let Some(p) = self.pending.remove(&resp.id) else {
             return;
         };
+        self.wake();
         match p.purpose {
             Purpose::Exec => {
                 self.outstanding_loads = self.outstanding_loads.saturating_sub(1);
@@ -562,6 +565,7 @@ impl Core {
         if blocks.is_empty() {
             return;
         }
+        self.wake();
         let speculative_loads = self.cfg.model.loads_ordered();
         // Mark committed (or RMO-performed, possibly still in-flight)
         // loads whose replay is pending. Forwarded loads are marked even
@@ -634,15 +638,8 @@ impl Core {
 
     /// Advances one cycle; returns the cache requests to submit.
     pub fn tick(&mut self, now: Cycle) -> Vec<ProcReq> {
-        self.now = now;
-        // Stamp the checkers' event rings: checkers never learn physical
-        // time themselves.
-        if let Some(o) = self.uniproc.as_mut().and_then(UniprocChecker::obs_mut) {
-            o.set_now(now);
-        }
-        if let Some(o) = self.reorder.as_mut().and_then(ReorderChecker::obs_mut) {
-            o.set_now(now);
-        }
+        self.stamp(now);
+        self.asleep = true; // until a stage makes progress
         self.apply_pending_model();
         self.retire();
         self.drain_wb();
@@ -664,6 +661,7 @@ impl Core {
             if self.stream_done || self.awaiting.is_some() || self.rob.len() >= self.cfg.rob_size {
                 break;
             }
+            self.wake();
             match self.stream.next_at(self.now) {
                 Fetch::Instr(Instr::Delay(d)) => {
                     self.decode_delay = d;
@@ -705,6 +703,7 @@ impl Core {
         store_value: u64,
         arrived_at: Option<Cycle>,
     ) {
+        self.wake();
         let seq = self.next_seq;
         self.next_seq = seq.next();
         self.last_mem_seq = Some(seq);
@@ -854,6 +853,7 @@ impl Core {
                 self.lsq_fault_armed = false;
                 value ^= 1;
             }
+            self.wake();
             let model = self.cfg.model;
             let e = &mut self.rob[idx];
             e.state = EState::Executed;
@@ -901,7 +901,9 @@ impl Core {
             if class == OpClass::Store {
                 if let Some(u) = self.uniproc.as_ref() {
                     if u.store_entries() >= self.cfg.vc_words {
+                        // A stall counts as progress: it bumps a statistic.
                         self.stats.vc_full_stalls += 1;
+                        self.wake();
                         break;
                     }
                 }
@@ -944,6 +946,7 @@ impl Core {
                     }
                 }
             }
+            self.wake();
             let (seq, addr, store_value, value, gen) = {
                 let e = &mut self.rob[idx];
                 e.committed = true;
@@ -1077,7 +1080,10 @@ impl Core {
                         // Already performed during its commit stall.
                     } else {
                         if self.wb.len() >= self.cfg.wb_size {
+                            // A stall counts as progress: it bumps a
+                            // statistic.
                             self.stats.wb_full_stalls += 1;
+                            self.wake();
                             break;
                         }
                         self.enqueue_wb(seq, addr, store_value);
@@ -1097,6 +1103,7 @@ impl Core {
             }
             self.stats.retired_ops += 1;
             self.rob.pop_front();
+            self.wake();
         }
     }
 
@@ -1181,6 +1188,7 @@ impl Core {
     }
 
     fn alloc_req(&mut self, purpose: Purpose, seq: SeqNum, gen: u64) -> u64 {
+        self.wake();
         let id = self.next_req;
         self.next_req += 1;
         self.pending.insert(id, Pending { purpose, seq, gen });
@@ -1195,6 +1203,7 @@ impl Core {
         match self.wb.iter().position(|w| !w.issued) {
             Some(i) => {
                 self.wb.remove(i);
+                self.wake();
                 true
             }
             None => false,
@@ -1217,6 +1226,7 @@ impl Core {
             return false;
         }
         self.wb.swap(idx[0], idx[1]);
+        self.wake();
         true
     }
 
@@ -1225,6 +1235,7 @@ impl Core {
         match self.wb.iter_mut().find(|w| !w.issued) {
             Some(w) => {
                 w.value ^= 1u64 << (bit % 64);
+                self.wake();
                 true
             }
             None => false,
@@ -1237,6 +1248,7 @@ impl Core {
         match self.wb.iter_mut().find(|w| !w.issued) {
             Some(w) => {
                 w.addr = WordAddr(w.addr.0 ^ (1u64 << (bit % 8)));
+                self.wake();
                 true
             }
             None => false,
@@ -1247,6 +1259,7 @@ impl Core {
     /// corrupted value.
     pub fn arm_lsq_wrong_forward(&mut self) {
         self.lsq_fault_armed = true;
+        self.wake();
     }
 
     /// Whether a previously armed LSQ fault is still pending (no
@@ -1299,6 +1312,51 @@ mod tests {
         assert!(reads(&c.tick(0)).is_empty());
         assert_eq!(reads(&c.tick(1)), vec![8, 16], "the two oldest loads");
         assert!(reads(&c.tick(2)).is_empty(), "both load slots stay taken");
+    }
+
+    /// A core whose only load missed makes no progress after issuing
+    /// it: it sleeps until the membar cadence, and the response wakes it.
+    #[test]
+    fn a_core_blocked_on_a_miss_sleeps_until_the_response() {
+        let mut c = core(Model::Tso, 4, vec![Instr::load(8)]);
+        c.tick(0); // decode
+        let id = match c.tick(1).as_slice() {
+            [ProcReq::Read { id, .. }] => *id,
+            reqs => panic!("one load issued: {reqs:?}"),
+        };
+        assert_eq!(c.next_event_at(2), Some(2), "the issuing tick made progress");
+        assert!(c.tick(2).is_empty());
+        let period = c.config().membar_injection_period;
+        assert_eq!(c.next_event_at(3), Some(period), "asleep until the membar cadence");
+        c.catch_up(5, 7);
+        assert_eq!(c.next_event_at(8), Some(period), "catching up keeps it asleep");
+        c.deliver(ProcResp {
+            id,
+            value: 5,
+            l1_miss: true,
+            coherence_miss: true,
+            replay: false,
+        });
+        assert_eq!(c.next_event_at(8), Some(8), "the response wakes it");
+    }
+
+    /// A core whose committed store waits out the verification stage
+    /// sleeps until the store's `verify_done_at`, and retires it then.
+    #[test]
+    fn a_core_in_verification_wakes_at_verify_done() {
+        let cfg = CoreConfig {
+            verify_latency: 10,
+            ..CoreConfig::default()
+        };
+        let mut c = Core::new(cfg, Box::new(ScriptedStream::new(vec![Instr::store(8, 1)])));
+        c.tick(0); // decode
+        c.tick(1); // commit: verification ends at 1 + 10
+        c.tick(2);
+        assert_eq!(c.next_event_at(3), Some(11));
+        c.catch_up(7, 10);
+        assert_eq!(c.retired_ops(), 0);
+        c.tick(11);
+        assert_eq!(c.retired_ops(), 1, "retired at verify_done_at");
     }
 
     #[test]

@@ -274,12 +274,20 @@ impl System {
             self.ber = Some(ber);
         }
         self.maybe_inject_fault(now);
-        // Cores interact with their caches.
+        // Cores interact with their caches. Under the event kernel, a core
+        // still asleep once fed sleeps through this tick too: its tick
+        // would only move its clocks. The legacy kernel ticks every core,
+        // so it stays an independent oracle for that shortcut.
+        let skip_sleepers = self.cfg.kernel == KernelMode::Event;
         for (i, core) in self.cores.iter_mut().enumerate() {
             let id = nid(i);
             feed_core(&mut self.cluster, core, id);
-            for req in core.tick(now) {
-                self.cluster.submit(id, req);
+            if skip_sleepers && core.next_event_at(now).is_none_or(|t| t > now) {
+                core.catch_up(1, now);
+            } else {
+                for req in core.tick(now) {
+                    self.cluster.submit(id, req);
+                }
             }
             let drained = core.drain_violations();
             if !drained.is_empty() && self.violations.is_empty() {
@@ -450,42 +458,31 @@ impl System {
     // ----- event-scheduled kernel (DESIGN.md §14) -------------------------
 
     /// The earliest cycle at or after `now` at which the machine can do
-    /// observable work or a post-tick check can fire, or `None` when
-    /// nothing will ever happen again. Every candidate is conservative
-    /// (may be earlier than the real next event, never later), so the
-    /// scheduler stays exact: a pinned cycle that turns out quiet simply
-    /// ticks once for nothing.
+    /// observable work or a post-tick check can fire. Every candidate is
+    /// conservative (may be earlier than the real next event, never
+    /// later), so the scheduler stays exact: a pinned cycle that turns
+    /// out quiet simply ticks once for nothing.
     ///
     /// The run loops check their conditions *after* each tick, at
     /// `tick-cycle + 1`; the pins below are stated in tick cycles, hence
     /// the off-by-ones (e.g. an age-out that fires at post-tick time
     /// `t + window + 1` needs tick cycle `t + window` executed).
-    fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
+    ///
+    /// The memory system always has a next event (a scrub boundary), and
+    /// it is the costliest to ask, so it is asked last, and only when
+    /// nothing cheaper already pins `now`.
+    fn next_event_at(&self, now: Cycle) -> Cycle {
         let mut best: Option<Cycle> = None;
         let mut pin = |c: Cycle| {
             let c = c.max(now);
             best = Some(best.map_or(c, |b: Cycle| b.min(c)));
         };
+        // A core asleep until an input or a self-timed trigger.
         for core in &self.cores {
             if let Some(t) = core.next_event_at(now) {
                 pin(t);
             }
         }
-        // In-flight coherence traffic keeps every cycle busy.
-        if !self.cluster.is_quiescent() {
-            pin(now);
-        }
-        // A queued epoch sorter drains against directory logical time,
-        // which advances with the wall clock, so pin the (conservatively
-        // estimated) cycle its watermark first overtakes the oldest queued
-        // start; under snooping, logical time only moves with
-        // address-network traffic (already pinned via quiescence).
-        if let Some(t) = self.cluster.next_sorter_drain_at(now) {
-            pin(t);
-        }
-        // Periodic checker scrubs: CET every `scrub_period` cycles, MET
-        // every 2× that — pinning each CET boundary covers both.
-        pin(now.next_multiple_of(self.cluster.scrub_period().max(1)));
         // The BER checkpoint cadence.
         if let Some(ber) = &self.ber {
             pin(ber.next_checkpoint_at());
@@ -515,18 +512,27 @@ impl System {
                 pin(t.saturating_add(window));
             }
         }
-        // Service-window boundaries emit at post-tick `next_boundary`.
-        if let Some(svc) = &self.service {
-            pin(svc.next_boundary.saturating_sub(1));
+        // Service-window boundaries emit at post-tick `next_boundary`. One
+        // at or before `now` pins nothing: the grace drain streams no
+        // windows.
+        if let Some(svc) = self.service.as_ref().filter(|s| s.next_boundary > now) {
+            pin(svc.next_boundary - 1);
         }
-        best
+        if best == Some(now) {
+            return now;
+        }
+        // The memory system: queued messages, timed waits (hops, memory
+        // and L1/L2 latencies), sorter drains and checker scrubs.
+        let memory = self.cluster.next_event_at(now);
+        best.map_or(memory, |b| b.min(memory))
     }
 
     /// Event-scheduled kernel: jumps from the current cycle to the next
     /// event (capped at `cap`), applying exactly the state changes the
-    /// legacy kernel's quiescent ticks would have made — a clock catch-up
-    /// on every core and an idle re-stamp of the memory system. No-op
-    /// under [`KernelMode::Legacy`] or when something can happen now.
+    /// legacy kernel's ticks would have made in between — a clock and
+    /// decode-countdown catch-up on every core and a clock re-stamp of
+    /// the memory system. No-op under [`KernelMode::Legacy`] or when
+    /// something can happen now.
     fn advance_quiescent(&mut self, cap: Cycle) {
         if self.cfg.kernel != KernelMode::Event {
             return;
@@ -535,18 +541,21 @@ impl System {
         if now >= cap {
             return;
         }
-        let target = self.next_event_at(now).map_or(cap, |t| t.min(cap));
+        let target = self.next_event_at(now).min(cap);
         if target <= now {
             return;
         }
-        let k = target - now;
+        let (k, last) = (target - now, target - 1);
         for (i, core) in self.cores.iter_mut().enumerate() {
-            debug_assert!(core.is_inert_at(now), "skipping a non-inert core");
-            core.catch_up(k);
+            debug_assert!(
+                core.next_event_at(now).is_none_or(|t| t >= target),
+                "core {i} has work before the skip target {target}"
+            );
+            core.catch_up(k, last);
             if core.is_idle() {
                 // The legacy loop restamps an idle core's progress clock
-                // every tick; the last skipped cycle is target - 1.
-                self.progress[i] = (core.retired_ops(), target - 1);
+                // every tick.
+                self.progress[i] = (core.retired_ops(), last);
             }
         }
         self.cluster.advance_to(target);
@@ -843,7 +852,9 @@ impl System {
         let fatal = self.service.as_ref().and_then(|s| s.stopped).is_some();
         // Grace drain: an episode mid-recovery at the horizon gets up to
         // two watchdog periods to come clean before shutdown. It streams
-        // no windows; the final partial window spans it.
+        // no windows; the final partial window spans it. It skips ahead
+        // only while the episode is open: the tick that closes it is the
+        // drain's last.
         if !fatal && self.episode.is_some() {
             let deadline = self.now() + self.cfg.watchdog_cycles.saturating_mul(2);
             while self.episode.is_some() && self.now() < deadline {
@@ -851,7 +862,8 @@ impl System {
                 match self.service_step() {
                     Err(_) => break,
                     Ok(true) => continue, // rolled back; replay
-                    Ok(false) => self.advance_quiescent(deadline),
+                    Ok(false) if self.episode.is_some() => self.advance_quiescent(deadline),
+                    Ok(false) => {}
                 }
             }
         }

@@ -182,40 +182,55 @@ fn rollback_replays_exactly_under_snooping() {
 
 /// Service mode under an open-loop workload and a fault storm: both
 /// kernels stream identical window snapshots (including the queueing
-/// delay percentiles) and identical final service reports.
+/// delay percentiles) and identical final service reports. The second
+/// storm hits write buffers at busy, medium and sparse arrival rates: a
+/// drain ack can leave its core idle with a violation raised, and under
+/// the event kernel a core asleep through an executed tick must still
+/// have its violations drained.
 #[test]
 fn service_mode_storm_matches_across_kernels() {
-    let run = |kernel: KernelMode| {
-        let mut sys = SystemBuilder::new()
-            .nodes(2)
-            .workload(WorkloadKind::Service { mean_gap: 400 }, u64::MAX / 2)
-            .recovery(Default::default())
-            .watchdog(60_000)
-            .obs(32)
-            .seed(11)
-            .kernel(kernel)
-            .storm(vec![
-                FaultPlan {
-                    at_cycle: 6_000,
-                    fault: Fault::WbCorruptValue { node: NodeId(1) },
-                },
-                FaultPlan {
-                    at_cycle: 90_000,
-                    fault: Fault::WbDropStore { node: NodeId(0) },
-                },
-            ])
-            .build();
-        sys.arm_service(25_000);
-        let mut windows: Vec<WindowSnapshot> = Vec::new();
-        let stop = sys.run_service_until(250_000, &mut |snap| windows.push(*snap));
-        assert_eq!(stop, ServiceStop::Horizon);
-        let svc = sys.finish_service();
-        (format!("{windows:?}"), format!("{svc:?}"))
-    };
-    let legacy = run(KernelMode::Legacy);
-    let event = run(KernelMode::Event);
-    assert_eq!(legacy.0, event.0, "window streams diverge");
-    assert_eq!(legacy.1, event.1, "service reports diverge");
+    let plan = |at_cycle, fault| FaultPlan { at_cycle, fault };
+    let mixed = [
+        plan(6_000, Fault::WbCorruptValue { node: NodeId(1) }),
+        plan(90_000, Fault::WbDropStore { node: NodeId(0) }),
+    ];
+    let write_buffer = [
+        plan(6_000, Fault::WbAddressFlip { node: NodeId(1) }),
+        plan(50_000, Fault::WbReorderStores { node: NodeId(0) }),
+        plan(100_000, Fault::WbAddressFlip { node: NodeId(0) }),
+        plan(150_000, Fault::WbCorruptValue { node: NodeId(1) }),
+    ];
+    let cases: [(u64, u32, &[FaultPlan]); 4] = [
+        (11, 400, &mixed),
+        (11, 400, &write_buffer),
+        (12, 2_000, &write_buffer),
+        (13, 4_000, &write_buffer),
+    ];
+    for (seed, mean_gap, storm) in cases {
+        let run = |kernel: KernelMode| {
+            let mut sys = SystemBuilder::new()
+                .nodes(2)
+                .workload(WorkloadKind::Service { mean_gap }, u64::MAX / 2)
+                .recovery(Default::default())
+                .watchdog(60_000)
+                .obs(32)
+                .seed(seed)
+                .kernel(kernel)
+                .storm(storm.to_vec())
+                .build();
+            sys.arm_service(25_000);
+            let mut windows: Vec<WindowSnapshot> = Vec::new();
+            let stop = sys.run_service_until(250_000, &mut |snap| windows.push(*snap));
+            assert_eq!(stop, ServiceStop::Horizon, "seed {seed}, gap {mean_gap}");
+            let svc = sys.finish_service();
+            (format!("{windows:?}"), format!("{svc:?}"))
+        };
+        let legacy = run(KernelMode::Legacy);
+        let event = run(KernelMode::Event);
+        let case = format!("seed {seed}, gap {mean_gap}, {} faults", storm.len());
+        assert_eq!(legacy.0, event.0, "{case}: window streams diverge");
+        assert_eq!(legacy.1, event.1, "{case}: service reports diverge");
+    }
 }
 
 /// The event kernel actually skips work on a quiet open-loop workload —
@@ -237,6 +252,22 @@ fn event_kernel_skips_quiescent_cycles_on_quiet_traffic() {
         "quiet traffic should be mostly skippable: executed={executed} skipped={skipped}"
     );
     assert_eq!(executed + skipped, sys.now(), "kernel accounting tiles the timeline");
+}
+
+/// On closed-loop traffic the event kernel sleeps through memory waits:
+/// cores blocked on a miss or on verification, and traffic with known
+/// arrival times, no longer pin every cycle.
+#[test]
+fn event_kernel_sleeps_through_memory_waits_on_closed_loop_traffic() {
+    let mut sys = build(KernelMode::Event, Model::Tso, Protocol::Directory, 7, None);
+    let report = sys.run_to_completion(5_000_000);
+    assert!(report.completed);
+    let (executed, skipped) = sys.kernel_stats();
+    assert!(
+        skipped > executed,
+        "memory waits should be mostly skippable: executed={executed} skipped={skipped}"
+    );
+    assert_eq!(executed + skipped, report.cycles, "kernel accounting tiles the timeline");
 }
 
 proptest! {
@@ -286,68 +317,73 @@ proptest! {
 /// and the watchdog catches it in the drain. Both kernels drain it
 /// identically; the drain ends within two watchdog periods with the
 /// episode on record; and it streams no window, so the final partial
-/// window spans every boundary the drain crossed.
+/// window spans every boundary the drain crossed. With 25k windows the
+/// drain crosses one; with 100k windows it closes inside the first
+/// window after the horizon, where a drain that skipped ahead after its
+/// closing tick would end its final window late.
 #[test]
 fn grace_drain_matches_across_kernels() {
     const HORIZON: u64 = 100_000;
-    const WINDOW: u64 = 25_000;
     const WATCHDOG: u64 = 60_000;
-    let run = |kernel: KernelMode| {
-        let mut sys = SystemBuilder::new()
-            .nodes(2)
-            .workload(WorkloadKind::Service { mean_gap: 400 }, u64::MAX / 2)
-            .recovery(Default::default())
-            .watchdog(WATCHDOG)
-            .obs(32)
-            .seed(11)
-            .kernel(kernel)
-            .fault(FaultPlan {
-                at_cycle: HORIZON - 40,
-                fault: Fault::DropMessage,
-            })
-            .build();
-        sys.arm_service(WINDOW);
-        let mut windows: Vec<WindowSnapshot> = Vec::new();
-        let stop = sys.run_service_until(HORIZON, &mut |snap| windows.push(*snap));
-        assert_eq!(stop, ServiceStop::Horizon);
-        let svc = sys.finish_service();
-        (format!("{windows:?}"), windows.len(), svc)
-    };
-    let legacy = run(KernelMode::Legacy);
-    let (windows, streamed, svc) = run(KernelMode::Event);
-    assert_eq!(legacy.0, windows, "window streams diverge");
-    assert_eq!(
-        format!("{:?}", legacy.2),
-        format!("{svc:?}"),
-        "service reports diverge"
-    );
-    assert_eq!(svc.stopped, ServiceStop::Horizon);
-    let [ep] = svc.episodes.as_slice() else {
-        panic!("one episode: {:?}", svc.episodes)
-    };
-    assert!(
-        ep.detected_at.is_some_and(|d| d > HORIZON),
-        "detected in the drain: {ep:?}"
-    );
-    let last = svc.windows.last().expect("a final partial window");
-    assert!(
-        last.end <= HORIZON + 2 * WATCHDOG,
-        "drained until {}",
-        last.end
-    );
-    assert!(
-        ep.recovered_at.is_some_and(|r| r <= last.end),
-        "closed in the drain: {ep:?}"
-    );
-    assert_eq!(
-        streamed as u64,
-        HORIZON / WINDOW,
-        "no window streams in the drain"
-    );
-    assert_eq!(svc.windows.len(), streamed + 1);
-    assert_eq!(last.start, HORIZON);
-    assert!(
-        last.end > HORIZON + WINDOW,
-        "the drain crossed a boundary: {last:?}"
-    );
+    for window in [25_000, 100_000] {
+        let run = |kernel: KernelMode| {
+            let mut sys = SystemBuilder::new()
+                .nodes(2)
+                .workload(WorkloadKind::Service { mean_gap: 400 }, u64::MAX / 2)
+                .recovery(Default::default())
+                .watchdog(WATCHDOG)
+                .obs(32)
+                .seed(11)
+                .kernel(kernel)
+                .fault(FaultPlan {
+                    at_cycle: HORIZON - 40,
+                    fault: Fault::DropMessage,
+                })
+                .build();
+            sys.arm_service(window);
+            let mut windows: Vec<WindowSnapshot> = Vec::new();
+            let stop = sys.run_service_until(HORIZON, &mut |snap| windows.push(*snap));
+            assert_eq!(stop, ServiceStop::Horizon);
+            let svc = sys.finish_service();
+            (format!("{windows:?}"), windows.len(), svc)
+        };
+        let legacy = run(KernelMode::Legacy);
+        let (windows, streamed, svc) = run(KernelMode::Event);
+        assert_eq!(legacy.0, windows, "{window}: window streams diverge");
+        assert_eq!(
+            format!("{:?}", legacy.2),
+            format!("{svc:?}"),
+            "{window}: service reports diverge"
+        );
+        assert_eq!(svc.stopped, ServiceStop::Horizon);
+        let [ep] = svc.episodes.as_slice() else {
+            panic!("{window}: one episode: {:?}", svc.episodes)
+        };
+        assert!(
+            ep.detected_at.is_some_and(|d| d > HORIZON),
+            "{window}: detected in the drain: {ep:?}"
+        );
+        let last = svc.windows.last().expect("a final partial window");
+        assert!(
+            last.end <= HORIZON + 2 * WATCHDOG,
+            "{window}: drained until {}",
+            last.end
+        );
+        assert!(
+            ep.recovered_at.is_some_and(|r| r <= last.end),
+            "{window}: closed in the drain: {ep:?}"
+        );
+        assert_eq!(
+            streamed as u64,
+            HORIZON / window,
+            "{window}: no window streams in the drain"
+        );
+        assert_eq!(svc.windows.len(), streamed + 1);
+        assert_eq!(last.start, HORIZON);
+        assert_eq!(
+            last.end > HORIZON + window,
+            window == 25_000,
+            "{window}: the drain crosses a boundary only with 25k windows: {last:?}"
+        );
+    }
 }
