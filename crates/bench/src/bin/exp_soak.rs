@@ -6,7 +6,10 @@
 //!   while the consistency model is switched SC→TSO→PSO→RMO mid-run.
 //!   Gate: the run reaches its horizon with **zero unrecovered
 //!   episodes**, **zero false violations**, and finite detection/recovery
-//!   latency percentiles.
+//!   latency percentiles. Kernel gate: the event kernel covers at least
+//!   0.85× the cycles per executed tick on the storm cell that it covers
+//!   on the same protocol's quiet cell, so a due fault waiting for its
+//!   precondition cannot go back to pinning every cycle.
 //! * `soak/quiet/*` — the same schedule with no faults. Gate: total
 //!   silence (no violations, no hangs, nothing injected or recovered) —
 //!   the long-horizon false-positive gate, on both protocols.
@@ -33,6 +36,10 @@ use std::fmt::Write as _;
 
 const WATCHDOG: Cycle = 100_000;
 const MAX_RETRIES: u32 = 4;
+
+/// The kernel gate: the least share of its protocol's quiet cell's
+/// cycles per executed tick that a storm cell must cover.
+const STORM_SKIP_SHARE_MIN: f64 = 0.85;
 
 /// The model schedule every soak cycles through: each model holds a
 /// quarter of the horizon, weakest last so the RMO segment inherits a
@@ -358,6 +365,31 @@ fn main() {
         &rows,
     );
 
+    // The kernel gate: the storm runs the quiet cell's kind of traffic
+    // (gap and model schedule; its own seed) plus its faults, so it must
+    // not cost the event kernel many more executed ticks per simulated
+    // cycle.
+    let per_tick = |tag: &str| {
+        let got = &outcomes[specs.iter().position(|s| s.tag == tag).expect("cell exists")];
+        (got.executed + got.skipped) as f64 / got.executed.max(1) as f64
+    };
+    for protocol in [Protocol::Directory, Protocol::Snooping] {
+        let (storm, quiet) = (
+            per_tick(&format!("soak/storm/{protocol:?}")),
+            per_tick(&format!("soak/quiet/{protocol:?}")),
+        );
+        let share = storm / quiet;
+        println!(
+            "kernel {protocol:?}: storm {storm:.3} vs quiet {quiet:.3} cycles per executed \
+             tick ({share:.3}x)"
+        );
+        assert!(
+            share >= STORM_SKIP_SHARE_MIN,
+            "soak/storm/{protocol:?}: covers {share:.3}x the quiet cell's cycles per executed \
+             tick, under the {STORM_SKIP_SHARE_MIN}x gate"
+        );
+    }
+
     let json = format!(
         "{{\"schema\":\"dvmc-soak/v2\",\"duration\":{duration},\"window\":{window},\
          \"mean_gap\":{mean_gap},\"nodes\":{},\"seed\":{},\"cells\":[{cells_json}]}}\n",
@@ -368,6 +400,6 @@ fn main() {
     }
     println!(
         "soak holds: zero unrecovered transients, zero false violations, \
-         bounded latency percentiles."
+         bounded latency percentiles, and storms skip nearly as well as quiet traffic."
     );
 }

@@ -17,6 +17,10 @@
 //!   rollback/recovery, proving the skip machinery holds up under the
 //!   full recovery path (same 2× gate).
 //!
+//! Every cell also records why the event kernel executed its ticks: the
+//! scheduler decisions that chose them, by the first source that pinned
+//! the chosen cycle (`System::kernel_wakes`; all zero under legacy).
+//!
 //! Within each traffic arm, both modes must report identical machine
 //! behaviour — same final cycle, same memory digest, same window stream
 //! — or the campaign aborts: the event kernel is only admissible while
@@ -41,7 +45,7 @@ use dvmc_bench::soak::{run_soak, SoakOutcome, SoakSpec};
 use dvmc_bench::{parallel_map_indexed, print_table, write_artifact, ExpOpts};
 use dvmc_consistency::Model;
 use dvmc_faults::{storm_plan, StormConfig};
-use dvmc_sim::{CheckpointMode, KernelMode, ServiceStop};
+use dvmc_sim::{CheckpointMode, KernelMode, KernelWakes, ServiceStop};
 use dvmc_types::rng::{det_rng, derive_seed};
 use dvmc_types::Cycle;
 use std::fmt::Write as _;
@@ -186,6 +190,7 @@ fn main() {
 
     // Serial aggregation in submission order.
     let mut rows = Vec::new();
+    let mut wake_rows = Vec::new();
     let mut cells_json = String::new();
     for (cell, (got, wall)) in cells.iter().zip(&outcomes) {
         let svc = &got.service;
@@ -237,6 +242,13 @@ fn main() {
             format!("{}", got.checkpoint.rollbacks),
             format!("{wall:.2}s"),
         ]);
+        let wakes = got.wakes.by_source();
+        wake_rows.push(
+            std::iter::once(cell.spec.tag.clone())
+                .chain(wakes.iter().map(|(_, n)| n.to_string()))
+                .chain([(got.executed - got.wakes.total()).to_string()])
+                .collect(),
+        );
         if !cells_json.is_empty() {
             cells_json.push(',');
         }
@@ -245,7 +257,7 @@ fn main() {
             "{{\"tag\":{},\"arm\":{},\"mode\":{},\"cycles\":{},\"executed\":{},\
              \"skipped\":{},\"ratio_milli\":{ratio_milli},\"retired\":{},\"injected\":{},\
              \"episodes\":{},\"ckpt_taken\":{},\"ckpt_bytes\":{},\"ckpt_parts\":{},\
-             \"rollbacks\":{},\"parts_restored\":{}}}",
+             \"rollbacks\":{},\"parts_restored\":{}",
             json_str(&cell.spec.tag),
             json_str(cell.arm),
             json_str(cell.mode),
@@ -261,12 +273,26 @@ fn main() {
             got.checkpoint.rollbacks,
             got.checkpoint.parts_restored,
         );
+        for (source, n) in wakes {
+            let _ = write!(cells_json, ",\"wake_{source}\":{n}");
+        }
+        cells_json.push('}');
     }
     print_table(
         "kernel throughput (wall-clock is display-only)",
         &["cell", "cycles", "executed", "skipped", "ratio", "ckpts", "ckpt bytes", "rollbacks",
           "wall"],
         &rows,
+    );
+    let wake_header: Vec<&str> = std::iter::once("cell")
+        .chain(KernelWakes::default().by_source().map(|(source, _)| source))
+        .chain(["undecided"])
+        .collect();
+    print_table(
+        "kernel wakes (decisions by the source that pinned the executed tick; \
+         undecided: first ticks, replays, drains)",
+        &wake_header,
+        &wake_rows,
     );
 
     // Human-facing wall-clock summary: quiet-arm speedup of the event
@@ -287,7 +313,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\"schema\":\"dvmc-throughput/v2\",\"duration\":{duration},\"window\":{window},\
+        "{{\"schema\":\"dvmc-throughput/v3\",\"duration\":{duration},\"window\":{window},\
          \"quiet_gap\":{quiet_gap},\"busy_gap\":{busy_gap},\"nodes\":{},\"seed\":{},\
          \"cells\":[{cells_json}]}}\n",
         opts.nodes, opts.seed,

@@ -11,8 +11,8 @@
 use dvmc_consistency::Model;
 use dvmc_faults::FaultPlan;
 use dvmc_sim::{
-    percentile, CheckpointMode, CheckpointStats, KernelMode, Protocol, RecoveryPolicy,
-    SafetyNetConfig, ServiceReport, ServiceStop, SystemBuilder, WindowSnapshot,
+    percentile, CheckpointMode, CheckpointStats, KernelMode, KernelWakes, Protocol,
+    RecoveryPolicy, SafetyNetConfig, ServiceReport, ServiceStop, SystemBuilder, WindowSnapshot,
 };
 use dvmc_types::rng::derive_seed;
 use dvmc_types::Cycle;
@@ -83,6 +83,9 @@ pub struct SoakOutcome {
     pub executed: u64,
     /// Cycles the event-scheduled kernel jumped over (0 under legacy).
     pub skipped: u64,
+    /// Why the event-scheduled kernel executed its ticks (all zero under
+    /// legacy).
+    pub wakes: KernelWakes,
     /// Checkpoint/rollback cost counters for the whole run.
     pub checkpoint: CheckpointStats,
 }
@@ -135,6 +138,7 @@ pub fn run_soak(spec: &SoakSpec, on_window: &mut dyn FnMut(&WindowSnapshot)) -> 
     }
     let horizon: Cycle = spec.schedule.iter().map(|&(_, len)| len).sum();
     let (executed, skipped) = sys.kernel_stats();
+    let wakes = sys.kernel_wakes();
     let checkpoint = sys.checkpoint_stats();
     let service = sys.finish_service();
     let det = service.detection_latencies();
@@ -148,6 +152,7 @@ pub fn run_soak(spec: &SoakSpec, on_window: &mut dyn FnMut(&WindowSnapshot)) -> 
         horizon,
         executed,
         skipped,
+        wakes,
         checkpoint,
     }
 }

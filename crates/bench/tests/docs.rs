@@ -1,0 +1,123 @@
+//! EXPERIMENTS.md quotes `results/BENCH_throughput.json` cell by cell in
+//! its kernel tables. This test keeps the two in step: a change that
+//! moves the artifact must move the tables with it, and a table edited
+//! by hand must still read what the artifact says.
+
+use std::path::Path;
+
+/// Table headers and the artifact fields they quote. A figure is read by
+/// dropping everything but its digits, so `77.349×` reads as the
+/// thousandths in `ratio_milli` and `10,251,400` as `10251400`.
+const COLUMNS: [(&str, &str); 14] = [
+    ("executed", "executed"),
+    ("skipped", "skipped"),
+    ("skip ratio", "ratio_milli"),
+    ("ckpt bytes", "ckpt_bytes"),
+    ("ckpt parts", "ckpt_parts"),
+    ("rollbacks", "rollbacks"),
+    ("parts restored", "parts_restored"),
+    ("core", "wake_core"),
+    ("checkpoint", "wake_checkpoint"),
+    ("fault", "wake_fault"),
+    ("watchdog", "wake_watchdog"),
+    ("episode", "wake_episode"),
+    ("window", "wake_window"),
+    ("memory", "wake_memory"),
+];
+
+fn repo_file(rel: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(rel);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The integer after `"key":` in a flat JSON object.
+fn field(object: &str, key: &str) -> u64 {
+    let pat = format!("\"{key}\":");
+    let at = object
+        .find(&pat)
+        .unwrap_or_else(|| panic!("no {key} in {object}"))
+        + pat.len();
+    let value: String = object[at..].chars().take_while(char::is_ascii_digit).collect();
+    value.parse().unwrap_or_else(|_| panic!("{key} is no integer in {object}"))
+}
+
+/// A table figure, digits only.
+fn digits(text: &str) -> u64 {
+    let d: String = text.chars().filter(char::is_ascii_digit).collect();
+    d.parse().unwrap_or_else(|_| panic!("no figure in {text:?}"))
+}
+
+/// The artifact's cells, each as `(tag, flat JSON object)`.
+fn artifact_cells(json: &str) -> Vec<(&str, &str)> {
+    json.split("{\"tag\":\"")
+        .skip(1)
+        .map(|rest| {
+            let tag = &rest[..rest.find('"').expect("tag closes")];
+            let object = &rest[..rest.find('}').expect("cell closes")];
+            (tag, object)
+        })
+        .collect()
+}
+
+/// Every table in the section headed `heading`: its header cells, then
+/// its rows' cells.
+fn tables<'a>(doc: &'a str, heading: &str) -> Vec<(Vec<&'a str>, Vec<Vec<&'a str>>)> {
+    let start = doc.find(heading).unwrap_or_else(|| panic!("no section {heading:?}"));
+    let section = &doc[start..];
+    let section = &section[..section[heading.len()..]
+        .find("\n## ")
+        .map_or(section.len(), |e| heading.len() + e)];
+    let cells = |line: &'a str| -> Vec<&'a str> {
+        let inner = line.trim().trim_start_matches('|').trim_end_matches('|');
+        inner.split('|').map(str::trim).collect()
+    };
+    let mut out = Vec::new();
+    let mut lines = section.lines().peekable();
+    while let Some(line) = lines.next() {
+        if !line.starts_with('|') {
+            continue;
+        }
+        let header = cells(line);
+        lines.next(); // the |---| separator
+        let mut rows = Vec::new();
+        while let Some(row) = lines.next_if(|l| l.starts_with('|')) {
+            rows.push(cells(row));
+        }
+        out.push((header, rows));
+    }
+    out
+}
+
+#[test]
+fn kernel_tables_quote_the_throughput_artifact() {
+    let json = repo_file("results/BENCH_throughput.json");
+    let doc = repo_file("EXPERIMENTS.md");
+    let cells = artifact_cells(&json);
+    assert_eq!(cells.len(), 6, "three arms times two kernel modes");
+    let tables = tables(&doc, "## Kernel throughput");
+    assert!(!tables.is_empty(), "the section has a kernel table");
+    for (header, rows) in &tables {
+        assert_eq!(header[0], "cell", "{header:?}");
+        assert_eq!(rows.len(), cells.len(), "one row per artifact cell: {header:?}");
+        for row in rows {
+            let name = row[0].trim_matches('`');
+            assert_eq!(row.len(), header.len(), "{name}: one figure per column");
+            let (_, object) = cells
+                .iter()
+                .find(|(tag, _)| tag.strip_prefix("throughput/") == Some(name))
+                .unwrap_or_else(|| panic!("row {name} has no artifact cell"));
+            for (column, text) in header.iter().zip(row).skip(1) {
+                let key = COLUMNS
+                    .iter()
+                    .find(|(h, _)| h == column)
+                    .unwrap_or_else(|| panic!("column {column:?} quotes no artifact field"))
+                    .1;
+                assert_eq!(
+                    digits(text),
+                    field(object, key),
+                    "EXPERIMENTS.md, {name}, {column}: {text}"
+                );
+            }
+        }
+    }
+}

@@ -361,6 +361,11 @@ impl Cluster {
         &mut self.data_net
     }
 
+    /// A cache controller (fault preconditions).
+    pub fn node(&self, node: NodeId) -> &CacheNode {
+        &self.nodes[node.index()]
+    }
+
     /// Mutable access to a cache controller (fault injection).
     pub fn node_mut(&mut self, node: NodeId) -> &mut CacheNode {
         &mut self.nodes[node.index()]

@@ -455,6 +455,27 @@ impl CacheNode {
             .corrupt_mru_line_where(bit, |s| matches!(s, Mosi::S | Mosi::O))
     }
 
+    /// Blocks a bogus upgrade can hit: Shared lines that a queued store is
+    /// bound for and that no MSHR is already upgrading.
+    fn upgrade_candidates(&self) -> impl Iterator<Item = BlockAddr> + '_ {
+        self.proc_in
+            .iter()
+            .filter(|(_, r)| r.is_write())
+            .map(|(_, r)| r.addr().block())
+            .filter(|b| {
+                !self.mshrs.contains_key(b)
+                    && self.l2.peek(*b).is_some_and(|l| l.state == Mosi::S)
+            })
+    }
+
+    /// Whether [`corrupt_upgrade`](Self::corrupt_upgrade) would take now.
+    /// Only the controller's state decides it, never the tie-breaking
+    /// index, so the event kernel can let a due fault wait while it does
+    /// not hold.
+    pub fn can_corrupt_upgrade(&self) -> bool {
+        self.upgrade_candidates().next().is_some()
+    }
+
     /// Fault injection: silently upgrades a Shared line to Modified
     /// without a GetM — a cache-controller state error that breaks SWMR.
     /// The faulted "decision" is the one a real controller gets wrong:
@@ -466,22 +487,11 @@ impl CacheNode {
     /// `idx` breaks ties among several store-bound candidates. Returns
     /// the upgraded block.
     pub fn corrupt_upgrade(&mut self, idx: usize) -> Option<BlockAddr> {
-        let target = {
-            let candidates: Vec<BlockAddr> = self
-                .proc_in
-                .iter()
-                .filter(|(_, r)| r.is_write())
-                .map(|(_, r)| r.addr().block())
-                .filter(|b| {
-                    !self.mshrs.contains_key(b)
-                        && self.l2.peek(*b).is_some_and(|l| l.state == Mosi::S)
-                })
-                .collect();
-            if candidates.is_empty() {
-                return None;
-            }
-            candidates[idx % candidates.len()]
-        };
+        let candidates: Vec<BlockAddr> = self.upgrade_candidates().collect();
+        if candidates.is_empty() {
+            return None;
+        }
+        let target = candidates[idx % candidates.len()];
         if let Some(line) = self.l2.lookup_mut(target) {
             line.state = Mosi::M;
         }

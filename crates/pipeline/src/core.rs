@@ -1197,62 +1197,65 @@ impl Core {
 
     // ----- fault-injection hooks (§6.1) ------------------------------------
 
+    /// Write-buffer positions of the un-issued stores, oldest first: the
+    /// entries a write-buffer fault can hit.
+    fn unissued_stores(&self) -> impl Iterator<Item = usize> + '_ {
+        self.wb.iter().enumerate().filter(|(_, w)| !w.issued).map(|(i, _)| i)
+    }
+
+    /// Whether the write buffer holds at least `n` un-issued stores: the
+    /// precondition of a write-buffer fault (one for a drop, a value flip
+    /// or an address flip, two for a reorder). Only machine state decides
+    /// it, never the injector's draws, so the event kernel can let a due
+    /// fault wait while it does not hold.
+    pub fn holds_unissued_stores(&self, n: usize) -> bool {
+        self.unissued_stores().take(n).count() == n
+    }
+
     /// Fault: the write buffer silently loses an un-issued store. Returns
     /// whether an entry was available to drop.
     pub fn inject_wb_drop(&mut self) -> bool {
-        match self.wb.iter().position(|w| !w.issued) {
-            Some(i) => {
-                self.wb.remove(i);
-                self.wake();
-                true
-            }
-            None => false,
-        }
+        let Some(i) = self.unissued_stores().next() else {
+            return false;
+        };
+        self.wb.remove(i);
+        self.wake();
+        true
     }
 
     /// Fault: swap the drain order of the first two un-issued write-buffer
     /// entries (a Store→Store reordering under in-order models). Returns
     /// whether two entries were available.
     pub fn inject_wb_reorder(&mut self) -> bool {
-        let idx: Vec<usize> = self
-            .wb
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| !w.issued)
-            .map(|(i, _)| i)
-            .take(2)
-            .collect();
-        if idx.len() < 2 {
+        let first_two: Vec<usize> = self.unissued_stores().take(2).collect();
+        let [a, b] = first_two[..] else {
             return false;
-        }
-        self.wb.swap(idx[0], idx[1]);
+        };
+        self.wb.swap(a, b);
         self.wake();
         true
     }
 
     /// Fault: flip a bit of an un-issued write-buffer entry's data.
     pub fn inject_wb_corrupt(&mut self, bit: u32) -> bool {
-        match self.wb.iter_mut().find(|w| !w.issued) {
-            Some(w) => {
-                w.value ^= 1u64 << (bit % 64);
-                self.wake();
-                true
-            }
-            None => false,
-        }
+        let Some(i) = self.unissued_stores().next() else {
+            return false;
+        };
+        self.wb[i].value ^= 1u64 << (bit % 64);
+        self.wake();
+        true
     }
 
     /// Fault: flip a bit of an un-issued write-buffer entry's address —
     /// the store drains to the wrong word.
     pub fn inject_wb_addr_flip(&mut self, bit: u32) -> bool {
-        match self.wb.iter_mut().find(|w| !w.issued) {
-            Some(w) => {
-                w.addr = WordAddr(w.addr.0 ^ (1u64 << (bit % 8)));
-                self.wake();
-                true
-            }
-            None => false,
-        }
+        let Some(i) = self.unissued_stores().next() else {
+            return false;
+        };
+        let w = &mut self.wb[i];
+        w.addr = WordAddr(w.addr.0 ^ (1u64 << (bit % 8)));
+        self.wake();
+        true
     }
 
     /// Fault: arm the LSQ so the next store-to-load forwarding supplies a

@@ -26,7 +26,7 @@ pub use config::{
 pub use dvmc_ber::{BerConfigError, SafetyNetConfig};
 pub use dvmc_coherence::Protocol;
 pub use report::{
-    mean_std, percentile, CheckpointStats, Detection, EpisodeReport, RecoveryOutcome,
+    mean_std, percentile, CheckpointStats, Detection, EpisodeReport, KernelWakes, RecoveryOutcome,
     RecoveryReport, RunReport, ServiceReport, ServiceStop, WindowSnapshot,
 };
 pub use system::System;

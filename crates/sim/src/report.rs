@@ -243,6 +243,52 @@ pub struct CheckpointStats {
     pub parts_restored: u64,
 }
 
+/// Why the event-scheduled kernel executed its ticks (DESIGN.md §14).
+/// Every scheduler decision that chose the cycle of the next executed
+/// tick is counted once, under the first source, in the order below,
+/// that pinned that cycle. Executed ticks minus [`total`](Self::total)
+/// are the ticks no decision preceded: a run call's first tick, the
+/// replay tick after a rollback, and the drain in `System::report`.
+/// All zero under `KernelMode::Legacy`, which decides nothing.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct KernelWakes {
+    /// A core awake, or one of an asleep core's self-timed triggers.
+    pub core: u64,
+    /// The BER checkpoint cadence.
+    pub checkpoint: u64,
+    /// A due fault plan whose attempt may take, or a plan falling due.
+    pub fault: u64,
+    /// A per-core hang-watchdog deadline.
+    pub watchdog: u64,
+    /// An episode close candidate or a transient's age-out.
+    pub episode: u64,
+    /// A service-window boundary.
+    pub window: u64,
+    /// The memory system: queued or timed traffic, a sorter drain or a
+    /// checker scrub.
+    pub memory: u64,
+}
+
+impl KernelWakes {
+    /// Every source's name and count, in the scheduler's order.
+    pub fn by_source(&self) -> [(&'static str, u64); 7] {
+        [
+            ("core", self.core),
+            ("checkpoint", self.checkpoint),
+            ("fault", self.fault),
+            ("watchdog", self.watchdog),
+            ("episode", self.episode),
+            ("window", self.window),
+            ("memory", self.memory),
+        ]
+    }
+
+    /// Decisions counted, over every source.
+    pub fn total(&self) -> u64 {
+        self.by_source().iter().map(|&(_, n)| n).sum()
+    }
+}
+
 /// The result of one simulation run.
 #[derive(Clone, Debug)]
 pub struct RunReport {

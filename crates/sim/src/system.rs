@@ -3,8 +3,8 @@
 
 use crate::config::{KernelMode, SystemConfig};
 use crate::report::{
-    percentile, CheckpointStats, Detection, EpisodeReport, RecoveryOutcome, RecoveryReport,
-    RunReport, ServiceReport, ServiceStop, WindowSnapshot,
+    percentile, CheckpointStats, Detection, EpisodeReport, KernelWakes, RecoveryOutcome,
+    RecoveryReport, RunReport, ServiceReport, ServiceStop, WindowSnapshot,
 };
 use dvmc_ber::SafetyNet;
 use dvmc_coherence::{Cluster, Protocol};
@@ -18,7 +18,7 @@ use dvmc_pipeline::Core;
 use dvmc_types::rng::{det_rng, derive_seed, DetRng};
 use dvmc_types::{Cycle, NodeId};
 use dvmc_workloads::spec::build_streams;
-use rand::Rng;
+use rand::{Rng, RngCore};
 use std::collections::VecDeque;
 
 /// Everything a rollback must restore: the architectural and
@@ -58,6 +58,9 @@ pub struct System {
     ticks_executed: u64,
     /// Quiescent cycles skipped by the event-scheduled kernel.
     ticks_skipped: u64,
+    /// Why the event-scheduled kernel executed its ticks. Like the tick
+    /// counts, outside the snapshots: rollback does not rewind them.
+    wakes: KernelWakes,
     /// Checkpoint/rollback cost counters (the reclaimed-checkpoint count
     /// is read from the BER when asked for).
     ckpt_stats: CheckpointStats,
@@ -86,7 +89,8 @@ pub struct System {
     /// node 0's observability (BER coordination is rooted there).
     recovery_ring: Option<ObsRing>,
     /// Faults not yet injected, in time order. Every due plan attempts
-    /// injection each cycle. Deliberately outside the snapshots: rollback
+    /// injection each cycle (the event kernel replays the draws of the
+    /// attempts it skips). Deliberately outside the snapshots: rollback
     /// must not resurrect already-injected transients.
     pending_faults: VecDeque<FaultPlan>,
     /// Injected faults whose consequences may still be latent:
@@ -150,6 +154,52 @@ fn nid(i: usize) -> NodeId {
     NodeId(i as u8)
 }
 
+/// The sources the event kernel's scheduler asks, in the order it asks
+/// them; [`KernelWakes`] counts decisions by the first that pinned the
+/// chosen cycle.
+#[derive(Clone, Copy)]
+enum Wake {
+    Core,
+    Checkpoint,
+    Fault,
+    Watchdog,
+    Episode,
+    Window,
+    Memory,
+}
+
+impl KernelWakes {
+    fn count(&mut self, by: Wake) {
+        *match by {
+            Wake::Core => &mut self.core,
+            Wake::Checkpoint => &mut self.checkpoint,
+            Wake::Fault => &mut self.fault,
+            Wake::Watchdog => &mut self.watchdog,
+            Wake::Episode => &mut self.episode,
+            Wake::Window => &mut self.window,
+            Wake::Memory => &mut self.memory,
+        } += 1;
+    }
+}
+
+/// The earliest cycle pinned so far (never before `now`) and the first
+/// source that pinned it.
+struct Earliest {
+    now: Cycle,
+    at: Cycle,
+    by: Wake,
+}
+
+impl Earliest {
+    fn pin(&mut self, at: Cycle, by: Wake) {
+        let at = at.max(self.now);
+        if at < self.at {
+            self.at = at;
+            self.by = by;
+        }
+    }
+}
+
 impl System {
     /// Builds the system from its configuration.
     ///
@@ -186,6 +236,7 @@ impl System {
             ber: None,
             ticks_executed: 0,
             ticks_skipped: 0,
+            wakes: KernelWakes::default(),
             ckpt_stats: CheckpointStats::default(),
             rng: det_rng(derive_seed(cfg.workload.seed, 0xFA17)),
             violations: Vec::new(),
@@ -458,7 +509,8 @@ impl System {
     // ----- event-scheduled kernel (DESIGN.md §14) -------------------------
 
     /// The earliest cycle at or after `now` at which the machine can do
-    /// observable work or a post-tick check can fire. Every candidate is
+    /// observable work or a post-tick check can fire, and the first
+    /// source, in the order asked, that pinned it. Every candidate is
     /// conservative (may be earlier than the real next event, never
     /// later), so the scheduler stays exact: a pinned cycle that turns
     /// out quiet simply ticks once for nothing.
@@ -471,68 +523,99 @@ impl System {
     /// The memory system always has a next event (a scrub boundary), and
     /// it is the costliest to ask, so it is asked last, and only when
     /// nothing cheaper already pins `now`.
-    fn next_event_at(&self, now: Cycle) -> Cycle {
-        let mut best: Option<Cycle> = None;
-        let mut pin = |c: Cycle| {
-            let c = c.max(now);
-            best = Some(best.map_or(c, |b: Cycle| b.min(c)));
+    fn next_event_at(&self, now: Cycle) -> (Cycle, Wake) {
+        let mut next = Earliest {
+            now,
+            at: Cycle::MAX,
+            by: Wake::Memory,
         };
         // A core asleep until an input or a self-timed trigger.
         for core in &self.cores {
             if let Some(t) = core.next_event_at(now) {
-                pin(t);
+                if t <= now {
+                    return (now, Wake::Core);
+                }
+                next.pin(t, Wake::Core);
             }
         }
         // The BER checkpoint cadence.
         if let Some(ber) = &self.ber {
-            pin(ber.next_checkpoint_at());
+            next.pin(ber.next_checkpoint_at(), Wake::Checkpoint);
         }
-        // The next scheduled fault. A due-but-unsatisfied plan retries
-        // every cycle (and draws the RNG each attempt), so it pins `now`.
-        if let Some(front) = self.pending_faults.front() {
-            pin(front.at_cycle);
+        // Fault plans, over the due prefix `maybe_inject_fault` walks. A
+        // due plan that cannot take waits for an executed tick to change
+        // the machine (`advance_quiescent` replays its draws); one that
+        // may take pins `now`, and the first plan not yet due its cycle.
+        for plan in &self.pending_faults {
+            if plan.at_cycle > now {
+                next.pin(plan.at_cycle, Wake::Fault);
+                break;
+            }
+            if self.may_take(plan.fault) {
+                next.pin(now, Wake::Fault);
+                break;
+            }
         }
         // Per-core hang watchdogs: tick() flags a hang at executed cycle
         // `last_progress + watchdog + 1` (its check uses the pre-increment
         // clock). An idle core's clock restarts every cycle.
         for (i, core) in self.cores.iter().enumerate() {
             if !core.is_idle() {
-                pin(self.progress[i].1 + self.cfg.watchdog_cycles + 1);
+                next.pin(self.progress[i].1 + self.cfg.watchdog_cycles + 1, Wake::Watchdog);
             }
         }
         // A detected episode closes after ticking its clean-past cycle;
         // once `now` passes it, every cycle is a close candidate.
         if matches!(&self.episode, Some(ep) if ep.detected_at.is_some()) {
-            pin(self.clean_after);
+            next.pin(self.clean_after, Wake::Episode);
         }
         // Outstanding transients age out as masked at `t + window`.
         let window = self.recovery_window();
         for &(p, t) in &self.outstanding {
             if p.fault.is_transient() {
-                pin(t.saturating_add(window));
+                next.pin(t.saturating_add(window), Wake::Episode);
             }
         }
         // Service-window boundaries emit at post-tick `next_boundary`. One
         // at or before `now` pins nothing: the grace drain streams no
         // windows.
         if let Some(svc) = self.service.as_ref().filter(|s| s.next_boundary > now) {
-            pin(svc.next_boundary - 1);
+            next.pin(svc.next_boundary - 1, Wake::Window);
         }
-        if best == Some(now) {
-            return now;
+        if next.at > now {
+            // The memory system: queued messages, timed waits (hops,
+            // memory and L1/L2 latencies), sorter drains and checker
+            // scrubs.
+            next.pin(self.cluster.next_event_at(now), Wake::Memory);
         }
-        // The memory system: queued messages, timed waits (hops, memory
-        // and L1/L2 latencies), sorter drains and checker scrubs.
-        let memory = self.cluster.next_event_at(now);
-        best.map_or(memory, |b| b.min(memory))
+        (next.at, next.by)
+    }
+
+    /// Whether an injection attempt of `fault` could take now. For the
+    /// write-buffer kinds and the bogus upgrade, the machine's state alone
+    /// decides, through the predicate the injector itself applies, so a
+    /// plan that cannot take fails every attempt until an executed tick
+    /// changes that state. Any other kind may take whenever it is due:
+    /// its success depends on the drawn index, or it needs only a resident
+    /// Shared or Owned line, or it always takes.
+    fn may_take(&self, fault: Fault) -> bool {
+        match fault {
+            Fault::WbDropStore { node }
+            | Fault::WbCorruptValue { node }
+            | Fault::WbAddressFlip { node } => self.cores[node.index()].holds_unissued_stores(1),
+            Fault::WbReorderStores { node } => self.cores[node.index()].holds_unissued_stores(2),
+            Fault::CacheCtrlBogusUpgrade { node } => self.cluster.node(node).can_corrupt_upgrade(),
+            _ => true,
+        }
     }
 
     /// Event-scheduled kernel: jumps from the current cycle to the next
     /// event (capped at `cap`), applying exactly the state changes the
     /// legacy kernel's ticks would have made in between — a clock and
-    /// decode-countdown catch-up on every core and a clock re-stamp of
-    /// the memory system. No-op under [`KernelMode::Legacy`] or when
-    /// something can happen now.
+    /// decode-countdown catch-up on every core, a clock re-stamp of the
+    /// memory system, and the injection draws of due faults that cannot
+    /// take. No-op under [`KernelMode::Legacy`] or when something can
+    /// happen now.
     fn advance_quiescent(&mut self, cap: Cycle) {
         if self.cfg.kernel != KernelMode::Event {
             return;
@@ -541,7 +624,12 @@ impl System {
         if now >= cap {
             return;
         }
-        let target = self.next_event_at(now).min(cap);
+        let (next, by) = self.next_event_at(now);
+        if next < cap {
+            // The decision chose the next executed tick.
+            self.wakes.count(by);
+        }
+        let target = next.min(cap);
         if target <= now {
             return;
         }
@@ -558,6 +646,20 @@ impl System {
                 self.progress[i] = (core.retired_ops(), last);
             }
         }
+        // Every skipped cycle, each due plan's attempt failed after
+        // drawing an index and a bit; nothing else changed. No plan falls
+        // due inside the skip, so the due prefix is the same throughout.
+        let due = self.pending_faults.iter().take_while(|p| p.at_cycle <= now).count() as u64;
+        debug_assert!(
+            self.pending_faults
+                .iter()
+                .take_while(|p| p.at_cycle <= last)
+                .all(|p| p.at_cycle <= now && !self.may_take(p.fault)),
+            "a due fault could take before the skip target {target}"
+        );
+        for _ in 0..2 * k * due {
+            self.rng.next_u64();
+        }
         self.cluster.advance_to(target);
         self.ticks_skipped += k;
     }
@@ -566,6 +668,12 @@ impl System {
     /// event-scheduled kernel actually did versus jumped over.
     pub fn kernel_stats(&self) -> (u64, u64) {
         (self.ticks_executed, self.ticks_skipped)
+    }
+
+    /// Why the event-scheduled kernel executed its ticks, by the source
+    /// that pinned each one.
+    pub fn kernel_wakes(&self) -> KernelWakes {
+        self.wakes
     }
 
     /// Checkpoint/rollback cost counters accumulated so far.
@@ -614,10 +722,15 @@ impl System {
 
     /// One injection attempt; `true` when it took. Some faults need state
     /// to exist (a resident line, a WB entry) and are retried every cycle
-    /// until it does.
+    /// until it does. Every attempt draws an index and a bit first; one
+    /// that [`may_take`](Self::may_take) rules out fails right after, so
+    /// the kernel's skip and the injection rest on the same predicate.
     fn attempt_inject(&mut self, plan: FaultPlan, now: Cycle) -> bool {
         let idx = self.rng.gen::<u64>() as usize;
         let bit = self.rng.gen::<u32>();
+        if !self.may_take(plan.fault) {
+            return false;
+        }
         let took = match plan.fault {
             Fault::CacheBitFlip { node } => self
                 .cluster

@@ -11,7 +11,7 @@
 //! plus a proptest sweep over random configurations.
 
 use dvmc_consistency::Model;
-use dvmc_faults::{Fault, FaultPlan};
+use dvmc_faults::{all_faults, Fault, FaultPlan};
 use dvmc_sim::{
     KernelMode, Protection, Protocol, RunReport, ServiceStop, SystemBuilder, WindowSnapshot,
 };
@@ -103,34 +103,67 @@ fn event_kernel_matches_legacy_bit_for_bit() {
     }
 }
 
-/// Every fault category that exercises a distinct rollback path (write
-/// buffer, cache data, memory data, interconnect, LSQ, persistent
-/// stuck-at) recovers identically under both kernels.
+/// Every fault category recovers identically under both kernels, on
+/// both protocols and under a write-buffered model with in-order (TSO)
+/// and relaxed (RMO) drains: each rollback path (write buffer, cache
+/// data, memory data, interconnect, LSQ, controller state, persistent
+/// stuck-at), and every kind whose due retries the event kernel skips
+/// while its precondition is missing.
 #[test]
 fn fault_categories_recover_identically_across_kernels() {
-    let faults = [
-        Fault::WbDropStore { node: NodeId(0) },
-        Fault::CacheBitFlip { node: NodeId(1) },
-        Fault::MemoryBitFlip { node: NodeId(0) },
-        Fault::DropMessage,
-        Fault::ReorderMessage { delay: 40 },
-        Fault::LsqWrongForward { node: NodeId(1) },
-        Fault::CacheStuckBit { node: NodeId(1) },
+    for protocol in [Protocol::Directory, Protocol::Snooping] {
+        for model in [Model::Tso, Model::Rmo] {
+            for fault in all_faults(NodeId(0), NodeId(1)) {
+                let plan = FaultPlan {
+                    at_cycle: 6_000,
+                    fault,
+                };
+                let run = |kernel| {
+                    build(kernel, model, protocol, 5, Some(plan)).run_to_completion(5_000_000)
+                };
+                assert_eq!(
+                    fingerprint(&run(KernelMode::Legacy)),
+                    fingerprint(&run(KernelMode::Event)),
+                    "{protocol:?} {model} {fault:?}"
+                );
+            }
+        }
+    }
+}
+
+/// Under SC a store performs at retire and never enters the write
+/// buffer, so a write-buffer fault can never take. A due plan that
+/// cannot take waits for the machine to change, not for the next cycle:
+/// the event kernel executes exactly the fault-free run's ticks, at most
+/// one of them for the plan falling due, and both kernels report the
+/// fault-free run.
+#[test]
+fn a_fault_that_cannot_take_costs_no_executed_ticks() {
+    let node = NodeId(1);
+    let kinds = [
+        Fault::WbDropStore { node },
+        Fault::WbReorderStores { node },
+        Fault::WbCorruptValue { node },
+        Fault::WbAddressFlip { node },
     ];
-    for fault in faults {
-        let plan = FaultPlan {
-            at_cycle: 6_000,
-            fault,
-        };
-        let run = |kernel| {
-            build(kernel, Model::Tso, Protocol::Directory, 5, Some(plan))
-                .run_to_completion(5_000_000)
-        };
-        assert_eq!(
-            fingerprint(&run(KernelMode::Legacy)),
-            fingerprint(&run(KernelMode::Event)),
-            "{fault:?}"
-        );
+    for protocol in [Protocol::Directory, Protocol::Snooping] {
+        let mut clean = build(KernelMode::Event, Model::Sc, protocol, 7, None);
+        let golden = fingerprint(&clean.run_to_completion(5_000_000));
+        for fault in kinds {
+            let plan = FaultPlan {
+                at_cycle: 1_000,
+                fault,
+            };
+            let case = format!("{protocol:?} {fault:?}");
+            let legacy = build(KernelMode::Legacy, Model::Sc, protocol, 7, Some(plan))
+                .run_to_completion(5_000_000);
+            let mut sys = build(KernelMode::Event, Model::Sc, protocol, 7, Some(plan));
+            let event = sys.run_to_completion(5_000_000);
+            assert_eq!(golden, fingerprint(&legacy), "{case}: legacy");
+            assert_eq!(golden, fingerprint(&event), "{case}: event");
+            assert_eq!(sys.kernel_stats(), clean.kernel_stats(), "{case}: kernel stats");
+            assert!(sys.kernel_wakes().fault <= 1, "{case}: {:?}", sys.kernel_wakes());
+        }
     }
 }
 
@@ -252,6 +285,12 @@ fn event_kernel_skips_quiescent_cycles_on_quiet_traffic() {
         "quiet traffic should be mostly skippable: executed={executed} skipped={skipped}"
     );
     assert_eq!(executed + skipped, sys.now(), "kernel accounting tiles the timeline");
+    let wakes = sys.kernel_wakes();
+    assert_eq!(
+        executed - wakes.total(),
+        1,
+        "a decision precedes every executed tick but the run call's first: {wakes:?}"
+    );
 }
 
 /// On closed-loop traffic the event kernel sleeps through memory waits:
@@ -271,22 +310,20 @@ fn event_kernel_sleeps_through_memory_waits_on_closed_loop_traffic() {
 }
 
 proptest! {
-    /// Random seeds, node counts, injection times, and fault kinds:
-    /// legacy and event kernels never diverge.
+    /// Random seeds, node counts, injection times, fault kinds (every
+    /// one), models and protocols: legacy and event kernels never
+    /// diverge.
     #[test]
     fn kernels_agree_on_random_configs(
         seed in 0u64..1_000,
         nodes in 2usize..4,
         at_cycle in 2_000u64..20_000,
-        fault_pick in 0usize..4,
+        fault_pick in 0usize..14,
+        model_pick in 0usize..4,
         protocol_pick in 0usize..2,
     ) {
-        let fault = match fault_pick {
-            0 => Fault::WbCorruptValue { node: NodeId(1) },
-            1 => Fault::CacheBitFlip { node: NodeId(0) },
-            2 => Fault::DropMessage,
-            _ => Fault::MemoryBitFlip { node: NodeId(1) },
-        };
+        let fault = all_faults(NodeId(1), NodeId(0))[fault_pick];
+        let model = Model::EVALUATED[model_pick];
         let protocol = if protocol_pick == 0 {
             Protocol::Directory
         } else {
@@ -295,6 +332,7 @@ proptest! {
         let run = |kernel| {
             SystemBuilder::new()
                 .nodes(nodes)
+                .model(model)
                 .protocol(protocol)
                 .workload(WorkloadKind::Jbb, 8)
                 .recovery(Default::default())
