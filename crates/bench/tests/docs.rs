@@ -1,7 +1,8 @@
 //! EXPERIMENTS.md quotes `results/BENCH_throughput.json` cell by cell in
-//! its kernel tables. This test keeps the two in step: a change that
-//! moves the artifact must move the tables with it, and a table edited
-//! by hand must still read what the artifact says.
+//! its kernel tables, and `results/BENCH_analyzer.json` row by row in its
+//! analyzer table. These tests keep each pair in step: a change that
+//! moves an artifact must move its table with it, and a table edited by
+//! hand must still read what the artifact says.
 
 use std::path::Path;
 
@@ -37,7 +38,11 @@ fn field(object: &str, key: &str) -> u64 {
         .find(&pat)
         .unwrap_or_else(|| panic!("no {key} in {object}"))
         + pat.len();
-    let value: String = object[at..].chars().take_while(char::is_ascii_digit).collect();
+    let value: String = object[at..]
+        .trim_start()
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
     value.parse().unwrap_or_else(|_| panic!("{key} is no integer in {object}"))
 }
 
@@ -47,14 +52,17 @@ fn digits(text: &str) -> u64 {
     d.parse().unwrap_or_else(|_| panic!("no figure in {text:?}"))
 }
 
-/// The artifact's cells, each as `(tag, flat JSON object)`.
-fn artifact_cells(json: &str) -> Vec<(&str, &str)> {
-    json.split("{\"tag\":\"")
+/// The artifact's flat objects whose first field is the string `key`,
+/// each as `(value of key, flat JSON object)`.
+fn artifact_objects<'a>(json: &'a str, key: &str) -> Vec<(&'a str, &'a str)> {
+    let opener = format!("{{\"{key}\":");
+    json.split(opener.as_str())
         .skip(1)
         .map(|rest| {
-            let tag = &rest[..rest.find('"').expect("tag closes")];
-            let object = &rest[..rest.find('}').expect("cell closes")];
-            (tag, object)
+            let rest = rest.trim_start().strip_prefix('"').expect("a string value");
+            let name = &rest[..rest.find('"').expect("the value closes")];
+            let object = &rest[..rest.find('}').expect("the object closes")];
+            (name, object)
         })
         .collect()
 }
@@ -92,7 +100,7 @@ fn tables<'a>(doc: &'a str, heading: &str) -> Vec<(Vec<&'a str>, Vec<Vec<&'a str
 fn kernel_tables_quote_the_throughput_artifact() {
     let json = repo_file("results/BENCH_throughput.json");
     let doc = repo_file("EXPERIMENTS.md");
-    let cells = artifact_cells(&json);
+    let cells = artifact_objects(&json, "tag");
     assert_eq!(cells.len(), 6, "three arms times two kernel modes");
     let tables = tables(&doc, "## Kernel throughput");
     assert!(!tables.is_empty(), "the section has a kernel table");
@@ -118,6 +126,44 @@ fn kernel_tables_quote_the_throughput_artifact() {
                     "EXPERIMENTS.md, {name}, {column}: {text}"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn analyzer_table_quotes_the_analyzer_artifact() {
+    let json = repo_file("results/BENCH_analyzer.json");
+    let doc = repo_file("EXPERIMENTS.md");
+    let runs: Vec<_> = artifact_objects(&json, "config")
+        .into_iter()
+        .filter(|(_, object)| object.contains("\"mutant\": \"none\""))
+        .collect();
+    let tables = tables(&doc, "## Analyzer sweep");
+    assert_eq!(tables.len(), 1, "the section has one analyzer table");
+    let (header, rows) = &tables[0];
+    assert_eq!(rows.len(), runs.len(), "one row per unmutated artifact run");
+    let column = |name: &str| {
+        header
+            .iter()
+            .position(|h| *h == name)
+            .unwrap_or_else(|| panic!("no {name:?} column in {header:?}"))
+    };
+    // The table's column, then the artifact field it quotes.
+    let quoted = [("canonical", "states"), ("represented", "represented")];
+    let config = column("config");
+    for row in rows {
+        let name = row[config].trim_matches('`');
+        let (_, object) = runs
+            .iter()
+            .find(|(config, _)| *config == name)
+            .unwrap_or_else(|| panic!("row {name} has no unmutated artifact run"));
+        for (heading, key) in quoted {
+            let text = row[column(heading)];
+            assert_eq!(
+                digits(text),
+                field(object, key),
+                "EXPERIMENTS.md, {name}, {heading}: {text}"
+            );
         }
     }
 }

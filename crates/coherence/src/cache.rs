@@ -8,6 +8,7 @@
 //! a store"; Cache Correctness, Definition 2).
 
 use dvmc_types::{Block, BlockAddr};
+use std::sync::OnceLock;
 
 /// MOSI stable states for L2 lines (Invalid lines are simply absent).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -55,22 +56,43 @@ impl<S> Line<S> {
 
 /// A set-associative, LRU-replacement cache array.
 ///
-/// Stored the way hardware stores it: a tag array with one `u32` per way
-/// over a data pool that holds only resident lines. A way reads 0 when
-/// empty and otherwise 1 + the index of its line in the pool, so building
-/// or cloning the array (every checkpoint capture and rollback restore
-/// clones it) costs 4 bytes per way plus the resident lines, not a line
-/// slot per way. `remove` swap-removes from the pool and repoints the
-/// moved line's way; nothing observable depends on pool order, because
-/// every choice among lines is keyed on an address or on a line's unique
-/// last-use tick.
-#[derive(Clone, Debug)]
+/// Stored the way hardware stores it: a data pool that holds only the
+/// resident lines, indexed by a tag array with one `u32` per way. A way
+/// reads 0 when empty and otherwise 1 + the index of its line in the
+/// pool. The pool (with the LRU clock) is the array's whole state; the
+/// tag array is derived from it, built on first use and left unbuilt by
+/// a clone, so a clone (every checkpoint capture and rollback restore
+/// takes one) copies the resident lines and nothing per way. A rebuilt
+/// tag array seats the lines, in pool order, in the first free ways of
+/// their sets, which need not be the ways they held before; nothing
+/// observable depends on a line's way or on pool order, because every
+/// choice among lines is keyed on an address or on a line's unique
+/// last-use tick. `remove` swap-removes from the pool and repoints the
+/// moved line's way.
+#[derive(Debug)]
 pub struct CacheArray<S> {
     sets: usize,
     ways: usize,
-    tags: Vec<u32>,
+    /// The tag array, built from `pool` on first use. A `OnceLock`
+    /// rather than a `OnceCell`, so arrays stay `Sync`: the analyzer's
+    /// parallel search shares explored states between threads.
+    tags: OnceLock<Vec<u32>>,
     pool: Vec<Line<S>>,
     tick: u64,
+}
+
+impl<S: Clone> Clone for CacheArray<S> {
+    /// Copies the geometry, the resident lines in pool order and the LRU
+    /// clock; the copy builds its own tag array when first used.
+    fn clone(&self) -> Self {
+        CacheArray {
+            sets: self.sets,
+            ways: self.ways,
+            tags: OnceLock::new(),
+            pool: self.pool.clone(),
+            tick: self.tick,
+        }
+    }
 }
 
 impl<S> CacheArray<S> {
@@ -90,7 +112,7 @@ impl<S> CacheArray<S> {
         CacheArray {
             sets,
             ways,
-            tags: vec![0; sets * ways],
+            tags: OnceLock::new(),
             pool: Vec::new(),
             tick: 0,
         }
@@ -111,12 +133,42 @@ impl<S> CacheArray<S> {
         set * self.ways..(set + 1) * self.ways
     }
 
+    /// The tag array, built on first use.
+    fn tags(&self) -> &[u32] {
+        self.tags.get_or_init(|| self.build_tags())
+    }
+
+    /// The tag array for an update, built on first use.
+    fn tags_mut(&mut self) -> &mut [u32] {
+        if self.tags.get().is_none() {
+            self.tags = OnceLock::from(self.build_tags());
+        }
+        self.tags.get_mut().expect("the tag array is built")
+    }
+
+    /// Builds the tag array from the pool: each line, in pool order,
+    /// takes the first free way of its set.
+    #[cold]
+    #[inline(never)]
+    fn build_tags(&self) -> Vec<u32> {
+        let mut tags = vec![0; self.sets * self.ways];
+        for (p, line) in self.pool.iter().enumerate() {
+            let range = self.set_range(line.addr);
+            let w = tags[range.clone()]
+                .iter()
+                .position(|&t| t == 0)
+                .expect("a set holds at most `ways` lines");
+            tags[range.start + w] = p as u32 + 1;
+        }
+        tags
+    }
+
     /// Where `addr` is resident: its way (tag-array index) and the pool
     /// index of its line.
     fn locate(&self, addr: BlockAddr) -> Option<(usize, usize)> {
         let range = self.set_range(addr);
         let start = range.start;
-        self.tags[range].iter().enumerate().find_map(|(w, &t)| {
+        self.tags()[range].iter().enumerate().find_map(|(w, &t)| {
             let p = (t as usize).checked_sub(1)?;
             (self.pool[p].addr == addr).then_some((start + w, p))
         })
@@ -178,9 +230,9 @@ impl<S> CacheArray<S> {
         };
         let range = self.set_range(addr);
         // Prefer the first empty way.
-        if let Some(w) = self.tags[range.clone()].iter().position(|&t| t == 0) {
+        if let Some(w) = self.tags()[range.clone()].iter().position(|&t| t == 0) {
             self.pool.push(new_line);
-            self.tags[range.start + w] = self.pool.len() as u32;
+            self.tags_mut()[range.start + w] = self.pool.len() as u32;
             debug_assert!(self.consistent_around(addr));
             return None;
         }
@@ -188,7 +240,7 @@ impl<S> CacheArray<S> {
         // the least recently used way if every way is pinned. The new line
         // takes over the victim's pool entry, so its way needs no update.
         let pool = &self.pool;
-        let set = || self.tags[range.clone()].iter().map(|&t| t as usize - 1);
+        let set = || self.tags()[range.clone()].iter().map(|&t| t as usize - 1);
         let victim = set()
             .filter(|&p| !pinned(pool[p].addr))
             .min_by_key(|&p| pool[p].last_used)
@@ -200,18 +252,18 @@ impl<S> CacheArray<S> {
     /// Removes and returns the line for `addr`.
     pub fn remove(&mut self, addr: BlockAddr) -> Option<Line<S>> {
         let (way, p) = self.locate(addr)?;
-        self.tags[way] = 0;
+        self.tags_mut()[way] = 0;
         let line = self.pool.swap_remove(p);
         if let Some(moved) = self.pool.get(p).map(|l| l.addr) {
             // The pool's last line moved into slot `p`: repoint its way.
             let old_tag = self.pool.len() as u32 + 1;
             let range = self.set_range(moved);
             let w = range.start
-                + self.tags[range]
+                + self.tags()[range]
                     .iter()
                     .position(|&t| t == old_tag)
                     .expect("a pooled line has a way");
-            self.tags[w] = p as u32 + 1;
+            self.tags_mut()[w] = p as u32 + 1;
             debug_assert!(self.consistent_around(moved));
         }
         debug_assert!(self.consistent_around(addr));
@@ -225,8 +277,9 @@ impl<S> CacheArray<S> {
     /// as many occupied ways as pooled lines — because scanning all 16K
     /// ways of an L2 after every change would slow debug runs several-fold.
     fn consistent_around(&self, addr: BlockAddr) -> bool {
+        let tags = self.tags();
         let in_own_set = |w: usize| {
-            let t = self.tags[w] as usize;
+            let t = tags[w] as usize;
             t == 0
                 || self
                     .pool
@@ -235,8 +288,8 @@ impl<S> CacheArray<S> {
         };
         self.set_range(addr).all(in_own_set)
             && (!self.tick.is_multiple_of(256)
-                || (self.tags.iter().filter(|&&t| t != 0).count() == self.pool.len()
-                    && (0..self.tags.len()).all(in_own_set)))
+                || (tags.iter().filter(|&&t| t != 0).count() == self.pool.len()
+                    && (0..tags.len()).all(in_own_set)))
     }
 
     /// Writes a word with ECC maintenance (a legitimate store).
@@ -276,12 +329,11 @@ impl<S> CacheArray<S> {
         self.sets
     }
 
-    /// Bytes the array's contents occupy — 4 per way for the tag array
-    /// plus one [`Line`] per resident block — which is what a clone (a
-    /// checkpoint snapshot) copies.
+    /// Bytes the array's contents occupy — one [`Line`] per resident
+    /// block — which is what a clone (a checkpoint snapshot) copies. The
+    /// tag array is derived from the lines, and a clone leaves it unbuilt.
     pub fn approx_bytes(&self) -> u64 {
-        (self.tags.len() * std::mem::size_of::<u32>()
-            + self.pool.len() * std::mem::size_of::<Line<S>>()) as u64
+        (self.pool.len() * std::mem::size_of::<Line<S>>()) as u64
     }
 
     /// Iterates over resident lines, in no particular order.
@@ -467,7 +519,8 @@ mod tests {
         // A checkpoint clones the caches and the machine runs on; a
         // rollback clones the checkpoint back and runs on again. Either
         // way, mutating one copy must leave the other's lines and recency
-        // untouched.
+        // untouched, and a copy must work whether or not its tag array
+        // was ever built.
         let mut c: CacheArray<Mosi> = CacheArray::new(2, 2);
         for a in 0..4 {
             c.insert(BlockAddr(a), filled_block(a), Mosi::S);
@@ -489,23 +542,27 @@ mod tests {
             c.remove(BlockAddr(0));
             c.insert(BlockAddr(6), Block::ZERO, Mosi::O);
             c.corrupt_mru_line(5);
+            assert_eq!(c.len(), 4);
+            assert!(c.peek(BlockAddr(0)).is_none());
+            assert_eq!(c.peek(BlockAddr(1)).unwrap().data.word(3), 0xBAD);
+            assert_eq!(c.peek(BlockAddr(2)).unwrap().state, Mosi::M);
+            assert!(!c.peek(BlockAddr(6)).unwrap().ecc_ok());
         };
         mutate(&mut c.clone());
         untouched(&c);
         let snap = c.clone();
+        // A restore: a copy of a snapshot whose tag array was never built.
+        mutate(&mut snap.clone());
         mutate(&mut c);
         untouched(&snap);
     }
 
     #[test]
-    fn approx_bytes_counts_tags_and_resident_lines() {
+    fn approx_bytes_counts_resident_lines_only() {
         let mut c: CacheArray<Mosi> = CacheArray::with_bytes(1024 * 1024, 4);
-        assert_eq!(c.approx_bytes(), 16384 * 4, "an empty array is its tags");
+        assert_eq!(c.approx_bytes(), 0, "an empty array copies nothing");
         c.insert(BlockAddr(7), Block::ZERO, Mosi::S);
-        assert_eq!(
-            c.approx_bytes(),
-            16384 * 4 + std::mem::size_of::<Line<Mosi>>() as u64
-        );
+        assert_eq!(c.approx_bytes(), std::mem::size_of::<Line<Mosi>>() as u64);
     }
 
     #[test]

@@ -189,12 +189,15 @@ proptest! {
     /// The tag array makes the dense reference array's decisions: the
     /// same victims (including sets whose every way is pinned), hits and
     /// misses, contents, size, recency order and fault-injection targets,
-    /// over random operation sequences on small geometries.
+    /// over random operation sequences on small geometries. One operation
+    /// replaces the array under test by its clone, as a checkpoint
+    /// capture and a rollback restore do; the clone rebuilds its tag
+    /// array on first use and must decide exactly as before.
     #[test]
     fn cache_array_matches_dense_model(
         sets_log2 in 0u32..4,
         ways in 1usize..5,
-        ops in proptest::collection::vec((0u8..8, 0u64..24, any::<u64>()), 1..400),
+        ops in proptest::collection::vec((0u8..9, 0u64..24, any::<u64>()), 1..400),
     ) {
         let sets = 1usize << sets_log2;
         let mut cache: CacheArray<Mosi> = CacheArray::new(sets, ways);
@@ -238,11 +241,12 @@ proptest! {
                         model.corrupt_mru_line_where(bit, |s| *s == target)
                     );
                 }
-                _ => {
+                7 => {
                     let got = cache.peek(addr).map(|l| (l.data, l.state, l.ecc));
                     let want = model.peek(addr).map(|l| (l.data, l.state, l.ecc));
                     prop_assert_eq!(got, want);
                 }
+                _ => cache = cache.clone(),
             }
             prop_assert_eq!(cache.len(), model.lines().count());
             prop_assert_eq!(cache.addrs_by_recency(), model.addrs_by_recency());

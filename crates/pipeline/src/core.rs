@@ -422,18 +422,21 @@ impl Core {
         if !self.asleep {
             return Some(now);
         }
-        let verified = self
+        let earliest = |next: Option<Cycle>, t: Cycle| Some(next.map_or(t, |n| n.min(t)));
+        let mut next = self
             .rob
             .front()
             .filter(|e| e.committed && e.vstate == VState::Done)
             .map(|e| e.verify_done_at);
         let room = self.rob.len() < self.cfg.rob_size;
-        let decode = (room && !self.stream_done && self.awaiting.is_none())
-            .then(|| now.saturating_add(u64::from(self.decode_delay)));
+        if room && !self.stream_done && self.awaiting.is_none() {
+            next = earliest(next, now.saturating_add(u64::from(self.decode_delay)));
+        }
         let period = self.cfg.membar_injection_period;
-        let membar = (room && self.cfg.dvmc && period != 0 && !self.is_done())
-            .then(|| self.last_injection.saturating_add(period));
-        [verified, decode, membar].into_iter().flatten().min().map(|t| t.max(now))
+        if room && self.cfg.dvmc && period != 0 && !self.is_done() {
+            next = earliest(next, self.last_injection.saturating_add(period));
+        }
+        next.map(|t| t.max(now))
     }
 
     /// Applies the state change `k` consecutive ticks of an asleep core
