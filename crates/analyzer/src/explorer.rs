@@ -867,7 +867,11 @@ impl State {
             out.push(self.history[w].len() as u64);
             out.extend(self.history[w].iter());
         }
-        out.extend([self.next_value, self.next_id, u64::from(self.rollbacks_used)]);
+        out.extend([
+            self.next_value,
+            self.next_id,
+            u64::from(self.rollbacks_used),
+        ]);
         match &self.checkpoint {
             None => out.push(0),
             Some(c) => {
@@ -1123,7 +1127,9 @@ fn describe_outbound(o: &Outbound) -> String {
         Msg::UpgradeAck { addr } => format!("UpgradeAck {addr:?}"),
         Msg::Unblock { from, addr } => format!("Unblock {addr:?} from cache{}", from.index()),
         Msg::PutAck { addr, stale } => format!("PutAck {addr:?} (stale={stale})"),
-        Msg::SnoopData { addr, exclusive, .. } => {
+        Msg::SnoopData {
+            addr, exclusive, ..
+        } => {
             format!("SnoopData {addr:?} (exclusive={exclusive})")
         }
         Msg::Epoch(_) => "Epoch".to_string(),
@@ -1546,7 +1552,10 @@ mod tests {
             b().ops_per_cache(5).try_build(),
             Err(ConfigError::OpsBudget(5))
         );
-        assert_eq!(b().l2_bytes(32).try_build(), Err(ConfigError::L2Geometry(32)));
+        assert_eq!(
+            b().l2_bytes(32).try_build(),
+            Err(ConfigError::L2Geometry(32))
+        );
         assert_eq!(b().max_states(1).try_build(), Err(ConfigError::StateBudget));
         assert_eq!(
             b().rollback(true).max_rollbacks(0).try_build(),

@@ -31,8 +31,7 @@ pub mod tablelint;
 pub mod transientlint;
 
 pub use explorer::{
-    explore, explore_jobs, ConfigError, ExploreConfig, ExploreConfigBuilder, ExploreOutcome,
-    Mutant,
+    explore, explore_jobs, ConfigError, ExploreConfig, ExploreConfigBuilder, ExploreOutcome, Mutant,
 };
 pub use report::{bench_json, BenchRow, ReductionRow};
 pub use tablelint::{

@@ -272,7 +272,10 @@ fn mutants_pass(jobs: usize, rows: &mut Vec<BenchRow>) -> bool {
                 );
             }
             None => {
-                eprintln!("   ERROR: mutant {} NOT caught — checker is too weak", m.name());
+                eprintln!(
+                    "   ERROR: mutant {} NOT caught — checker is too weak",
+                    m.name()
+                );
                 ok = false;
             }
         }
@@ -379,7 +382,9 @@ fn reduction_pass(jobs: usize, rows: &[BenchRow], reductions: &mut Vec<Reduction
             ok = false;
         }
         if name == "directory_4x2" && red.hit_limit {
-            eprintln!("   ERROR: acceptance requires the 4-cache builtin to complete under reduction");
+            eprintln!(
+                "   ERROR: acceptance requires the 4-cache builtin to complete under reduction"
+            );
             ok = false;
         }
         reductions.push(ReductionRow {

@@ -52,10 +52,7 @@ pub fn bench_json(rows: &[BenchRow], reductions: &[ReductionRow]) -> String {
     out.push_str("{\n  \"schema\": \"dvmc-analyzer-bench-v1\",\n  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let o = &row.outcome;
-        let defect = o
-            .violation
-            .as_ref()
-            .map_or("none", |(d, _)| d.class());
+        let defect = o.violation.as_ref().map_or("none", |(d, _)| d.class());
         let trace_len = o.violation.as_ref().map_or(0, |(_, t)| t.len());
         out.push_str(&format!(
             "    {{\"config\": \"{}\", \"mutant\": \"{}\", \"states\": {}, \

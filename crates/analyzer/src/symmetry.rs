@@ -101,12 +101,7 @@ mod tests {
         // Check via images of (node 0, block 0): all four combinations.
         let images: Vec<(u8, u64)> = g
             .iter()
-            .map(|r| {
-                (
-                    r.node(dvmc_types::NodeId(0)).0,
-                    r.block(BlockAddr(0)).0,
-                )
-            })
+            .map(|r| (r.node(dvmc_types::NodeId(0)).0, r.block(BlockAddr(0)).0))
             .collect();
         let mut uniq = images.clone();
         uniq.sort_unstable();

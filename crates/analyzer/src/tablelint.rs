@@ -55,7 +55,12 @@ pub enum LintError {
 impl fmt::Display for LintError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LintError::MaskPlacement { table, row, col, entry } => write!(
+            LintError::MaskPlacement {
+                table,
+                row,
+                col,
+                entry,
+            } => write!(
                 f,
                 "{table}: entry ({row}, {col}) is {entry:?}, but a mask can only be \
                  supplied by a membar in that position"
@@ -65,12 +70,22 @@ impl fmt::Display for LintError {
                 "{table}: membar/membar entry is {entry:?}; barriers must always \
                  self-order (expected Always)"
             ),
-            LintError::HierarchyViolation { stronger, weaker, first, second } => write!(
+            LintError::HierarchyViolation {
+                stronger,
+                weaker,
+                first,
+                second,
+            } => write!(
                 f,
                 "hierarchy {stronger} ⊇ {weaker} broken: {weaker} orders \
                  {first} -> {second} but {stronger} does not"
             ),
-            LintError::PredicateMismatch { model, predicate, expected, actual } => write!(
+            LintError::PredicateMismatch {
+                model,
+                predicate,
+                expected,
+                actual,
+            } => write!(
                 f,
                 "{model}::{predicate}() returned {actual}, expected {expected}"
             ),
@@ -81,7 +96,12 @@ impl fmt::Display for LintError {
 /// The concrete operation-class alphabet the relational checks quantify
 /// over: plain ops, atomics, `Stbar`, and all 16 membar masks.
 pub fn op_alphabet() -> Vec<OpClass> {
-    let mut ops = vec![OpClass::Load, OpClass::Store, OpClass::Atomic, OpClass::Stbar];
+    let mut ops = vec![
+        OpClass::Load,
+        OpClass::Store,
+        OpClass::Atomic,
+        OpClass::Stbar,
+    ];
     for bits in 0..16u8 {
         ops.push(OpClass::Membar(MembarMask::from_bits(bits)));
     }
@@ -254,19 +274,20 @@ mod tests {
         );
         let errors = lint_table(&bad);
         assert!(
-            errors
-                .iter()
-                .any(|e| matches!(e, LintError::MaskPlacement { row: OpKind::Load, .. })),
+            errors.iter().any(|e| matches!(
+                e,
+                LintError::MaskPlacement {
+                    row: OpKind::Load,
+                    ..
+                }
+            )),
             "expected a MaskPlacement error, got {errors:?}"
         );
     }
 
     #[test]
     fn non_self_ordering_membar_is_caught() {
-        let bad = OrderingTable::new(
-            "BAD-MM",
-            [[A, A, A], [A, A, A], [A, A, N]],
-        );
+        let bad = OrderingTable::new("BAD-MM", [[A, A, A], [A, A, A], [A, A, N]]);
         let errors = lint_table(&bad);
         assert!(errors
             .iter()
@@ -276,10 +297,7 @@ mod tests {
     #[test]
     fn corrupted_entry_breaks_hierarchy() {
         // "TSO" that drops Load->Store, which PSO still requires.
-        let corrupted_tso = OrderingTable::new(
-            "TSO-corrupt",
-            [[A, N, A], [N, A, A], [A, A, A]],
-        );
+        let corrupted_tso = OrderingTable::new("TSO-corrupt", [[A, N, A], [N, A, A], [A, A, A]]);
         let errors = lint_hierarchy_pair(&corrupted_tso, Model::Pso.table());
         assert!(
             errors.iter().any(|e| matches!(
@@ -298,20 +316,15 @@ mod tests {
     fn real_chain_is_strictly_ordered_somewhere() {
         // Sanity: the hierarchy is not vacuous — TSO really is weaker
         // than SC on Store->Load.
-        assert!(Model::Sc
-            .table()
-            .requires(OpClass::Store, OpClass::Load));
-        assert!(!Model::Tso
-            .table()
-            .requires(OpClass::Store, OpClass::Load));
+        assert!(Model::Sc.table().requires(OpClass::Store, OpClass::Load));
+        assert!(!Model::Tso.table().requires(OpClass::Store, OpClass::Load));
     }
 
     #[test]
     fn empty_alphabet_is_vacuously_clean() {
         // With nothing to quantify over, even an inverted pair (RMO
         // claimed stronger than SC) produces no findings.
-        let errors =
-            lint_hierarchy_pair_over(&[], Model::Rmo.table(), Model::Sc.table());
+        let errors = lint_hierarchy_pair_over(&[], Model::Rmo.table(), Model::Sc.table());
         assert!(errors.is_empty(), "vacuous check found {errors:?}");
     }
 
@@ -319,11 +332,7 @@ mod tests {
     fn every_model_is_as_strong_as_itself() {
         for model in Model::ALL {
             let errors = lint_hierarchy_pair(model.table(), model.table());
-            assert!(
-                errors.is_empty(),
-                "{} vs itself: {errors:?}",
-                model.name()
-            );
+            assert!(errors.is_empty(), "{} vs itself: {errors:?}", model.name());
         }
     }
 
@@ -354,16 +363,12 @@ mod tests {
         // TSO relaxes only Store->Load relative to SC, so over a
         // store-free alphabet the inverted pair TSO-vs-SC is clean...
         let loads_only = [OpClass::Load];
-        assert!(lint_hierarchy_pair_over(
-            &loads_only,
-            Model::Tso.table(),
-            Model::Sc.table()
-        )
-        .is_empty());
+        assert!(
+            lint_hierarchy_pair_over(&loads_only, Model::Tso.table(), Model::Sc.table()).is_empty()
+        );
         // ...and reappears the moment stores are in scope.
         let both = [OpClass::Load, OpClass::Store];
-        let errors =
-            lint_hierarchy_pair_over(&both, Model::Tso.table(), Model::Sc.table());
+        let errors = lint_hierarchy_pair_over(&both, Model::Tso.table(), Model::Sc.table());
         assert!(errors.iter().any(|e| matches!(
             e,
             LintError::HierarchyViolation {

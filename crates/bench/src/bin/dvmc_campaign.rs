@@ -116,7 +116,11 @@ fn main() {
             ]
         })
         .collect();
-    print_table("campaign summary", &["tag", "cells", "mean cycles", "detections"], &rows);
+    print_table(
+        "campaign summary",
+        &["tag", "cells", "mean cycles", "detections"],
+        &rows,
+    );
     println!(
         "\nwall {:.2}s, serial-equivalent {:.2}s, speedup {:.2}x on {} workers",
         result.wall().as_secs_f64(),

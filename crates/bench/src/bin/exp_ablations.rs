@@ -113,7 +113,11 @@ fn main() {
     }
     print_table(
         "lost-store detection latency vs injection period",
-        &["period (cycles)", "detection latency", "membars injected/run"],
+        &[
+            "period (cycles)",
+            "detection latency",
+            "membars injected/run",
+        ],
         &rows,
     );
     println!("(§4.2: injections ~1/100k cycles bound detection latency with");

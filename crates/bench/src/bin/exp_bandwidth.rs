@@ -44,7 +44,13 @@ fn main() {
     let result = campaign.run(opts.jobs);
 
     let header = vec![
-        "workload", "Base", "SN", "SN+DVCC", "DVMC", "DVCC overhead", "inform share",
+        "workload",
+        "Base",
+        "SN",
+        "SN+DVCC",
+        "DVMC",
+        "DVCC overhead",
+        "inform share",
     ];
     let mut rows = Vec::new();
     for kind in WorkloadKind::ALL {

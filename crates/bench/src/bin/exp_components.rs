@@ -61,6 +61,10 @@ fn main() {
     print_table("runtime normalized to Base", &header, &rows);
     println!(
         "\nDVUO dominates DVCC overhead on every workload: {}",
-        if dominant_holds { "yes (matches paper)" } else { "no (see EXPERIMENTS.md discussion)" }
+        if dominant_holds {
+            "yes (matches paper)"
+        } else {
+            "no (see EXPERIMENTS.md discussion)"
+        }
     );
 }

@@ -111,7 +111,13 @@ fn main() {
         campaign.push(
             format!("cat/{fault}"),
             0,
-            trial_config(&opts, Model::Tso, opts.protocol, plan, opts.seed + 1000 + i as u64),
+            trial_config(
+                &opts,
+                Model::Tso,
+                opts.protocol,
+                plan,
+                opts.seed + 1000 + i as u64,
+            ),
             MAX_CYCLES,
         );
     }
@@ -161,7 +167,16 @@ fn main() {
     }
     print_table(
         "random fault injection",
-        &["model", "protocol", "detected", "audit", "masked", "recoverable", "mean latency", "max latency"],
+        &[
+            "model",
+            "protocol",
+            "detected",
+            "audit",
+            "masked",
+            "recoverable",
+            "mean latency",
+            "max latency",
+        ],
         &rows,
     );
     println!("(masked = the fault never manifested an error — e.g. a duplicated");

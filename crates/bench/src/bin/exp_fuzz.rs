@@ -74,12 +74,10 @@ fn cell(
         .record_commits(true)
         .watchdog(200_000);
     if faulted {
-        b = b
-            .recovery(RecoveryPolicy::default())
-            .fault(FaultPlan {
-                at_cycle: 100,
-                fault: Fault::CacheBitFlip { node: NodeId(0) },
-            });
+        b = b.recovery(RecoveryPolicy::default()).fault(FaultPlan {
+            at_cycle: 100,
+            fault: Fault::CacheBitFlip { node: NodeId(0) },
+        });
     }
     b.into_config().expect("valid fuzz cell")
 }
@@ -112,7 +110,13 @@ fn cross_check(meta: &TrialMeta, report: &RunReport) -> (Verdict, Option<String>
     );
     if let Some(f) = &report.forensics {
         use std::fmt::Write;
-        let _ = writeln!(desc, "forensics: node{} @{}: {}", f.node.index(), f.cycle, f.chain());
+        let _ = writeln!(
+            desc,
+            "forensics: node{} @{}: {}",
+            f.node.index(),
+            f.cycle,
+            f.chain()
+        );
     }
     (verdict, Some(desc))
 }
@@ -154,7 +158,11 @@ fn main() {
         return;
     }
 
-    let mix = if mixed { AddrMix::Mixed } else { AddrMix::Disjoint };
+    let mix = if mixed {
+        AddrMix::Mixed
+    } else {
+        AddrMix::Disjoint
+    };
     println!(
         "fuzz cross-check ({mix:?} pool): {} models × 2 protocols × {programs} programs = {} \
          runs, {} jobs",
@@ -169,10 +177,12 @@ fn main() {
     campaign.enable_obs(16);
     let mut metas: Vec<TrialMeta> = Vec::new();
     for (mi, model) in Model::EVALUATED.into_iter().enumerate() {
-        for (pi, protocol) in [Protocol::Directory, Protocol::Snooping].into_iter().enumerate() {
+        for (pi, protocol) in [Protocol::Directory, Protocol::Snooping]
+            .into_iter()
+            .enumerate()
+        {
             for p in 0..programs {
-                let program_seed =
-                    derive_seed(derive_seed(opts.seed, (mi * 2 + pi) as u64), p);
+                let program_seed = derive_seed(derive_seed(opts.seed, (mi * 2 + pi) as u64), p);
                 let program = generate_fuzz_program_with(program_seed, model, mix);
                 let faulted = p % 8 == 3;
                 let arm = if mixed { "fuzz-mixed" } else { "fuzz" };
@@ -236,7 +246,11 @@ fn main() {
         );
         // Summary rows: one per (model, protocol) group; tags are grouped
         // because expansion iterates programs innermost.
-        let key = meta.tag.rsplit_once('/').map(|(k, _)| k.to_string()).unwrap_or_default();
+        let key = meta
+            .tag
+            .rsplit_once('/')
+            .map(|(k, _)| k.to_string())
+            .unwrap_or_default();
         if key != row_key {
             if !row_key.is_empty() {
                 rows.push(vec![
@@ -316,7 +330,13 @@ fn run_mutant(opts: &ExpOpts, programs: u64) {
             campaign.push(
                 tag.clone(),
                 (p * 2 + rep) as u32,
-                cell(&program, Model::Tso, Protocol::Directory, program_seed, false),
+                cell(
+                    &program,
+                    Model::Tso,
+                    Protocol::Directory,
+                    program_seed,
+                    false,
+                ),
                 MAX_CYCLES,
             );
             metas.push(TrialMeta {

@@ -53,7 +53,13 @@ fn main() {
     }
     print_table(
         "checker storage",
-        &["configuration", "CET / node", "MET / controller", "VC / node", "system total"],
+        &[
+            "configuration",
+            "CET / node",
+            "MET / controller",
+            "VC / node",
+            "system total",
+        ],
         &rows,
     );
     println!("\n(Paper: \"a total CET size of about 70 KB per node ... The MET requires");

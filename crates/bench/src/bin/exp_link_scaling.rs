@@ -20,9 +20,12 @@ fn main() {
     let mut campaign = Campaign::new();
     for protocol in [Protocol::Directory, Protocol::Snooping] {
         for bw in bandwidths {
-            push_ratio_cells(&mut campaign, &opts, &format!("{protocol:?}/{bw}"), |kind| {
-                opts.builder(kind).protocol(protocol).link_bandwidth(bw)
-            });
+            push_ratio_cells(
+                &mut campaign,
+                &opts,
+                &format!("{protocol:?}/{bw}"),
+                |kind| opts.builder(kind).protocol(protocol).link_bandwidth(bw),
+            );
         }
     }
     let result = campaign.run(opts.jobs);
@@ -32,7 +35,10 @@ fn main() {
     for protocol in [Protocol::Directory, Protocol::Snooping] {
         let mut row = vec![format!("{protocol:?}")];
         for bw in bandwidths {
-            row.push(fmt_pm(mean_ratio_of(&result, &format!("{protocol:?}/{bw}"))));
+            row.push(fmt_pm(mean_ratio_of(
+                &result,
+                &format!("{protocol:?}/{bw}"),
+            )));
         }
         rows.push(row);
     }

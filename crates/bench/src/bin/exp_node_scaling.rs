@@ -19,9 +19,12 @@ fn main() {
     let mut campaign = Campaign::new();
     for protocol in [Protocol::Directory, Protocol::Snooping] {
         for nodes in node_counts {
-            push_ratio_cells(&mut campaign, &opts, &format!("{protocol:?}/{nodes}p"), |kind| {
-                opts.builder(kind).nodes(nodes).protocol(protocol)
-            });
+            push_ratio_cells(
+                &mut campaign,
+                &opts,
+                &format!("{protocol:?}/{nodes}p"),
+                |kind| opts.builder(kind).nodes(nodes).protocol(protocol),
+            );
         }
     }
     let result = campaign.run(opts.jobs);
@@ -31,7 +34,10 @@ fn main() {
     for protocol in [Protocol::Directory, Protocol::Snooping] {
         let mut row = vec![format!("{protocol:?}")];
         for nodes in node_counts {
-            row.push(fmt_pm(mean_ratio_of(&result, &format!("{protocol:?}/{nodes}p"))));
+            row.push(fmt_pm(mean_ratio_of(
+                &result,
+                &format!("{protocol:?}/{nodes}p"),
+            )));
         }
         rows.push(row);
     }

@@ -118,7 +118,10 @@ fn main() {
     let golden = &result.reports("golden")[0];
     assert!(golden.completed, "golden run must complete");
     assert!(golden.violations.is_empty(), "golden run must be clean");
-    assert!(golden.recovery.is_none(), "golden run has nothing to recover");
+    assert!(
+        golden.recovery.is_none(),
+        "golden run has nothing to recover"
+    );
 
     let mut rows = Vec::new();
     let mut recovered = 0usize;
@@ -133,7 +136,12 @@ fn main() {
             .map_or((0, 0), |r| (r.attempts, r.escalations));
         rows.push(vec![
             fault.to_string(),
-            if fault.is_transient() { "transient" } else { "persistent" }.into(),
+            if fault.is_transient() {
+                "transient"
+            } else {
+                "persistent"
+            }
+            .into(),
             label.into(),
             report
                 .detection
@@ -141,7 +149,12 @@ fn main() {
                 .map_or("-".into(), |d| format!("{}", d.latency())),
             format!("{attempts}"),
             format!("{escalations}"),
-            if report.memory_digest == golden.memory_digest { "yes" } else { "NO" }.into(),
+            if report.memory_digest == golden.memory_digest {
+                "yes"
+            } else {
+                "NO"
+            }
+            .into(),
         ]);
         if fault.is_transient() {
             match label {
@@ -213,7 +226,15 @@ fn main() {
     }
     print_table(
         "end-to-end recovery (golden-diff digest)",
-        &["fault", "class", "outcome", "latency", "attempts", "escalations", "memory=golden"],
+        &[
+            "fault",
+            "class",
+            "outcome",
+            "latency",
+            "attempts",
+            "escalations",
+            "memory=golden",
+        ],
         &rows,
     );
     let transients = faults.iter().filter(|f| f.is_transient()).count();

@@ -17,11 +17,7 @@ fn ratio(reports: &[&RunReport]) -> (f64, f64, f64) {
     for r in reports {
         replay += r.replay_l1_misses();
         demand += r.l1_misses();
-        replays_total += r
-            .replay_stats
-            .iter()
-            .map(|s| s.replays)
-            .sum::<u64>();
+        replays_total += r.replay_stats.iter().map(|s| s.replays).sum::<u64>();
     }
     (
         replay as f64 / demand.max(1) as f64,

@@ -30,7 +30,7 @@ use dvmc_bench::{parallel_map_indexed, print_table, write_artifact, ExpOpts};
 use dvmc_consistency::Model;
 use dvmc_faults::{storm_plan, Fault, FaultPlan, StormConfig};
 use dvmc_sim::{CheckpointMode, KernelMode, Protocol, ServiceStop};
-use dvmc_types::rng::{det_rng, derive_seed};
+use dvmc_types::rng::{derive_seed, det_rng};
 use dvmc_types::{Cycle, NodeId};
 use std::fmt::Write as _;
 
@@ -46,8 +46,7 @@ const STORM_SKIP_SHARE_MIN: f64 = 0.85;
 /// machine warmed up under stricter models.
 fn schedule(duration: Cycle) -> Vec<(Model, Cycle)> {
     let seg = (duration / Model::EVALUATED.len() as Cycle).max(1);
-    let mut s: Vec<(Model, Cycle)> =
-        Model::EVALUATED.iter().map(|&m| (m, seg)).collect();
+    let mut s: Vec<(Model, Cycle)> = Model::EVALUATED.iter().map(|&m| (m, seg)).collect();
     // Remainder cycles go to the last segment so the sum is exact.
     s.last_mut().expect("non-empty").1 += duration - seg * Model::EVALUATED.len() as Cycle;
     s
@@ -93,7 +92,10 @@ fn main() {
         }
         _ => false,
     });
-    assert!(window > 0 && duration >= window, "need --duration >= --window > 0");
+    assert!(
+        window > 0 && duration >= window,
+        "need --duration >= --window > 0"
+    );
 
     // ~12 transient bursts across the horizon, clustered so episodes
     // genuinely overlap; injections start after a warmup twentieth.
@@ -105,7 +107,10 @@ fn main() {
     };
 
     let mut specs: Vec<SoakSpec> = Vec::new();
-    for (pi, protocol) in [Protocol::Directory, Protocol::Snooping].into_iter().enumerate() {
+    for (pi, protocol) in [Protocol::Directory, Protocol::Snooping]
+        .into_iter()
+        .enumerate()
+    {
         let mut rng = det_rng(derive_seed(opts.seed, 0x5708 + pi as u64));
         let plans = storm_plan(&mut rng, opts.nodes, duration / 20, duration, &storm_cfg);
         specs.push(SoakSpec {
@@ -215,7 +220,12 @@ fn main() {
                 svc.stopped, svc.report.cycles, svc.report.hung, svc.report.violations
             );
             if let Some(f) = &svc.report.forensics {
-                eprintln!("[{tag}] forensics: node{} @{}: {}", f.node.index(), f.cycle, f.chain());
+                eprintln!(
+                    "[{tag}] forensics: node{} @{}: {}",
+                    f.node.index(),
+                    f.cycle,
+                    f.chain()
+                );
             }
         }
         match arm {
@@ -225,7 +235,11 @@ fn main() {
                     ServiceStop::Horizon,
                     "{tag}: a transient storm must never end the service"
                 );
-                assert_eq!(svc.unrecovered(), 0, "{tag}: unrecovered transient episodes");
+                assert_eq!(
+                    svc.unrecovered(),
+                    0,
+                    "{tag}: unrecovered transient episodes"
+                );
                 assert!(
                     svc.report.violations.is_empty(),
                     "{tag}: violations outlived recovery: {:?}",
@@ -233,7 +247,11 @@ fn main() {
                 );
                 assert!(!svc.report.hung, "{tag}: service ended hung");
                 assert!(svc.injected > 0, "{tag}: the storm never fired");
-                let detected = svc.episodes.iter().filter(|e| e.detected_at.is_some()).count();
+                let detected = svc
+                    .episodes
+                    .iter()
+                    .filter(|e| e.detected_at.is_some())
+                    .count();
                 if detected > 0 {
                     assert!(
                         got.p50_detection.is_some() && got.p99_detection.is_some(),
@@ -251,7 +269,11 @@ fn main() {
                 }
             }
             "quiet" => {
-                assert_eq!(svc.stopped, ServiceStop::Horizon, "{tag}: quiet soak stopped early");
+                assert_eq!(
+                    svc.stopped,
+                    ServiceStop::Horizon,
+                    "{tag}: quiet soak stopped early"
+                );
                 assert_eq!(svc.injected, 0, "{tag}: quiet soak injected faults");
                 assert!(
                     svc.report.violations.is_empty() && svc.episodes.is_empty(),
@@ -280,12 +302,19 @@ fn main() {
                         "{tag}: repeated re-manifestation must escalate the cadence"
                     );
                 } else {
-                    eprintln!("[{tag}] stuck bit stayed latent over {} cycles", got.horizon);
+                    eprintln!(
+                        "[{tag}] stuck bit stayed latent over {} cycles",
+                        got.horizon
+                    );
                 }
             }
             other => panic!("unknown soak arm {other:?}"),
         }
-        let detected = svc.episodes.iter().filter(|e| e.detected_at.is_some()).count();
+        let detected = svc
+            .episodes
+            .iter()
+            .filter(|e| e.detected_at.is_some())
+            .count();
         rows.push(vec![
             tag.clone(),
             stop_label(svc.stopped).into(),
@@ -370,7 +399,10 @@ fn main() {
     // not cost the event kernel many more executed ticks per simulated
     // cycle.
     let per_tick = |tag: &str| {
-        let got = &outcomes[specs.iter().position(|s| s.tag == tag).expect("cell exists")];
+        let got = &outcomes[specs
+            .iter()
+            .position(|s| s.tag == tag)
+            .expect("cell exists")];
         (got.executed + got.skipped) as f64 / got.executed.max(1) as f64
     };
     for protocol in [Protocol::Directory, Protocol::Snooping] {

@@ -30,7 +30,6 @@ use crate::ExpOpts;
 use dvmc_core::ObsMetrics;
 use dvmc_sim::{RunReport, SystemBuilder, SystemConfig};
 
-
 use std::time::{Duration, Instant};
 
 /// One unit of work: a fully specified simulation run.
@@ -493,7 +492,10 @@ mod tests {
         let canonical = result.canonical_json();
         assert!(canonical.contains("\"schema\": \"dvmc-campaign/v1\""));
         assert!(canonical.contains("\"tag\": \"jbb\""));
-        assert!(!canonical.contains("timing"), "canonical JSON carries no timing");
+        assert!(
+            !canonical.contains("timing"),
+            "canonical JSON carries no timing"
+        );
         let full = result.json();
         assert!(full.starts_with(canonical.strip_suffix("  ]\n}\n").unwrap()));
         assert!(full.contains("\"timing\""));

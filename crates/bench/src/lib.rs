@@ -182,9 +182,15 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
         }
         line
     };
-    let head: Vec<String> = header.iter().map(std::string::ToString::to_string).collect();
+    let head: Vec<String> = header
+        .iter()
+        .map(std::string::ToString::to_string)
+        .collect();
     println!("{}", fmt_row(&head));
-    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (ncol - 1)));
+    println!(
+        "{}",
+        "-".repeat(widths.iter().sum::<usize>() + 2 * (ncol - 1))
+    );
     for row in rows {
         println!("{}", fmt_row(row));
     }

@@ -27,7 +27,9 @@ const COLUMNS: [(&str, &str); 14] = [
 ];
 
 fn repo_file(rel: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(rel);
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(rel);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
@@ -43,13 +45,16 @@ fn field(object: &str, key: &str) -> u64 {
         .chars()
         .take_while(char::is_ascii_digit)
         .collect();
-    value.parse().unwrap_or_else(|_| panic!("{key} is no integer in {object}"))
+    value
+        .parse()
+        .unwrap_or_else(|_| panic!("{key} is no integer in {object}"))
 }
 
 /// A table figure, digits only.
 fn digits(text: &str) -> u64 {
     let d: String = text.chars().filter(char::is_ascii_digit).collect();
-    d.parse().unwrap_or_else(|_| panic!("no figure in {text:?}"))
+    d.parse()
+        .unwrap_or_else(|_| panic!("no figure in {text:?}"))
 }
 
 /// The artifact's flat objects whose first field is the string `key`,
@@ -70,7 +75,9 @@ fn artifact_objects<'a>(json: &'a str, key: &str) -> Vec<(&'a str, &'a str)> {
 /// Every table in the section headed `heading`: its header cells, then
 /// its rows' cells.
 fn tables<'a>(doc: &'a str, heading: &str) -> Vec<(Vec<&'a str>, Vec<Vec<&'a str>>)> {
-    let start = doc.find(heading).unwrap_or_else(|| panic!("no section {heading:?}"));
+    let start = doc
+        .find(heading)
+        .unwrap_or_else(|| panic!("no section {heading:?}"));
     let section = &doc[start..];
     let section = &section[..section[heading.len()..]
         .find("\n## ")
@@ -106,7 +113,11 @@ fn kernel_tables_quote_the_throughput_artifact() {
     assert!(!tables.is_empty(), "the section has a kernel table");
     for (header, rows) in &tables {
         assert_eq!(header[0], "cell", "{header:?}");
-        assert_eq!(rows.len(), cells.len(), "one row per artifact cell: {header:?}");
+        assert_eq!(
+            rows.len(),
+            cells.len(),
+            "one row per artifact cell: {header:?}"
+        );
         for row in rows {
             let name = row[0].trim_matches('`');
             assert_eq!(row.len(), header.len(), "{name}: one figure per column");

@@ -77,7 +77,10 @@ impl std::fmt::Display for BerConfigError {
                 write!(f, "checkpoint interval must be positive")
             }
             BerConfigError::NoCheckpoints => {
-                write!(f, "the checkpoint log needs capacity for at least one checkpoint")
+                write!(
+                    f,
+                    "the checkpoint log needs capacity for at least one checkpoint"
+                )
             }
             BerConfigError::ValidationExceedsWindow {
                 validation_latency,
@@ -194,7 +197,8 @@ impl<S> SafetyNet<S> {
     /// `last_checkpoint + checkpoint_interval` (rewound by rollback,
     /// widened by escalation).
     pub fn next_checkpoint_at(&self) -> Cycle {
-        self.last_checkpoint.saturating_add(self.cfg.checkpoint_interval)
+        self.last_checkpoint
+            .saturating_add(self.cfg.checkpoint_interval)
     }
 
     /// Advances to `now`, calling `snapshot` for every checkpoint due and
@@ -260,10 +264,7 @@ impl<S> SafetyNet<S> {
     /// preserves the [`validate`](SafetyNetConfig::validate) invariant
     /// (the window only grows).
     pub fn widen_interval(&mut self, factor: u64) {
-        self.cfg.checkpoint_interval = self
-            .cfg
-            .checkpoint_interval
-            .saturating_mul(factor.max(2));
+        self.cfg.checkpoint_interval = self.cfg.checkpoint_interval.saturating_mul(factor.max(2));
     }
 
     /// Restores the checkpoint interval to `interval` at time `now` —
@@ -527,7 +528,11 @@ mod tests {
         sn.narrow_interval(0, 0);
         assert_eq!(sn.config().checkpoint_interval, 100);
         sn.narrow_interval(30, 0);
-        assert_eq!(sn.config().checkpoint_interval, 100, "window must stay validatable");
+        assert_eq!(
+            sn.config().checkpoint_interval,
+            100,
+            "window must stay validatable"
+        );
     }
 
     /// Regression: a de-escalation that lands after the next narrowed
@@ -583,7 +588,12 @@ mod tests {
                 recovery_window: 400,
             })
         );
-        assert!(unvalidatable.to_owned().validate().unwrap_err().to_string().contains("400"));
+        assert!(unvalidatable
+            .to_owned()
+            .validate()
+            .unwrap_err()
+            .to_string()
+            .contains("400"));
         assert!(SafetyNet::<u32>::with_initial(unvalidatable, 0).is_err());
     }
 

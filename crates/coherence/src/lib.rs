@@ -31,6 +31,6 @@ pub use cache::{CacheArray, Line, Mosi};
 pub use cluster::{Cluster, ClusterConfig};
 pub use home::{HomeConfig, HomeCtrl, HomeStats};
 pub use msg::{AddrReq, Msg, Outbound, SnoopKind};
-pub use probe::{home_bound, Relabel};
 pub use node::{CacheNode, NodeConfig, Protocol};
+pub use probe::{home_bound, Relabel};
 pub use proc::{CacheStats, ProcReq, ProcResp};

@@ -139,7 +139,10 @@ impl Msg {
             | Msg::UpgradeAck { .. }
             | Msg::Unblock { .. }
             | Msg::PutAck { .. } => CTRL_BYTES,
-            Msg::PutM { .. } | Msg::RecallAck { .. } | Msg::DataS { .. } | Msg::DataM { .. }
+            Msg::PutM { .. }
+            | Msg::RecallAck { .. }
+            | Msg::DataS { .. }
+            | Msg::DataM { .. }
             | Msg::SnoopData { .. } => DATA_BYTES,
             Msg::Epoch(e) => e.wire_bytes(),
             Msg::Ber { bytes } => *bytes,

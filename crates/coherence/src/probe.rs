@@ -277,7 +277,11 @@ mod tests {
         assert_eq!(r.node(NodeId(1)), NodeId(0));
         assert_eq!(r.node(NodeId(2)), NodeId(2));
         assert_eq!(r.block(BlockAddr(3)), BlockAddr(0));
-        assert_eq!(r.block(BlockAddr(7)), BlockAddr(7), "unmapped blocks are fixed");
+        assert_eq!(
+            r.block(BlockAddr(7)),
+            BlockAddr(7),
+            "unmapped blocks are fixed"
+        );
         assert_eq!(r.word(BlockAddr(0).word(5)), BlockAddr(3).word(5));
         // Sharers {0, 2} -> {1, 2}.
         assert_eq!(r.sharers(0b101), 0b110);
@@ -302,7 +306,10 @@ mod tests {
 
     #[test]
     fn relabeled_encoding_equals_encoding_of_relabeled_message() {
-        let r = Relabel::new(vec![2, 0, 1], vec![(BlockAddr(0), BlockAddr(3)), (BlockAddr(3), BlockAddr(0))]);
+        let r = Relabel::new(
+            vec![2, 0, 1],
+            vec![(BlockAddr(0), BlockAddr(3)), (BlockAddr(3), BlockAddr(0))],
+        );
         let msg = Msg::GetS {
             req: NodeId(0),
             addr: BlockAddr(3),

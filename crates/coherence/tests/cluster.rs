@@ -253,9 +253,10 @@ fn corrupted_cache_line_detected_by_ecc() {
         let _ = read(&mut c, 0, 100);
         let violations = c.drain_violations();
         assert!(
-            violations
-                .iter()
-                .any(|v| matches!(v, Violation::Coherence(CoherenceViolation::EccMismatch { .. }))),
+            violations.iter().any(|v| matches!(
+                v,
+                Violation::Coherence(CoherenceViolation::EccMismatch { .. })
+            )),
             "{p:?}: {violations:?}"
         );
     });
@@ -289,7 +290,9 @@ fn directory_forget_owner_detected() {
     let mut c = cluster(Protocol::Directory);
     write(&mut c, 0, 100, 50);
     // The directory forgets node 0 owns the block...
-    let addr = c.home_mut(WordAddr(100).block().home(4)).corrupt_forget_owner(0);
+    let addr = c
+        .home_mut(WordAddr(100).block().home(4))
+        .corrupt_forget_owner(0);
     assert!(addr.is_some());
     // ...so a new writer is granted stale memory data while node 0 still
     // holds an RW epoch. The epoch hash chain / overlap rules must fire.
@@ -298,7 +301,9 @@ fn directory_forget_owner_detected() {
     assert!(c.run_to_quiescence(100_000));
     let violations = c.finish();
     assert!(
-        violations.iter().any(|v| matches!(v, Violation::Coherence(_))),
+        violations
+            .iter()
+            .any(|v| matches!(v, Violation::Coherence(_))),
         "{violations:?}"
     );
 }
@@ -309,9 +314,9 @@ fn bogus_local_upgrade_detected_by_cet() {
         let mut c = cluster(p);
         c.poke_word(WordAddr(100), 5);
         assert_eq!(read(&mut c, 0, 100), 5); // node 0 holds S
-        // Queue the store, then fault the controller's upgrade decision:
-        // the line silently flips S -> M instead of issuing a GetM, and
-        // the store performs outside a Read-Write epoch.
+                                             // Queue the store, then fault the controller's upgrade decision:
+                                             // the line silently flips S -> M instead of issuing a GetM, and
+                                             // the store performs outside a Read-Write epoch.
         c.submit(
             NodeId(0),
             ProcReq::Write {

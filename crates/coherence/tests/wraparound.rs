@@ -20,7 +20,14 @@ fn timestamps_wrap_and_scrubbing_keeps_the_checker_sound() {
     // windows while node 1 churns unrelated blocks to keep time flowing.
     let held = WordAddr(0);
     let mut id = 0u64;
-    c.submit(NodeId(0), ProcReq::Write { id, addr: held, value: 1 });
+    c.submit(
+        NodeId(0),
+        ProcReq::Write {
+            id,
+            addr: held,
+            value: 1,
+        },
+    );
     let total_cycles = 150_000u64;
     for cyc in 0..total_cycles {
         // Keep the held block's epoch alive with periodic local writes.
@@ -54,9 +61,7 @@ fn timestamps_wrap_and_scrubbing_keeps_the_checker_sound() {
     assert!(c.run_to_quiescence(200_000), "must drain");
 
     // The held epoch out-lived at least two scrub deadlines.
-    let opens: u64 = (0..2)
-        .map(|n| c.cache_stats(NodeId(n)).scrub_opens)
-        .sum();
+    let opens: u64 = (0..2).map(|n| c.cache_stats(NodeId(n)).scrub_opens).sum();
     assert!(
         opens >= 2,
         "long epochs must be registered open across wraparounds, got {opens}"

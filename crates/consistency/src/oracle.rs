@@ -370,7 +370,10 @@ pub fn verify(table: &OrderingTable, logs: &[Vec<CommitRecord>]) -> Verdict {
     let mut graph = Graph::new(n);
     let certify = |ops: &[usize]| -> Inconsistency {
         Inconsistency::Cycle {
-            ops: ops.iter().map(|&i| (nodes[i].thread, nodes[i].index)).collect(),
+            ops: ops
+                .iter()
+                .map(|&i| (nodes[i].thread, nodes[i].index))
+                .collect(),
         }
     };
 
@@ -405,7 +408,8 @@ pub fn verify(table: &OrderingTable, logs: &[Vec<CommitRecord>]) -> Verdict {
                 let both_mem = !ra.class.is_barrier() && !rb.class.is_barrier();
                 if both_mem
                     && ra.addr == rb.addr
-                    && (ra.class == OpClass::Load || (ra.class.writes() && rb.class == OpClass::Store))
+                    && (ra.class == OpClass::Load
+                        || (ra.class.writes() && rb.class == OpClass::Store))
                 {
                     graph.add_edge(a, b);
                 }
@@ -504,7 +508,7 @@ pub fn verify(table: &OrderingTable, logs: &[Vec<CommitRecord>]) -> Verdict {
                     let mut p = graph.path(b, a).unwrap_or_else(|| vec![a]);
                     p.insert(0, a);
                     p.pop(); // `a` closes the cycle implicitly
-                    // path() returned [b, ..., a]; after insert/pop: [a, b, ...]
+                             // path() returned [b, ..., a]; after insert/pop: [a, b, ...]
                     p
                 }
                 _ => vec![a],
@@ -571,7 +575,10 @@ mod tests {
     #[test]
     fn sb_relaxed_outcome_forbidden_under_sc_allowed_under_tso() {
         let logs = sb_logs(0, 0);
-        assert!(forbidden(&verify_model(Model::Sc, &logs)), "SC forbids (0,0)");
+        assert!(
+            forbidden(&verify_model(Model::Sc, &logs)),
+            "SC forbids (0,0)"
+        );
         assert_eq!(verify_model(Model::Tso, &logs), Verdict::Allowed);
         // Non-relaxed outcomes are SC-consistent.
         assert_eq!(verify_model(Model::Sc, &sb_logs(2, 1)), Verdict::Allowed);
@@ -657,19 +664,28 @@ mod tests {
     #[test]
     fn uniprocessor_axioms() {
         // CoRW1: a load observing its own later store.
-        let future = vec![vec![CommitRecord::load(0, X, 7), CommitRecord::store(1, X, 7)]];
+        let future = vec![vec![
+            CommitRecord::load(0, X, 7),
+            CommitRecord::store(1, X, 7),
+        ]];
         assert!(matches!(
             verify_model(Model::Rmo, &future),
             Verdict::Forbidden(Inconsistency::FutureRead { .. })
         ));
         // Reading the initial value past one's own store.
-        let lost = vec![vec![CommitRecord::store(0, X, 7), CommitRecord::load(1, X, 0)]];
+        let lost = vec![vec![
+            CommitRecord::store(0, X, 7),
+            CommitRecord::load(1, X, 0),
+        ]];
         assert!(matches!(
             verify_model(Model::Rmo, &lost),
             Verdict::Forbidden(Inconsistency::LostOwnStore { .. })
         ));
         // Forwarding one's own store is fine even before it performs.
-        let fwd = vec![vec![CommitRecord::store(0, X, 7), CommitRecord::load(1, X, 7)]];
+        let fwd = vec![vec![
+            CommitRecord::store(0, X, 7),
+            CommitRecord::load(1, X, 7),
+        ]];
         assert_eq!(verify_model(Model::Sc, &fwd), Verdict::Allowed);
         // Reading an older own store past a newer own store is not.
         let skipped = vec![vec![
@@ -700,7 +716,10 @@ mod tests {
             Verdict::Forbidden(Inconsistency::AmbiguousValue { .. })
         ));
         // A store of 0 makes "read 0" ambiguous with the initial value.
-        let zero = vec![vec![CommitRecord::store(0, X, 0)], vec![CommitRecord::load(0, X, 0)]];
+        let zero = vec![
+            vec![CommitRecord::store(0, X, 0)],
+            vec![CommitRecord::load(0, X, 0)],
+        ];
         assert!(matches!(
             verify_model(Model::Sc, &zero),
             Verdict::Forbidden(Inconsistency::AmbiguousValue { .. })
@@ -725,7 +744,10 @@ mod tests {
             ],
         ];
         assert_eq!(verify_model(Model::Tso, &logs), Verdict::Allowed);
-        assert!(forbidden(&verify_model(Model::Sc, &logs)), "still SB under SC");
+        assert!(
+            forbidden(&verify_model(Model::Sc, &logs)),
+            "still SB under SC"
+        );
     }
 
     #[test]

@@ -100,7 +100,11 @@ impl OrderingTable {
 impl fmt::Display for OrderingTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{} ordering table:", self.name)?;
-        writeln!(f, "{:>8} | {:^18} {:^18} {:^18}", "1st\\2nd", "Load", "Store", "Membar")?;
+        writeln!(
+            f,
+            "{:>8} | {:^18} {:^18} {:^18}",
+            "1st\\2nd", "Load", "Store", "Membar"
+        )?;
         for kf in OpKind::ALL {
             write!(f, "{:>8} |", format!("{kf}"))?;
             for ks in OpKind::ALL {
@@ -137,8 +141,7 @@ const MEMBAR_COL_LOAD: Requirement =
     Requirement::MaskOfSecond(MembarMask::LL.union(MembarMask::LS));
 const MEMBAR_COL_STORE: Requirement =
     Requirement::MaskOfSecond(MembarMask::SL.union(MembarMask::SS));
-const MEMBAR_ROW_LOAD: Requirement =
-    Requirement::MaskOfFirst(MembarMask::LL.union(MembarMask::SL));
+const MEMBAR_ROW_LOAD: Requirement = Requirement::MaskOfFirst(MembarMask::LL.union(MembarMask::SL));
 const MEMBAR_ROW_STORE: Requirement =
     Requirement::MaskOfFirst(MembarMask::LS.union(MembarMask::SS));
 
@@ -155,8 +158,7 @@ const fn with_membar(name: &'static str, two_by_two: [[Requirement; 2]; 2]) -> O
     )
 }
 
-static SC_TABLE: OrderingTable =
-    OrderingTable::new("SC", [[A, A, A], [A, A, A], [A, A, A]]);
+static SC_TABLE: OrderingTable = OrderingTable::new("SC", [[A, A, A], [A, A, A], [A, A, A]]);
 static TSO_TABLE: OrderingTable = with_membar("TSO", [[A, A], [N, A]]);
 static PSO_TABLE: OrderingTable = with_membar("PSO", [[A, A], [N, N]]);
 static RMO_TABLE: OrderingTable = with_membar("RMO", [[N, N], [N, N]]);
@@ -332,7 +334,10 @@ mod tests {
     fn requires_kind_before_matches_requires_for_plain_ops() {
         for model in Model::ALL {
             let t = model.table();
-            for (kind, class) in [(OpKind::Load, OpClass::Load), (OpKind::Store, OpClass::Store)] {
+            for (kind, class) in [
+                (OpKind::Load, OpClass::Load),
+                (OpKind::Store, OpClass::Store),
+            ] {
                 for second in [
                     OpClass::Load,
                     OpClass::Store,

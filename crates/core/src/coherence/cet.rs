@@ -304,7 +304,10 @@ mod tests {
             other => panic!("expected Inform, got {other:?}"),
         }
         assert!(c.entry(b).is_none());
-        assert!(c.end_epoch(b, Ts16(12), 0).is_none(), "second end is a no-op");
+        assert!(
+            c.end_epoch(b, Ts16(12), 0).is_none(),
+            "second end is a no-op"
+        );
     }
 
     #[test]

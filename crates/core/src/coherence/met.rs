@@ -533,8 +533,16 @@ mod tests {
         let mut met = MemoryEpochTable::new(NodeId(0));
         met.ensure_entry(b, Ts16(u16::MAX - 10), 0xA);
         // An epoch spanning the wraparound point.
-        met.process(&inform(b, EpochKind::ReadWrite, 1, u16::MAX - 5, 3, 0xA, 0xB))
-            .unwrap();
+        met.process(&inform(
+            b,
+            EpochKind::ReadWrite,
+            1,
+            u16::MAX - 5,
+            3,
+            0xA,
+            0xB,
+        ))
+        .unwrap();
         met.process(&inform(b, EpochKind::ReadOnly, 2, 4, 9, 0xB, 0xB))
             .unwrap();
         // Overlap across the wrap still detected.

@@ -29,7 +29,9 @@ mod met;
 mod sorter;
 
 pub use cet::{CacheEpochTable, CetEntry, CET_SCRUB_FIFO_LEN};
-pub use epoch::{EpochEnd, EpochKind, EpochMessage, InformClosedEpoch, InformEpoch, InformOpenEpoch};
+pub use epoch::{
+    EpochEnd, EpochKind, EpochMessage, InformClosedEpoch, InformEpoch, InformOpenEpoch,
+};
 pub use met::{MemoryEpochTable, MetEntry};
 pub use sorter::EpochSorter;
 
@@ -246,7 +248,8 @@ mod tests {
         // RW epoch [2, 6) then RO epochs [6, 9) arrive out of order.
         home.push(ro(1, 2, 6, 9, 0x22)).unwrap();
         home.push(rw(1, 1, 2, 6, 0x11, 0x22)).unwrap();
-        home.flush().expect("sorting by start time avoids a false positive");
+        home.flush()
+            .expect("sorting by start time avoids a false positive");
     }
 
     #[test]

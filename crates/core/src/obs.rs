@@ -168,7 +168,10 @@ impl fmt::Display for CheckerEvent {
             | CheckerEvent::CrcCheck { addr } => write!(f, "({addr})"),
             CheckerEvent::MetScrub { at } => write!(f, "({at})"),
             CheckerEvent::InformEnqueue { addr, queued } => write!(f, "({addr},q={queued})"),
-            CheckerEvent::RecoveryStarted { attempt, checkpoint } => {
+            CheckerEvent::RecoveryStarted {
+                attempt,
+                checkpoint,
+            } => {
                 write!(f, "(a{attempt}@{checkpoint})")
             }
             CheckerEvent::RecoveryCompleted { attempt }
@@ -535,7 +538,10 @@ mod tests {
         let report = ViolationReport {
             violation: None,
             trace: vec![
-                TimedEvent { cycle: 1, event: ev },
+                TimedEvent {
+                    cycle: 1,
+                    event: ev,
+                },
                 TimedEvent {
                     cycle: 2,
                     event: CheckerEvent::CrcCheck { addr: BlockAddr(3) },

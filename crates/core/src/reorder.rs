@@ -272,12 +272,15 @@ impl ReorderChecker {
 /// because a bare Load/Store column carries no mask.
 fn requires_class_before_kind(model: Model, first: OpClass, col: OpKind) -> bool {
     let table = model.table();
-    first.kinds().iter().any(|&row| match table.entry(row, col) {
-        Requirement::Never => false,
-        Requirement::Always => true,
-        Requirement::MaskOfFirst(m) => first.membar_mask().intersects(m),
-        Requirement::MaskOfSecond(_) => false,
-    })
+    first
+        .kinds()
+        .iter()
+        .any(|&row| match table.entry(row, col) {
+            Requirement::Never => false,
+            Requirement::Always => true,
+            Requirement::MaskOfFirst(m) => first.membar_mask().intersects(m),
+            Requirement::MaskOfSecond(_) => false,
+        })
 }
 
 #[cfg(test)]
@@ -309,8 +312,13 @@ mod tests {
     #[test]
     fn sc_rejects_any_reordering() {
         let mut chk = ReorderChecker::new();
-        commit_all(&mut chk, &[(0, OpClass::Store), (1, OpClass::Load)], Model::Sc);
-        chk.op_performed(SeqNum(1), OpClass::Load, Model::Sc).unwrap();
+        commit_all(
+            &mut chk,
+            &[(0, OpClass::Store), (1, OpClass::Load)],
+            Model::Sc,
+        );
+        chk.op_performed(SeqNum(1), OpClass::Load, Model::Sc)
+            .unwrap();
         let err = chk
             .op_performed(SeqNum(0), OpClass::Store, Model::Sc)
             .unwrap_err();
@@ -320,8 +328,13 @@ mod tests {
     #[test]
     fn tso_allows_store_load_reordering() {
         let mut chk = ReorderChecker::new();
-        commit_all(&mut chk, &[(0, OpClass::Store), (1, OpClass::Load)], Model::Tso);
-        chk.op_performed(SeqNum(1), OpClass::Load, Model::Tso).unwrap();
+        commit_all(
+            &mut chk,
+            &[(0, OpClass::Store), (1, OpClass::Load)],
+            Model::Tso,
+        );
+        chk.op_performed(SeqNum(1), OpClass::Load, Model::Tso)
+            .unwrap();
         chk.op_performed(SeqNum(0), OpClass::Store, Model::Tso)
             .expect("TSO permits a load to perform before an older store");
     }
@@ -329,8 +342,13 @@ mod tests {
     #[test]
     fn tso_rejects_store_store_reordering() {
         let mut chk = ReorderChecker::new();
-        commit_all(&mut chk, &[(0, OpClass::Store), (1, OpClass::Store)], Model::Tso);
-        chk.op_performed(SeqNum(1), OpClass::Store, Model::Tso).unwrap();
+        commit_all(
+            &mut chk,
+            &[(0, OpClass::Store), (1, OpClass::Store)],
+            Model::Tso,
+        );
+        chk.op_performed(SeqNum(1), OpClass::Store, Model::Tso)
+            .unwrap();
         let err = chk
             .op_performed(SeqNum(0), OpClass::Store, Model::Tso)
             .unwrap_err();
@@ -346,9 +364,16 @@ mod tests {
     #[test]
     fn tso_rejects_load_load_reordering() {
         let mut chk = ReorderChecker::new();
-        commit_all(&mut chk, &[(0, OpClass::Load), (1, OpClass::Load)], Model::Tso);
-        chk.op_performed(SeqNum(1), OpClass::Load, Model::Tso).unwrap();
-        assert!(chk.op_performed(SeqNum(0), OpClass::Load, Model::Tso).is_err());
+        commit_all(
+            &mut chk,
+            &[(0, OpClass::Load), (1, OpClass::Load)],
+            Model::Tso,
+        );
+        chk.op_performed(SeqNum(1), OpClass::Load, Model::Tso)
+            .unwrap();
+        assert!(chk
+            .op_performed(SeqNum(0), OpClass::Load, Model::Tso)
+            .is_err());
     }
 
     #[test]
@@ -359,19 +384,30 @@ mod tests {
             &[(0, OpClass::Store), (1, OpClass::Store)],
             Model::Pso,
         );
-        chk.op_performed(SeqNum(1), OpClass::Store, Model::Pso).unwrap();
+        chk.op_performed(SeqNum(1), OpClass::Store, Model::Pso)
+            .unwrap();
         chk.op_performed(SeqNum(0), OpClass::Store, Model::Pso)
             .expect("PSO permits store-store reordering");
 
         // Now: store(2), stbar(3). The stbar performing while the older
         // store is still outstanding is a lost-op violation: correct
         // hardware would have drained the store first.
-        commit_all(&mut chk, &[(2, OpClass::Store), (3, OpClass::Stbar)], Model::Pso);
+        commit_all(
+            &mut chk,
+            &[(2, OpClass::Store), (3, OpClass::Stbar)],
+            Model::Pso,
+        );
         let err = chk
             .op_performed(SeqNum(3), OpClass::Stbar, Model::Pso)
             .unwrap_err();
         assert!(
-            matches!(err, Violation::LostOp(LostOpViolation { kind: OpKind::Store, .. })),
+            matches!(
+                err,
+                Violation::LostOp(LostOpViolation {
+                    kind: OpKind::Store,
+                    ..
+                })
+            ),
             "stbar must detect the outstanding older store: {err}"
         );
     }
@@ -381,12 +417,19 @@ mod tests {
         let mut chk = ReorderChecker::new();
         commit_all(
             &mut chk,
-            &[(0, OpClass::Store), (1, OpClass::Stbar), (2, OpClass::Store)],
+            &[
+                (0, OpClass::Store),
+                (1, OpClass::Stbar),
+                (2, OpClass::Store),
+            ],
             Model::Pso,
         );
-        chk.op_performed(SeqNum(0), OpClass::Store, Model::Pso).unwrap();
-        chk.op_performed(SeqNum(1), OpClass::Stbar, Model::Pso).unwrap();
-        chk.op_performed(SeqNum(2), OpClass::Store, Model::Pso).unwrap();
+        chk.op_performed(SeqNum(0), OpClass::Store, Model::Pso)
+            .unwrap();
+        chk.op_performed(SeqNum(1), OpClass::Stbar, Model::Pso)
+            .unwrap();
+        chk.op_performed(SeqNum(2), OpClass::Store, Model::Pso)
+            .unwrap();
     }
 
     #[test]
@@ -416,8 +459,13 @@ mod tests {
     #[test]
     fn stbar_performing_before_older_store_is_reorder_violation() {
         let mut chk = ReorderChecker::new();
-        commit_all(&mut chk, &[(0, OpClass::Stbar), (1, OpClass::Store)], Model::Pso);
-        chk.op_performed(SeqNum(1), OpClass::Store, Model::Pso).unwrap();
+        commit_all(
+            &mut chk,
+            &[(0, OpClass::Stbar), (1, OpClass::Store)],
+            Model::Pso,
+        );
+        chk.op_performed(SeqNum(1), OpClass::Store, Model::Pso)
+            .unwrap();
         // The stbar performs after a younger store it should have held back.
         let err = chk
             .op_performed(SeqNum(0), OpClass::Stbar, Model::Pso)
@@ -456,8 +504,10 @@ mod tests {
             ],
             Model::Rmo,
         );
-        chk.op_performed(SeqNum(0), OpClass::Load, Model::Rmo).unwrap();
-        chk.op_performed(SeqNum(2), OpClass::Load, Model::Rmo).unwrap();
+        chk.op_performed(SeqNum(0), OpClass::Load, Model::Rmo)
+            .unwrap();
+        chk.op_performed(SeqNum(2), OpClass::Load, Model::Rmo)
+            .unwrap();
         let err = chk
             .op_performed(SeqNum(1), OpClass::Membar(M::LL), Model::Rmo)
             .unwrap_err();
@@ -507,8 +557,13 @@ mod tests {
         // Under TSO, an atomic performing after a younger load performed is
         // a violation through its store half... and through its load half.
         let mut chk = ReorderChecker::new();
-        commit_all(&mut chk, &[(0, OpClass::Atomic), (1, OpClass::Load)], Model::Tso);
-        chk.op_performed(SeqNum(1), OpClass::Load, Model::Tso).unwrap();
+        commit_all(
+            &mut chk,
+            &[(0, OpClass::Atomic), (1, OpClass::Load)],
+            Model::Tso,
+        );
+        chk.op_performed(SeqNum(1), OpClass::Load, Model::Tso)
+            .unwrap();
         let err = chk
             .op_performed(SeqNum(0), OpClass::Atomic, Model::Tso)
             .unwrap_err();
@@ -541,9 +596,15 @@ mod tests {
     #[test]
     fn injected_membar_passes_when_nothing_outstanding() {
         let mut chk = ReorderChecker::new();
-        commit_all(&mut chk, &[(0, OpClass::Store), (1, OpClass::Load)], Model::Tso);
-        chk.op_performed(SeqNum(1), OpClass::Load, Model::Tso).unwrap();
-        chk.op_performed(SeqNum(0), OpClass::Store, Model::Tso).unwrap();
+        commit_all(
+            &mut chk,
+            &[(0, OpClass::Store), (1, OpClass::Load)],
+            Model::Tso,
+        );
+        chk.op_performed(SeqNum(1), OpClass::Load, Model::Tso)
+            .unwrap();
+        chk.op_performed(SeqNum(0), OpClass::Store, Model::Tso)
+            .unwrap();
         chk.op_committed(SeqNum(2), OpClass::Membar(M::ALL), Model::Tso);
         chk.op_performed(SeqNum(2), OpClass::Membar(M::ALL), Model::Tso)
             .unwrap();
@@ -554,7 +615,8 @@ mod tests {
     fn perform_before_commit_is_accepted_for_rmo_loads() {
         let mut chk = ReorderChecker::new();
         // RMO load performs at execution, before commit.
-        chk.op_performed(SeqNum(0), OpClass::Load, Model::Rmo).unwrap();
+        chk.op_performed(SeqNum(0), OpClass::Load, Model::Rmo)
+            .unwrap();
         chk.op_committed(SeqNum(0), OpClass::Load, Model::Rmo);
         assert_eq!(chk.outstanding(OpKind::Load), 0);
     }
@@ -568,7 +630,8 @@ mod tests {
         let mut chk = ReorderChecker::new();
         chk.op_committed(SeqNum(0), OpClass::Store, Model::Tso);
         chk.op_committed(SeqNum(1), OpClass::Store, Model::Rmo);
-        chk.op_performed(SeqNum(1), OpClass::Store, Model::Rmo).unwrap();
+        chk.op_performed(SeqNum(1), OpClass::Store, Model::Rmo)
+            .unwrap();
         let err = chk
             .op_performed(SeqNum(0), OpClass::Store, Model::Tso)
             .unwrap_err();
@@ -584,11 +647,15 @@ mod tests {
             &[(0, OpClass::Store), (1, OpClass::Membar(M::ALL))],
             Model::Tso,
         );
-        chk.op_performed(SeqNum(0), OpClass::Store, Model::Tso).unwrap();
+        chk.op_performed(SeqNum(0), OpClass::Store, Model::Tso)
+            .unwrap();
         chk.op_performed(SeqNum(1), OpClass::Membar(M::ALL), Model::Tso)
             .unwrap();
         let m = chk.obs().unwrap().metrics();
-        assert_eq!(m.max_op_updates, 2, "store and membar both advanced a counter");
+        assert_eq!(
+            m.max_op_updates, 2,
+            "store and membar both advanced a counter"
+        );
         assert_eq!(m.membar_checks, 1);
     }
 
@@ -602,7 +669,8 @@ mod tests {
         );
         assert_eq!(chk.outstanding(OpKind::Store), 2);
         assert_eq!(chk.outstanding(OpKind::Load), 1);
-        chk.op_performed(SeqNum(1), OpClass::Store, Model::Pso).unwrap();
+        chk.op_performed(SeqNum(1), OpClass::Store, Model::Pso)
+            .unwrap();
         assert_eq!(chk.outstanding(OpKind::Store), 1);
         assert_eq!(chk.checks_performed(), 1);
     }

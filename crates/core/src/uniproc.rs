@@ -354,7 +354,10 @@ mod tests {
     fn load_forwarded_from_vc_matches() {
         let mut chk = UniprocChecker::default();
         chk.store_committed(WordAddr(8), 42);
-        assert_eq!(chk.replay_load(WordAddr(8), 42).unwrap(), ReplayLookup::VcHit);
+        assert_eq!(
+            chk.replay_load(WordAddr(8), 42).unwrap(),
+            ReplayLookup::VcHit
+        );
     }
 
     #[test]
@@ -365,7 +368,11 @@ mod tests {
         let err = chk.replay_load(WordAddr(8), 41).unwrap_err();
         assert!(matches!(
             err,
-            Violation::Uniproc(UniprocViolation::LoadMismatch { original: 41, replayed: 42, .. })
+            Violation::Uniproc(UniprocViolation::LoadMismatch {
+                original: 41,
+                replayed: 42,
+                ..
+            })
         ));
     }
 
@@ -374,7 +381,10 @@ mod tests {
         let mut chk = UniprocChecker::default();
         chk.store_committed(WordAddr(8), 1);
         chk.store_committed(WordAddr(8), 2);
-        assert_eq!(chk.replay_load(WordAddr(8), 2).unwrap(), ReplayLookup::VcHit);
+        assert_eq!(
+            chk.replay_load(WordAddr(8), 2).unwrap(),
+            ReplayLookup::VcHit
+        );
         // Draining the older store does not free the entry...
         chk.store_performed(WordAddr(8), 1).unwrap();
         assert_eq!(chk.store_entries(), 1);
@@ -434,7 +444,10 @@ mod tests {
     fn rmo_load_value_caching_serves_replay() {
         let mut chk = UniprocChecker::new(rmo_cfg());
         chk.load_executed(WordAddr(8), 11);
-        assert_eq!(chk.replay_load(WordAddr(8), 11).unwrap(), ReplayLookup::VcHit);
+        assert_eq!(
+            chk.replay_load(WordAddr(8), 11).unwrap(),
+            ReplayLookup::VcHit
+        );
         assert_eq!(chk.stats().vc_hits, 1);
     }
 
@@ -444,10 +457,16 @@ mod tests {
         chk.load_executed(WordAddr(8), 11);
         chk.store_committed(WordAddr(8), 12);
         // Replay of a later load must see the local store's value.
-        assert_eq!(chk.replay_load(WordAddr(8), 12).unwrap(), ReplayLookup::VcHit);
+        assert_eq!(
+            chk.replay_load(WordAddr(8), 12).unwrap(),
+            ReplayLookup::VcHit
+        );
         chk.store_performed(WordAddr(8), 12).unwrap();
         // After the drain the value is retained as a load-value entry.
-        assert_eq!(chk.replay_load(WordAddr(8), 12).unwrap(), ReplayLookup::VcHit);
+        assert_eq!(
+            chk.replay_load(WordAddr(8), 12).unwrap(),
+            ReplayLookup::VcHit
+        );
     }
 
     #[test]
@@ -458,7 +477,10 @@ mod tests {
             chk.load_executed(WordAddr(100 + i), i);
         }
         // Store entry survives the churn.
-        assert_eq!(chk.replay_load(WordAddr(1), 100).unwrap(), ReplayLookup::VcHit);
+        assert_eq!(
+            chk.replay_load(WordAddr(1), 100).unwrap(),
+            ReplayLookup::VcHit
+        );
         // Early load entries were evicted.
         assert_eq!(
             chk.replay_load(WordAddr(100), 0).unwrap(),
@@ -471,7 +493,10 @@ mod tests {
         let mut chk = UniprocChecker::default();
         chk.enable_obs(16);
         chk.store_committed(WordAddr(8), 1);
-        assert_eq!(chk.replay_load(WordAddr(8), 1).unwrap(), ReplayLookup::VcHit);
+        assert_eq!(
+            chk.replay_load(WordAddr(8), 1).unwrap(),
+            ReplayLookup::VcHit
+        );
         chk.store_performed(WordAddr(8), 1).unwrap();
         assert_eq!(
             chk.replay_load(WordAddr(8), 1).unwrap(),

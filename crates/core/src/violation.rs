@@ -267,7 +267,10 @@ mod tests {
             max_performed: SeqNum(9),
         });
         let s = v.to_string();
-        assert!(s.contains("#3") && s.contains("Store") && s.contains("#9"), "{s}");
+        assert!(
+            s.contains("#3") && s.contains("Store") && s.contains("#9"),
+            "{s}"
+        );
 
         let v = Violation::Uniproc(UniprocViolation::LoadMismatch {
             addr: WordAddr(16),

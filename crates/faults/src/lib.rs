@@ -310,7 +310,10 @@ pub fn overlapping_pairs(plans: &[FaultPlan], window: Cycle) -> usize {
     times.sort_unstable();
     let mut pairs = 0;
     for (i, &a) in times.iter().enumerate() {
-        pairs += times[i + 1..].iter().take_while(|&&b| b - a <= window).count();
+        pairs += times[i + 1..]
+            .iter()
+            .take_while(|&&b| b - a <= window)
+            .count();
     }
     pairs
 }
@@ -389,7 +392,8 @@ mod tests {
     #[test]
     fn coverage_list_matches_categories() {
         let faults = all_faults(NodeId(0), NodeId(1));
-        let cats: std::collections::HashSet<_> = faults.iter().map(super::Fault::category).collect();
+        let cats: std::collections::HashSet<_> =
+            faults.iter().map(super::Fault::category).collect();
         assert_eq!(cats.len(), faults.len(), "one entry per category");
     }
 
@@ -468,10 +472,16 @@ mod tests {
         let plan_a = storm_plan(&mut a, 8, 1_000, 500_000, &cfg);
         let plan_b = storm_plan(&mut b, 8, 1_000, 500_000, &cfg);
         assert_eq!(plan_a, plan_b);
-        assert!(plan_a.len() > 20, "expected a real storm, got {}", plan_a.len());
+        assert!(
+            plan_a.len() > 20,
+            "expected a real storm, got {}",
+            plan_a.len()
+        );
         assert!(plan_a.windows(2).all(|w| w[0].at_cycle <= w[1].at_cycle));
         assert!(plan_a.iter().all(|p| p.fault.is_transient()));
-        assert!(plan_a.iter().all(|p| (1_000..501_000).contains(&p.at_cycle)));
+        assert!(plan_a
+            .iter()
+            .all(|p| (1_000..501_000).contains(&p.at_cycle)));
         // Burst members land within the spread of each other, so the
         // storm must show far more overlap than a uniform scatter would.
         assert!(overlapping_pairs(&plan_a, cfg.burst_spread) > plan_a.len() / 4);
@@ -496,7 +506,10 @@ mod tests {
         let f = Fault::DropMessage;
         let plans: Vec<FaultPlan> = [0u64, 50, 60, 1_000]
             .iter()
-            .map(|&t| FaultPlan { at_cycle: t, fault: f })
+            .map(|&t| FaultPlan {
+                at_cycle: t,
+                fault: f,
+            })
             .collect();
         assert_eq!(overlapping_pairs(&plans, 100), 3); // (0,50) (0,60) (50,60)
         assert_eq!(overlapping_pairs(&plans, 10), 1); // (50,60)

@@ -321,7 +321,10 @@ impl Core {
 
     /// Replay statistics from the Uniprocessor Ordering checker.
     pub fn replay_stats(&self) -> dvmc_core::UniprocStats {
-        self.uniproc.as_ref().map(dvmc_core::UniprocChecker::stats).unwrap_or_default()
+        self.uniproc
+            .as_ref()
+            .map(dvmc_core::UniprocChecker::stats)
+            .unwrap_or_default()
     }
 
     /// Attaches bounded event rings to both per-processor checkers
@@ -374,8 +377,13 @@ impl Core {
         format!(
             "rob={} front={:?} wb={:?} pending={} awaiting={:?} done={} decode_delay={}",
             self.rob.len(),
-            self.rob.front().map(|e| (e.seq, e.class, e.addr, e.state, e.committed)),
-            self.wb.iter().map(|w| (w.addr, w.issued)).collect::<Vec<_>>(),
+            self.rob
+                .front()
+                .map(|e| (e.seq, e.class, e.addr, e.state, e.committed)),
+            self.wb
+                .iter()
+                .map(|w| (w.addr, w.issued))
+                .collect::<Vec<_>>(),
             self.pending.len(),
             self.awaiting,
             self.stream_done,
@@ -681,9 +689,7 @@ impl Core {
                 Fetch::AwaitLast => {
                     // Nothing to await if no memory op was ever emitted.
                     if let Some(seq) = self.last_mem_seq {
-                        if let Some(&(_, v)) =
-                            self.recent_values.iter().find(|&&(s, _)| s == seq)
-                        {
+                        if let Some(&(_, v)) = self.recent_values.iter().find(|&&(s, _)| s == seq) {
                             self.stream.deliver(seq, v);
                         } else {
                             self.awaiting = Some(seq);
@@ -828,10 +834,13 @@ impl Core {
         // `remote_write_observed` mark (the §4.1 forgiveness window opens
         // at execution). Once performed, the cache is the authority.
         let lsq = self.rob.iter().take(idx).rev().find_map(|e| {
-            let perform_in_flight = e.retire_issued
-                || (e.class == OpClass::Atomic && e.state == EState::Issued);
-            (e.class.writes() && e.addr == addr)
-                .then_some((e.store_value, e.performed, perform_in_flight))
+            let perform_in_flight =
+                e.retire_issued || (e.class == OpClass::Atomic && e.state == EState::Issued);
+            (e.class.writes() && e.addr == addr).then_some((
+                e.store_value,
+                e.performed,
+                perform_in_flight,
+            ))
         });
         let forwarded = match lsq {
             Some((_, true, _)) => None, // performed: read the coherent cache
@@ -917,8 +926,12 @@ impl Core {
             // that the TSO write buffer removes, §6.2.1).
             if self.cfg.model == Model::Sc && class == OpClass::Store {
                 if !self.rob[idx].retire_issued {
-                    let (seq, addr, value, gen) =
-                        (self.rob[idx].seq, self.rob[idx].addr, self.rob[idx].store_value, self.rob[idx].gen);
+                    let (seq, addr, value, gen) = (
+                        self.rob[idx].seq,
+                        self.rob[idx].addr,
+                        self.rob[idx].store_value,
+                        self.rob[idx].gen,
+                    );
                     let id = self.alloc_req(Purpose::ScStore, seq, gen);
                     self.out.push(ProcReq::Write { id, addr, value });
                     self.rob[idx].retire_issued = true;
@@ -938,11 +951,8 @@ impl Core {
                 let seq = self.rob[idx].seq;
                 let required = self.cfg.model.table().requires(OpClass::Store, class);
                 if required && self.cfg.model != Model::Sc {
-                    let store_awaiting_wb = self
-                        .rob
-                        .iter()
-                        .take(idx)
-                        .any(|e| e.class == OpClass::Store);
+                    let store_awaiting_wb =
+                        self.rob.iter().take(idx).any(|e| e.class == OpClass::Store);
                     let store_in_wb = self.wb.iter().any(|w| w.seqs.iter().any(|&s| s < seq));
                     if store_awaiting_wb || store_in_wb {
                         break;
@@ -1065,9 +1075,7 @@ impl Core {
         for _ in 0..self.cfg.width {
             let (seq, class, addr, store_value, performed) = match self.rob.front() {
                 Some(e)
-                    if e.committed
-                        && e.vstate == VState::Done
-                        && e.verify_done_at <= self.now =>
+                    if e.committed && e.vstate == VState::Done && e.verify_done_at <= self.now =>
                 {
                     (e.seq, e.class, e.addr, e.store_value, e.performed)
                 }
@@ -1116,11 +1124,7 @@ impl Core {
         // PSO/RMO: merge into an un-issued entry for the same word
         // (Table 5's optimized write buffer, reducing coherence traffic).
         if self.cfg.model.store_store_relaxed() {
-            if let Some(w) = self
-                .wb
-                .iter_mut()
-                .find(|w| !w.issued && w.addr == addr)
-            {
+            if let Some(w) = self.wb.iter_mut().find(|w| !w.issued && w.addr == addr) {
                 w.seqs.push(seq);
                 w.value = value;
                 return;
@@ -1203,7 +1207,11 @@ impl Core {
     /// Write-buffer positions of the un-issued stores, oldest first: the
     /// entries a write-buffer fault can hit.
     fn unissued_stores(&self) -> impl Iterator<Item = usize> + '_ {
-        self.wb.iter().enumerate().filter(|(_, w)| !w.issued).map(|(i, _)| i)
+        self.wb
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| !w.issued)
+            .map(|(i, _)| i)
     }
 
     /// Whether the write buffer holds at least `n` un-issued stores: the
@@ -1330,12 +1338,24 @@ mod tests {
             [ProcReq::Read { id, .. }] => *id,
             reqs => panic!("one load issued: {reqs:?}"),
         };
-        assert_eq!(c.next_event_at(2), Some(2), "the issuing tick made progress");
+        assert_eq!(
+            c.next_event_at(2),
+            Some(2),
+            "the issuing tick made progress"
+        );
         assert!(c.tick(2).is_empty());
         let period = c.config().membar_injection_period;
-        assert_eq!(c.next_event_at(3), Some(period), "asleep until the membar cadence");
+        assert_eq!(
+            c.next_event_at(3),
+            Some(period),
+            "asleep until the membar cadence"
+        );
         c.catch_up(5, 7);
-        assert_eq!(c.next_event_at(8), Some(period), "catching up keeps it asleep");
+        assert_eq!(
+            c.next_event_at(8),
+            Some(period),
+            "catching up keeps it asleep"
+        );
         c.deliver(ProcResp {
             id,
             value: 5,

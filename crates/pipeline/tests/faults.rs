@@ -186,11 +186,16 @@ fn membar_injection_respects_quiescence() {
     // On a correct machine, aggressive injection must never false-positive
     // even while stores are genuinely outstanding.
     let script: Vec<Instr> = (0..10)
-        .flat_map(|i| [Instr::store(8 * i, i), Instr::Mem {
-            class: OpClass::Stbar,
-            addr: dvmc_types::WordAddr(0),
-            store_value: 0,
-        }])
+        .flat_map(|i| {
+            [
+                Instr::store(8 * i, i),
+                Instr::Mem {
+                    class: OpClass::Stbar,
+                    addr: dvmc_types::WordAddr(0),
+                    store_value: 0,
+                },
+            ]
+        })
         .collect();
     let mut core = core_with(script, Model::Pso);
     let mut pending = Vec::new();

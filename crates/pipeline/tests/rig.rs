@@ -58,7 +58,10 @@ impl Rig {
         }
         panic!(
             "cores did not drain: {:?}",
-            self.cores.iter().map(|c| format!("{c:?}")).collect::<Vec<_>>()
+            self.cores
+                .iter()
+                .map(|c| format!("{c:?}"))
+                .collect::<Vec<_>>()
         );
     }
 
@@ -176,7 +179,11 @@ fn two_cores_communicate_through_memory() {
             let mut rig = Rig::new(model, protocol, true, vec![writer, reader]);
             rig.run(200_000);
             let vals = rig.load_values(1);
-            assert_eq!(*vals.last().expect("fifty loads"), 42, "{model} {protocol:?}");
+            assert_eq!(
+                *vals.last().expect("fifty loads"),
+                42,
+                "{model} {protocol:?}"
+            );
             let v = rig.violations();
             assert!(v.is_empty(), "{model} {protocol:?}: {v:?}");
         }

@@ -540,7 +540,8 @@ impl SystemBuilder {
     /// Panics on an invalid configuration; use
     /// [`try_build`](Self::try_build) to handle the error instead.
     pub fn build(self) -> crate::System {
-        self.try_build().unwrap_or_else(|e| panic!("invalid system configuration: {e}"))
+        self.try_build()
+            .unwrap_or_else(|e| panic!("invalid system configuration: {e}"))
     }
 }
 

@@ -197,12 +197,18 @@ impl ServiceReport {
 
     /// Detection latencies of all detected episodes.
     pub fn detection_latencies(&self) -> Vec<Cycle> {
-        self.episodes.iter().filter_map(EpisodeReport::detection_latency).collect()
+        self.episodes
+            .iter()
+            .filter_map(EpisodeReport::detection_latency)
+            .collect()
     }
 
     /// Recovery latencies of all recovered episodes.
     pub fn recovery_latencies(&self) -> Vec<Cycle> {
-        self.episodes.iter().filter_map(EpisodeReport::recovery_latency).collect()
+        self.episodes
+            .iter()
+            .filter_map(EpisodeReport::recovery_latency)
+            .collect()
     }
 }
 

@@ -234,7 +234,10 @@ mod tests {
         // The largest system the SystemConfig contract admits.
         assert_eq!(BlockAddr(254).home(NodeId::MAX_NODES), NodeId(254));
         assert_eq!(BlockAddr(255).home(NodeId::MAX_NODES), NodeId(0));
-        assert_eq!(BlockAddr(u64::MAX).home(NodeId::MAX_NODES), NodeId((u64::MAX % 255) as u8));
+        assert_eq!(
+            BlockAddr(u64::MAX).home(NodeId::MAX_NODES),
+            NodeId((u64::MAX % 255) as u8)
+        );
         // Out-of-contract counts clamp to MAX_NODES instead of letting the
         // `as u8` cast truncate the modulo result.
         assert_eq!(BlockAddr(300).home(1000), NodeId((300 % 255) as u8));

@@ -21,8 +21,7 @@ pub fn det_rng(seed: u64) -> DetRng {
 /// components (one per node, per workload thread, ...) get decorrelated
 /// streams. Uses the SplitMix64 finalizer.
 pub fn derive_seed(base: u64, stream: u64) -> u64 {
-    let mut z = base
-        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(stream.wrapping_add(1)));
+    let mut z = base.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(stream.wrapping_add(1)));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -99,10 +98,7 @@ mod tests {
             }
         }
         // Pure function of (base, cell, trial).
-        assert_eq!(
-            campaign_cell_seed(7, 3, 1),
-            campaign_cell_seed(7, 3, 1)
-        );
+        assert_eq!(campaign_cell_seed(7, 3, 1), campaign_cell_seed(7, 3, 1));
         assert_ne!(campaign_cell_seed(7, 3, 1), campaign_cell_seed(8, 3, 1));
     }
 

@@ -193,7 +193,9 @@ pub fn generate_with(seed: u64, model: Model, mix: AddrMix) -> FuzzProgram {
         7 | 8 => 4,
         _ => rng.gen_range(5..=8u32) as usize,
     };
-    let mut pool: Vec<u64> = (0..rng.gen_range(2..=4u64)).map(|i| POOL_BASE * (i + 1)).collect();
+    let mut pool: Vec<u64> = (0..rng.gen_range(2..=4u64))
+        .map(|i| POOL_BASE * (i + 1))
+        .collect();
     if mix == AddrMix::Mixed {
         // Widen each block-aligned base with 1–2 sibling words of its own
         // block, so the pool carries same-word, same-block-different-word,
@@ -373,7 +375,11 @@ mod tests {
     fn arity_and_structure_bounds() {
         for seed in 0..200u64 {
             let p = generate(seed, Model::Rmo);
-            assert!((2..=8).contains(&p.threads()), "seed {seed}: {} threads", p.threads());
+            assert!(
+                (2..=8).contains(&p.threads()),
+                "seed {seed}: {} threads",
+                p.threads()
+            );
             for (tid, t) in p.threads.iter().enumerate() {
                 let mems = t.iter().filter(|i| matches!(i, Instr::Mem { .. })).count();
                 assert!(mems >= 4, "seed {seed} t{tid}: too few memory ops");
@@ -389,9 +395,7 @@ mod tests {
             for t in &p.threads {
                 for i in t {
                     if let Instr::Mem {
-                        class,
-                        store_value,
-                        ..
+                        class, store_value, ..
                     } = i
                     {
                         if class.writes() {
@@ -473,9 +477,7 @@ mod tests {
             for t in &p.threads {
                 for i in t {
                     if let Instr::Mem {
-                        class,
-                        store_value,
-                        ..
+                        class, store_value, ..
                     } = i
                     {
                         if class.writes() {

@@ -125,10 +125,7 @@ mod tests {
     fn private_regions_do_not_overlap() {
         let l = layout();
         for i in 0..64 {
-            assert_ne!(
-                l.private_word(0, i).block(),
-                l.private_word(1, i).block()
-            );
+            assert_ne!(l.private_word(0, i).block(), l.private_word(1, i).block());
         }
     }
 
@@ -140,7 +137,13 @@ mod tests {
         let private_block = l.private_word(0, 0).block();
         let barrier_block = l.barrier_counter().block();
         let log_block = l.log_word(0, 0).block();
-        let all = [lock_block, shared_block, private_block, barrier_block, log_block];
+        let all = [
+            lock_block,
+            shared_block,
+            private_block,
+            barrier_block,
+            log_block,
+        ];
         for (i, a) in all.iter().enumerate() {
             for b in &all[i + 1..] {
                 assert_ne!(a, b);

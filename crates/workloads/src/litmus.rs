@@ -373,7 +373,11 @@ impl LitmusTest {
     /// Panics if `loads` has fewer threads than the shape or a thread
     /// committed no loads (the run did not complete).
     pub fn relaxed_observed(self, loads: &[Vec<u64>]) -> bool {
-        assert!(loads.len() >= self.threads(), "{}: missing threads", self.name());
+        assert!(
+            loads.len() >= self.threads(),
+            "{}: missing threads",
+            self.name()
+        );
         let last = |t: usize| *loads[t].last().expect("thread committed no loads");
         match self {
             LitmusTest::Sb => last(0) == 0 && last(1) == 0,
@@ -717,7 +721,10 @@ mod tests {
         let b = collect(6);
         // The memory operations are identical; only delays may differ.
         let mems = |v: &[String]| {
-            v.iter().filter(|s| s.contains("Mem")).cloned().collect::<Vec<_>>()
+            v.iter()
+                .filter(|s| s.contains("Mem"))
+                .cloned()
+                .collect::<Vec<_>>()
         };
         assert_eq!(mems(&a), mems(&b), "program structure is fixed");
     }

@@ -80,7 +80,14 @@ pub struct ServiceStream {
 impl ServiceStream {
     /// Creates the stream for worker `tid` with Poisson arrivals of the
     /// given mean gap.
-    pub fn new(threads: usize, tid: u64, mean_gap: u32, model: Model, seed: u64, perturbation: u64) -> Self {
+    pub fn new(
+        threads: usize,
+        tid: u64,
+        mean_gap: u32,
+        model: Model,
+        seed: u64,
+        perturbation: u64,
+    ) -> Self {
         let mut jitter = det_rng(perturbation);
         // Desynchronize thread start-up so arrivals do not phase-lock.
         let first = 1 + jitter.gen_range(0..mean_gap.max(1) as u64);
@@ -148,8 +155,10 @@ impl ServiceStream {
         for _ in 0..scratch {
             let idx = self.rng.gen::<u64>();
             let v = self.unique_value();
-            self.queue
-                .push_back((Instr::store(self.layout.private_word(self.tid, idx).0, v), None));
+            self.queue.push_back((
+                Instr::store(self.layout.private_word(self.tid, idx).0, v),
+                None,
+            ));
         }
         // Publish: release fence (per current model), then the hot store.
         match self.model {
@@ -297,6 +306,9 @@ mod tests {
                 high += 1;
             }
         }
-        assert!(low > high, "Zipf skew: low ranks must dominate ({low} vs {high})");
+        assert!(
+            low > high,
+            "Zipf skew: low ranks must dominate ({low} vs {high})"
+        );
     }
 }

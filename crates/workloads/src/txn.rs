@@ -17,7 +17,9 @@ enum AwaitKind {
     /// The atomic test-and-set; zero means acquired.
     SwapLock,
     /// Polling read of the barrier counter until it reaches the target.
-    BarrierSpin { target: u64 },
+    BarrierSpin {
+        target: u64,
+    },
     /// Read of the barrier counter under the barrier lock; the increment
     /// and release follow.
     BarrierCount,
@@ -152,11 +154,8 @@ impl TxnStream {
             if compute > 0 {
                 self.queue.push_back(Instr::Delay(compute));
             }
-            let do_write = writes_left > 0
-                && (self.rng.gen_ratio(writes_left, (total - i).max(1)));
-            let shared = self
-                .rng
-                .gen_bool(self.profile.shared_fraction);
+            let do_write = writes_left > 0 && (self.rng.gen_ratio(writes_left, (total - i).max(1)));
+            let shared = self.rng.gen_bool(self.profile.shared_fraction);
             let idx = self.rng.gen::<u64>();
             let addr = match (lock, shared) {
                 (Some(l), true) => self.layout.protected_word(l, idx),

@@ -22,7 +22,10 @@ fn params(kind: WorkloadKind, threads: usize, txns: u64) -> WorkloadParams {
 /// processing threads round-robin one instruction at a time, with atomic
 /// swap and lock semantics evaluated directly. This validates the
 /// generators' control flow (locks, barriers) without the full machine.
-fn interpret(mut streams: Vec<Box<dyn InstrStream + Send>>, max_steps: u64) -> (Vec<u64>, HashMap<u64, u64>) {
+fn interpret(
+    mut streams: Vec<Box<dyn InstrStream + Send>>,
+    max_steps: u64,
+) -> (Vec<u64>, HashMap<u64, u64>) {
     let mut memory: HashMap<u64, u64> = HashMap::new();
     let n = streams.len();
     let mut awaiting: Vec<Option<u64>> = vec![None; n]; // value to deliver

@@ -65,26 +65,34 @@ fn main() {
     // A legal epoch history: writer, two readers, writer again.
     let mut home = HomeChecker::new(NodeId(0), 256);
     home.met_mut().ensure_entry(addr, Ts16(0), 0xAAAA);
-    home.push(mk(1, EpochKind::ReadWrite, 1, 5, 0xAAAA, 0xBBBB)).unwrap();
-    home.push(mk(2, EpochKind::ReadOnly, 5, 9, 0xBBBB, 0xBBBB)).unwrap();
-    home.push(mk(3, EpochKind::ReadOnly, 6, 8, 0xBBBB, 0xBBBB)).unwrap();
-    home.push(mk(2, EpochKind::ReadWrite, 9, 12, 0xBBBB, 0xCCCC)).unwrap();
+    home.push(mk(1, EpochKind::ReadWrite, 1, 5, 0xAAAA, 0xBBBB))
+        .unwrap();
+    home.push(mk(2, EpochKind::ReadOnly, 5, 9, 0xBBBB, 0xBBBB))
+        .unwrap();
+    home.push(mk(3, EpochKind::ReadOnly, 6, 8, 0xBBBB, 0xBBBB))
+        .unwrap();
+    home.push(mk(2, EpochKind::ReadWrite, 9, 12, 0xBBBB, 0xCCCC))
+        .unwrap();
     home.flush().unwrap();
     println!("\ncoherence checker: legal RW/RO/RO/RW epoch history     -> accepted");
 
     // Single-writer violation: overlapping Read-Write epochs.
     let mut home = HomeChecker::new(NodeId(0), 256);
     home.met_mut().ensure_entry(addr, Ts16(0), 0xAAAA);
-    home.push(mk(1, EpochKind::ReadWrite, 1, 6, 0xAAAA, 0xBBBB)).unwrap();
-    home.push(mk(2, EpochKind::ReadWrite, 4, 9, 0xBBBB, 0xCCCC)).unwrap();
+    home.push(mk(1, EpochKind::ReadWrite, 1, 6, 0xAAAA, 0xBBBB))
+        .unwrap();
+    home.push(mk(2, EpochKind::ReadWrite, 4, 9, 0xBBBB, 0xCCCC))
+        .unwrap();
     let verdict = home.flush().unwrap_err();
     println!("coherence checker: two concurrent writers (SWMR break) -> {verdict}");
 
     // Data-propagation violation: a block corrupted in flight.
     let mut home = HomeChecker::new(NodeId(0), 256);
     home.met_mut().ensure_entry(addr, Ts16(0), 0xAAAA);
-    home.push(mk(1, EpochKind::ReadWrite, 1, 5, 0xAAAA, 0xBBBB)).unwrap();
-    home.push(mk(2, EpochKind::ReadOnly, 6, 8, 0xDEAD, 0xDEAD)).unwrap();
+    home.push(mk(1, EpochKind::ReadWrite, 1, 5, 0xAAAA, 0xBBBB))
+        .unwrap();
+    home.push(mk(2, EpochKind::ReadOnly, 6, 8, 0xDEAD, 0xDEAD))
+        .unwrap();
     let verdict = home.flush().unwrap_err();
     println!("coherence checker: corrupted data transfer             -> {verdict}");
 

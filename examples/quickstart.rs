@@ -29,10 +29,7 @@ fn main() {
     println!("retired memory ops:  {}", report.retired_ops());
     println!("violations:          {}", report.violations.len());
     println!();
-    println!(
-        "demand L1 misses:    {}",
-        report.l1_misses()
-    );
+    println!("demand L1 misses:    {}", report.l1_misses());
     println!(
         "replay L1 misses:    {}  (the paper's Figure 6 numerator)",
         report.replay_l1_misses()
@@ -53,12 +50,12 @@ fn main() {
         report.checker_bytes,
         100.0 * report.checker_bytes as f64 / report.total_bytes.max(1) as f64
     );
-    println!(
-        "BER coordination:    {} bytes",
-        report.ber_bytes
-    );
+    println!("BER coordination:    {} bytes", report.ber_bytes);
 
-    assert!(report.completed, "workload must finish its transaction quota");
+    assert!(
+        report.completed,
+        "workload must finish its transaction quota"
+    );
     assert!(
         report.violations.is_empty(),
         "an error-free run must raise no violations: {:?}",

@@ -17,10 +17,7 @@ fn run_scripts(
     protocol: Protocol,
     scripts: Vec<Vec<Instr>>,
 ) -> (Vec<Vec<u64>>, usize) {
-    let mut cluster = Cluster::new(ClusterConfig::paper_default(
-        scripts.len().max(2),
-        protocol,
-    ));
+    let mut cluster = Cluster::new(ClusterConfig::paper_default(scripts.len().max(2), protocol));
     let mut cores: Vec<Core> = scripts
         .into_iter()
         .map(|s| {
@@ -89,7 +86,10 @@ fn message_passing_handshake_is_safe_everywhere() {
             let flag_seen = values[1][n - 2];
             let data_seen = values[1][n - 1];
             if flag_seen == 1 {
-                assert_eq!(data_seen, 99, "{model} {protocol:?}: stale data after fence");
+                assert_eq!(
+                    data_seen, 99,
+                    "{model} {protocol:?}: stale data after fence"
+                );
             }
             assert_eq!(violations, 0, "{model} {protocol:?}");
         }
@@ -278,7 +278,10 @@ fn hardware_cost_matches_paper_figures() {
     let cet_kb = cfg.cet_bytes_per_node() as f64 / 1024.0;
     let met_kb = cfg.met_bytes_per_controller() as f64 / 1024.0;
     assert!((68.0..76.0).contains(&cet_kb), "CET {cet_kb:.1} KB ~ 70 KB");
-    assert!((98.0..106.0).contains(&met_kb), "MET {met_kb:.1} KB ~ 102 KB");
+    assert!(
+        (98.0..106.0).contains(&met_kb),
+        "MET {met_kb:.1} KB ~ 102 KB"
+    );
 }
 
 /// The ordering tables re-exported through the facade match Tables 1-4.

@@ -240,7 +240,12 @@ fn litmus_2p2w_relaxation_is_observable_under_pso() {
     let mut observed = 0u64;
     for trial in 0..32 {
         let seed = dvmc_types::rng::derive_seed(0x0222, trial);
-        if run_one(LitmusTest::TwoPlusTwoW, Model::Pso, Protocol::Directory, seed) {
+        if run_one(
+            LitmusTest::TwoPlusTwoW,
+            Model::Pso,
+            Protocol::Directory,
+            seed,
+        ) {
             observed += 1;
         }
     }
