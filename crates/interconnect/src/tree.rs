@@ -50,7 +50,8 @@ struct InFlight<T> {
 pub struct BroadcastTree<T> {
     /// Requests awaiting root arbitration, FIFO.
     pending: VecDeque<Pending<T>>,
-    /// Serialized requests fanning out to the leaves.
+    /// Serialized requests fanning out to the leaves, in root order,
+    /// which is also the order in which they finish.
     in_flight: Vec<InFlight<T>>,
     /// Delivered requests per node, tagged with their global order.
     inboxes: Vec<VecDeque<(u64, T)>>,
@@ -151,8 +152,12 @@ impl<T> BroadcastTree<T> {
             return Some(now);
         }
         let arbitration = self.pending.front().map(|_| self.root_free_at);
-        let fanouts = self.in_flight.iter().map(|m| m.deliver_at);
-        fanouts.chain(arbitration).min().map(|t| t.max(now))
+        let fanout = self.in_flight.first().map(|m| m.deliver_at);
+        fanout
+            .into_iter()
+            .chain(arbitration)
+            .min()
+            .map(|t| t.max(now))
     }
 
     /// Whether any request is still pending, in flight, or undelivered.
@@ -178,25 +183,28 @@ impl<T: Clone> BroadcastTree<T> {
             let _ = p.src;
             self.root_free_at = start + serialization;
             self.total_bytes += p.bytes as u64;
+            let deliver_at = start + serialization + self.fanout_latency as u64;
+            debug_assert!(
+                self.in_flight
+                    .last()
+                    .is_none_or(|m| m.deliver_at <= deliver_at),
+                "fan-outs finish in root order"
+            );
             self.in_flight.push(InFlight {
                 payload: p.payload,
-                deliver_at: start + serialization + self.fanout_latency as u64,
+                deliver_at,
                 order: self.next_order,
             });
             self.next_order += 1;
         }
-        // Fan-out: deliver in order to keep all inboxes identically
-        // sequenced even if multiple requests complete in one cycle.
-        self.in_flight.sort_by_key(|m| m.order);
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].deliver_at <= now {
-                let m = self.in_flight.remove(i);
-                for inbox in &mut self.inboxes {
-                    inbox.push_back((m.order, m.payload.clone()));
-                }
-            } else {
-                i += 1;
+        // Fan-out, in order, so every inbox is sequenced identically even
+        // when several requests complete in one cycle. The root serializes
+        // requests one after another through the same fixed latency, so
+        // `in_flight` is a FIFO: the finished requests are a prefix.
+        let done = self.in_flight.partition_point(|m| m.deliver_at <= now);
+        for m in self.in_flight.drain(..done) {
+            for inbox in &mut self.inboxes {
+                inbox.push_back((m.order, m.payload.clone()));
             }
         }
     }
