@@ -95,19 +95,24 @@ fn bench_met_processing(c: &mut Criterion) {
             |mut q| {
                 for i in 0..256u16 {
                     // Slightly out-of-order arrivals.
-                    let t = i ^ 3;
-                    q.push(EpochMessage::Inform(InformEpoch {
-                        addr: BlockAddr(i as u64),
-                        kind: EpochKind::ReadOnly,
-                        node: NodeId(0),
-                        start: Ts16(t),
-                        end: Ts16(t + 1),
-                        start_hash: 0,
-                        end_hash: 0,
-                    }));
+                    q.push(sorter_inform(i, i ^ 3));
                 }
                 q.flush()
             },
+            BatchSize::SmallInput,
+        );
+    });
+    // The end-of-run audit: a full sorter releases everything.
+    g.bench_function("sorter_flush_full", |b| {
+        b.iter_batched(
+            || {
+                let mut q = EpochSorter::new(256);
+                for i in 0..256u16 {
+                    q.push(sorter_inform(i, i ^ 3));
+                }
+                q
+            },
+            |mut q| q.flush(),
             BatchSize::SmallInput,
         );
     });
@@ -117,23 +122,40 @@ fn bench_met_processing(c: &mut Criterion) {
     g.bench_function("sorter_idle_drain", |b| {
         let mut q = EpochSorter::new(256);
         for i in 0..64u16 {
-            let t = 1000 + (i ^ 3);
-            q.push(EpochMessage::Inform(InformEpoch {
-                addr: BlockAddr(i as u64),
-                kind: EpochKind::ReadOnly,
-                node: NodeId(0),
-                start: Ts16(t),
-                end: Ts16(t + 1),
-                start_hash: 0,
-                end_hash: 0,
-            }));
+            q.push(sorter_inform(i, 1000 + (i ^ 3)));
         }
         b.iter(|| {
             let released = q.drain_older_than(black_box(Ts16(900)));
             (released.len(), q.oldest_start())
         });
     });
+    // A sorter that runs full, as every snooping home's does: each
+    // arriving inform spills the oldest one.
+    g.bench_function("sorter_full_spill", |b| {
+        let mut q = EpochSorter::new(256);
+        for i in 0..256u16 {
+            q.push(sorter_inform(i, i ^ 3));
+        }
+        let mut i = 256u16;
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            q.push(sorter_inform(i, i ^ 3))
+        });
+    });
     g.finish();
+}
+
+/// An inform for block `i` whose epoch spans `start..start + 1`.
+fn sorter_inform(i: u16, start: u16) -> EpochMessage {
+    EpochMessage::Inform(InformEpoch {
+        addr: BlockAddr(u64::from(i)),
+        kind: EpochKind::ReadOnly,
+        node: NodeId(0),
+        start: Ts16(start),
+        end: Ts16(start.wrapping_add(1)),
+        start_hash: 0,
+        end_hash: 0,
+    })
 }
 
 criterion_group!(

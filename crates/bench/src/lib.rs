@@ -76,8 +76,15 @@ impl ExpOpts {
     /// beyond the common set, e.g. `dvmc-campaign`). A bare flag without
     /// `=` reaches `extra` with an empty value (`--metrics` style); the
     /// common flags below all require `--key=value`.
-    pub fn from_args_with(mut extra: impl FnMut(&str, &str) -> bool) -> ExpOpts {
-        let mut o = ExpOpts::default();
+    pub fn from_args_with(extra: impl FnMut(&str, &str) -> bool) -> ExpOpts {
+        Self::from_args_over(ExpOpts::default(), extra)
+    }
+
+    /// Like [`from_args_with`](Self::from_args_with), but starting from
+    /// `defaults` (a binary whose gates were sized for another machine,
+    /// e.g. `exp_throughput`'s 4 nodes).
+    pub fn from_args_over(defaults: ExpOpts, mut extra: impl FnMut(&str, &str) -> bool) -> ExpOpts {
+        let mut o = defaults;
         for arg in std::env::args().skip(1) {
             let (key, value) = arg.split_once('=').unwrap_or((arg.as_str(), ""));
             if extra(key, value) {

@@ -64,7 +64,7 @@ impl ClusterConfig {
 
 /// A set of node indices: a bitset over the 256 nodes a [`NodeId`] can
 /// name.
-#[derive(Default)]
+#[derive(Clone, Copy, Default)]
 struct NodeSet([u64; 4]);
 
 impl NodeSet {
@@ -72,8 +72,15 @@ impl NodeSet {
         self.0[i / 64] |= 1 << (i % 64);
     }
 
-    fn contains(&self, i: usize) -> bool {
-        self.0[i / 64] & (1 << (i % 64)) != 0
+    /// The members in ascending order.
+    fn iter(self) -> impl Iterator<Item = usize> {
+        self.0.into_iter().enumerate().flat_map(|(w, mut bits)| {
+            std::iter::from_fn(move || {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits.wrapping_sub(1);
+                (bit < 64).then_some(w * 64 + bit)
+            })
+        })
     }
 }
 
@@ -296,7 +303,7 @@ impl Cluster {
             }
         }
         // 4. Outbound messages enter the networks.
-        for i in (0..n).filter(|&i| active.contains(i)) {
+        for i in active.iter() {
             let src = NodeId(i as u8);
             while let Some(out) = self.nodes[i].pop_msg() {
                 let bytes = out.msg.bytes();
@@ -317,15 +324,15 @@ impl Cluster {
             }
         }
         // 5. Collect violations, every cache's before any home's.
-        for i in (0..n).filter(|&i| active.contains(i)) {
+        for i in active.iter() {
             self.violations.extend(self.nodes[i].drain_violations());
         }
-        for i in (0..n).filter(|&i| active.contains(i)) {
+        for i in active.iter() {
             self.violations.extend(self.homes[i].drain_violations());
         }
         // 6. The controllers that ran answer for the next cycle.
         self.now += 1;
-        for i in (0..n).filter(|&i| active.contains(i)) {
+        for i in active.iter() {
             self.refresh(i);
             self.refresh(n + i);
         }
@@ -543,5 +550,20 @@ impl std::fmt::Debug for Cluster {
             .field("protocol", &self.cfg.protocol)
             .field("cycle", &self.now)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::NodeSet;
+
+    #[test]
+    fn a_node_set_walks_its_members_in_ascending_order() {
+        let mut set = NodeSet::default();
+        for i in [255, 64, 3, 0, 63, 200, 3] {
+            set.insert(i);
+        }
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 3, 63, 64, 200, 255]);
+        assert_eq!(NodeSet::default().iter().next(), None);
     }
 }

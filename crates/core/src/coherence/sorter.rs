@@ -12,33 +12,61 @@
 //! machinery and the bounded queue residence time — which makes this
 //! ordering exact.
 //!
-//! The MET only ever consumes the head, and a home asks for it every
-//! executed cycle, usually to learn that nothing is old enough to release
-//! yet. So the queue keeps the index of its first minimum-key message.
-//! Keys are measured from the watermark, which only a release moves, so
-//! an insertion needs one comparison against the cached head: a strictly
-//! smaller key replaces it, which keeps among equal keys the message a
-//! full scan would find first. Only a release rescans the queue. Reading
-//! the head is O(1); a release is one linear scan over at most the
-//! paper's 256 entries.
+//! The messages sit in arrival slots: a push appends, a release
+//! `swap_remove`s. An indexed binary heap over those slots orders them by
+//! `(key, slot)`, so among messages with equal keys the one in the lowest
+//! slot comes out first, the first minimum a scan of the slots would
+//! find. A push or a release costs O(log n). The MET only ever consumes
+//! the head, and a home asks for it every executed cycle, usually to learn
+//! that nothing is old enough to release yet, so the sorter keeps the
+//! head's slot beside the heap and that question reads one message.
+//!
+//! Keys are distances from a reference behind the watermark, and only a
+//! release moves the watermark. An advance by `d` lowers every queued
+//! distance by `d`, which keeps their order unless some distance was
+//! below `d` and wraps to the top of the ring. The heap keeps a lower
+//! bound on every queued start and end distance and re-heapifies only
+//! when an advance could cause such a wrap: queued times lie about half
+//! a window ahead of the reference, so that is rare.
+//!
+//! The heap is derived from the slots: it is built by the first push or
+//! release that needs it and left unbuilt by `Clone`, so a snapshot
+//! copies the messages alone.
 
 use super::epoch::EpochMessage;
 use dvmc_types::Ts16;
 
 /// Bounded timestamp-sorting queue for epoch messages.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct EpochSorter {
     items: Vec<EpochMessage>,
     capacity: usize,
     watermark: Ts16,
-    /// Index in `items` of the first message with the smallest key; only
-    /// meaningful while `items` is non-empty. A `u32` fits the padding
-    /// after `watermark`, so the sorter stays 40 bytes.
+    /// Slot of the first message in the heap's order; only meaningful
+    /// while `items` is non-empty. A `u32` fits the padding after
+    /// `watermark`.
     head: u32,
+    /// The release order over `items`, built on first use. Only a push
+    /// or a release needs it, and both take `&mut self`.
+    heap: Option<SlotHeap>,
+}
+
+impl Clone for EpochSorter {
+    /// Copies the queued messages, the watermark and the head; the copy
+    /// builds its own heap when it first pushes or releases.
+    fn clone(&self) -> Self {
+        EpochSorter {
+            items: self.items.clone(),
+            capacity: self.capacity,
+            watermark: self.watermark,
+            head: self.head,
+            heap: None,
+        }
+    }
 }
 
 impl EpochSorter {
-    /// The largest capacity the `u32` head index can address (a full
+    /// The largest capacity the `u32` slot indices can address (a full
     /// queue briefly holds `capacity + 1` messages while it spills).
     pub const MAX_CAPACITY: usize = u32::MAX as usize;
 
@@ -60,16 +88,20 @@ impl EpochSorter {
             capacity,
             watermark: Ts16(0),
             head: 0,
+            heap: None,
         }
     }
 
     /// Inserts a message. If the queue is full, the earliest message is
     /// released and returned for immediate processing.
     pub fn push(&mut self, msg: EpochMessage) -> Vec<EpochMessage> {
-        if self.items.is_empty() || self.key(&msg) < self.key(&self.items[self.head as usize]) {
-            self.head = self.items.len() as u32;
-        }
+        let reference = self.reference();
+        let heap = self
+            .heap
+            .get_or_insert_with(|| SlotHeap::build(&self.items, reference));
         self.items.push(msg);
+        heap.push(&self.items, reference);
+        self.head = heap.head();
         let mut out = Vec::new();
         while self.items.len() > self.capacity {
             if let Some(m) = self.pop_min() {
@@ -124,30 +156,17 @@ impl EpochSorter {
         self.items.is_empty()
     }
 
-    /// Wrapping distance from a reference point placed half a window
-    /// behind the last released timestamp. Live timestamps may *lag* the
-    /// watermark by up to the scrub deadline (a long epoch's start), so
-    /// distances must be measured from behind the watermark, not at it.
-    /// Anchoring at the reference makes the key a *total* order over the
-    /// whole `u16` ring — two queued timestamps exactly half a window
-    /// apart still get distinct, deterministic keys — while the watermark
-    /// advance in `pop_min` relies on the `Ts16` half-window tie-break to
-    /// stay monotonic.
-    fn distance(&self, t: Ts16) -> u16 {
-        let reference = self.watermark.0.wrapping_sub(Ts16::WINDOW / 2);
-        t.0.wrapping_sub(reference)
-    }
-
-    /// Full ordering key: start time, then message rank (closes before
-    /// begins at the same tick — see [`EpochMessage::tiebreak_rank`]),
-    /// then end time (ties on start are resolved so shorter epochs
-    /// process first; open epochs last).
-    fn key(&self, m: &EpochMessage) -> (u16, u8, u32) {
-        let secondary = match m.tiebreak_end() {
-            Some(end) => self.distance(end) as u32,
-            None => u32::MAX,
-        };
-        (self.distance(m.sort_time()), m.tiebreak_rank(), secondary)
+    /// The point distances are measured from: half a window behind the
+    /// last released timestamp. Live timestamps may *lag* the watermark by
+    /// up to the scrub deadline (a long epoch's start), so distances must
+    /// be measured from behind the watermark, not at it. Anchoring at the
+    /// reference makes the key a *total* order over the whole `u16` ring —
+    /// two queued timestamps exactly half a window apart still get
+    /// distinct, deterministic keys — while the watermark advance in
+    /// `pop_min` relies on the `Ts16` half-window tie-break to stay
+    /// monotonic.
+    fn reference(&self) -> u16 {
+        self.watermark.0.wrapping_sub(Ts16::WINDOW / 2)
     }
 
     fn peek_min_time(&self) -> Option<Ts16> {
@@ -160,19 +179,184 @@ impl EpochSorter {
         if self.items.is_empty() {
             return None;
         }
-        let msg = self.items.swap_remove(self.head as usize);
+        let reference = self.reference();
+        let heap = self
+            .heap
+            .get_or_insert_with(|| SlotHeap::build(&self.items, reference));
+        let slot = heap.pop(&self.items, reference);
+        debug_assert_eq!(slot, self.head, "the cached head went stale");
+        let msg = self.items.swap_remove(slot as usize);
+        heap.forget(slot, &self.items, reference);
         // The watermark advances monotonically: a late-arriving old-start
         // inform must not drag the reference backwards.
-        self.watermark = self.watermark.max_windowed(msg.sort_time());
-        // Every key moved with the watermark and the swap moved the last
-        // message into the head's slot: find the first minimum afresh.
-        self.head = self
-            .items
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, m)| self.key(m))
-            .map_or(0, |(i, _)| i as u32);
+        let old = self.watermark;
+        self.watermark = old.max_windowed(msg.sort_time());
+        let by = self.watermark.0.wrapping_sub(old.0);
+        heap.shift(by, &self.items, reference.wrapping_add(by));
+        self.head = heap.head();
         Some(msg)
+    }
+}
+
+/// Full ordering key of a message, by wrapping distance from `reference`:
+/// start time, then message rank (closes before begins at the same tick —
+/// see [`EpochMessage::tiebreak_rank`]), then end time (ties on start are
+/// resolved so shorter epochs process first; open epochs last).
+fn key(reference: u16, m: &EpochMessage) -> (u16, u8, u32) {
+    let secondary = match m.tiebreak_end() {
+        Some(end) => u32::from(end.0.wrapping_sub(reference)),
+        None => u32::MAX,
+    };
+    (
+        m.sort_time().0.wrapping_sub(reference),
+        m.tiebreak_rank(),
+        secondary,
+    )
+}
+
+/// The smallest distance from `reference` among a message's start and
+/// end.
+fn nearest(reference: u16, m: &EpochMessage) -> u16 {
+    let start = m.sort_time().0.wrapping_sub(reference);
+    m.tiebreak_end()
+        .map_or(start, |end| start.min(end.0.wrapping_sub(reference)))
+}
+
+/// An indexed binary min-heap over the sorter's slots, ordered by
+/// `(key, slot)`.
+#[derive(Debug)]
+struct SlotHeap {
+    /// Slots of the sorter's messages, in heap order.
+    slots: Vec<u32>,
+    /// Each slot's position in `slots`.
+    pos: Vec<u32>,
+    /// At most every queued start and end distance from the reference.
+    floor: u16,
+}
+
+impl SlotHeap {
+    /// Heapifies every slot of `items`.
+    #[cold]
+    #[inline(never)]
+    fn build(items: &[EpochMessage], reference: u16) -> Self {
+        let n = items.len() as u32;
+        let mut heap = SlotHeap {
+            slots: (0..n).collect(),
+            pos: (0..n).collect(),
+            floor: 0,
+        };
+        heap.reheapify(items, reference);
+        heap
+    }
+
+    /// The first slot in heap order (0 when empty).
+    fn head(&self) -> u32 {
+        self.slots.first().copied().unwrap_or(0)
+    }
+
+    /// Restores the heap order over every slot from scratch, and makes
+    /// `floor` exact.
+    fn reheapify(&mut self, items: &[EpochMessage], reference: u16) {
+        self.floor = items
+            .iter()
+            .map(|m| nearest(reference, m))
+            .min()
+            .unwrap_or(u16::MAX);
+        for i in (0..self.slots.len() / 2).rev() {
+            self.sift_down(i, items, reference);
+        }
+    }
+
+    /// Adds the last slot of `items`, just pushed.
+    fn push(&mut self, items: &[EpochMessage], reference: u16) {
+        let slot = items.len() - 1;
+        self.floor = self.floor.min(nearest(reference, &items[slot]));
+        self.slots.push(slot as u32);
+        self.pos.push(slot as u32);
+        self.sift_up(slot, items, reference);
+    }
+
+    /// Removes the head from the heap and returns its slot; `items` still
+    /// holds it.
+    fn pop(&mut self, items: &[EpochMessage], reference: u16) -> u32 {
+        let head = self.slots.swap_remove(0);
+        if let Some(&moved) = self.slots.first() {
+            self.pos[moved as usize] = 0;
+            self.sift_down(0, items, reference);
+        }
+        head
+    }
+
+    /// Follows `items.swap_remove(slot)`: the message that was last now
+    /// sits in `slot`. A lower slot only ranks it earlier among equal
+    /// keys, so it can only rise.
+    fn forget(&mut self, slot: u32, items: &[EpochMessage], reference: u16) {
+        let at = self.pos.pop().expect("the slot was queued");
+        if (slot as usize) < self.pos.len() {
+            self.slots[at as usize] = slot;
+            self.pos[slot as usize] = at;
+            self.sift_up(at as usize, items, reference);
+        }
+    }
+
+    /// Follows a watermark advance by `by` (the reference moved with it):
+    /// every distance fell by `by`. Unless one could have wrapped, the
+    /// order stands.
+    fn shift(&mut self, by: u16, items: &[EpochMessage], reference: u16) {
+        if by <= self.floor {
+            self.floor -= by;
+        } else {
+            self.reheapify(items, reference);
+        }
+    }
+
+    /// The heap order of a slot.
+    fn rank(items: &[EpochMessage], reference: u16, slot: u32) -> ((u16, u8, u32), u32) {
+        (key(reference, &items[slot as usize]), slot)
+    }
+
+    fn sift_up(&mut self, mut at: usize, items: &[EpochMessage], reference: u16) {
+        let slot = self.slots[at];
+        let rank = Self::rank(items, reference, slot);
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            let above = self.slots[parent];
+            if Self::rank(items, reference, above) <= rank {
+                break;
+            }
+            self.slots[at] = above;
+            self.pos[above as usize] = at as u32;
+            at = parent;
+        }
+        self.slots[at] = slot;
+        self.pos[slot as usize] = at as u32;
+    }
+
+    fn sift_down(&mut self, mut at: usize, items: &[EpochMessage], reference: u16) {
+        let slot = self.slots[at];
+        let rank = Self::rank(items, reference, slot);
+        loop {
+            let left = 2 * at + 1;
+            let Some(&l) = self.slots.get(left) else {
+                break;
+            };
+            let (mut child, mut below) = (left, l);
+            let mut below_rank = Self::rank(items, reference, l);
+            if let Some(&r) = self.slots.get(left + 1) {
+                let right_rank = Self::rank(items, reference, r);
+                if right_rank < below_rank {
+                    (child, below, below_rank) = (left + 1, r, right_rank);
+                }
+            }
+            if rank <= below_rank {
+                break;
+            }
+            self.slots[at] = below;
+            self.pos[below as usize] = at as u32;
+            at = child;
+        }
+        self.slots[at] = slot;
+        self.pos[slot as usize] = at as u32;
     }
 }
 
@@ -255,10 +439,11 @@ mod tests {
 
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn cached_head_fits_the_padding() {
+    fn sorter_layout_is_pinned() {
         // Checkpoint byte counts charge each home controller its
-        // `size_of`, so caching the head must not grow the sorter.
-        assert_eq!(std::mem::size_of::<EpochSorter>(), 40);
+        // `size_of`: the slots, the capacity, the watermark and the head
+        // (40 B), plus the room of the heap a clone leaves unbuilt (56 B).
+        assert_eq!(std::mem::size_of::<EpochSorter>(), 96);
     }
 
     #[test]

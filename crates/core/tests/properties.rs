@@ -360,9 +360,9 @@ proptest! {
 // Epoch sorter
 // ---------------------------------------------------------------------
 
-/// The reference model: the epoch sorter as it was before it cached its
-/// head. Every peek and every release rescans the whole queue for the
-/// first message with the smallest key.
+/// The reference model: the epoch sorter as a plain rescan. Every peek
+/// and every release rescans the whole queue for the first message with
+/// the smallest key.
 struct RescanModel {
     items: Vec<EpochMessage>,
     capacity: usize,
@@ -465,17 +465,55 @@ fn sorter_msg(n: u64, start: Ts16, variant: u8) -> EpochMessage {
     }
 }
 
+/// Informs A and B tie on start (`0xBFFF`) and rank, and their ends
+/// straddle the reference half a window behind watermark 0: A's end
+/// (`0xBFFF`) sits at the top of the ring, B's (`0xC001`) one past the
+/// reference, so B sorts first. Releasing the inform at 5 moves the
+/// watermark, and the reference, by 5: B's end distance wraps from 1 to
+/// `0xFFFC`, above A's `0xFFFA`, and A must now come out first. That
+/// wrap is the one way queued keys change order.
+#[test]
+fn a_watermark_advance_that_wraps_an_end_reorders_the_queue() {
+    let inform = |n, start, end| {
+        EpochMessage::Inform(InformEpoch {
+            addr: BlockAddr(n),
+            kind: EpochKind::ReadOnly,
+            node: NodeId(0),
+            start: Ts16(start),
+            end: Ts16(end),
+            start_hash: 0,
+            end_hash: 0,
+        })
+    };
+    let (a, b, c) = (
+        inform(0, 0xBFFF, 0xBFFF),
+        inform(1, 0xBFFF, 0xC001),
+        inform(2, 5, 5),
+    );
+    let mut sorter = EpochSorter::new(8);
+    let mut model = RescanModel::new(8);
+    for m in [a, b, c] {
+        assert_eq!(sorter.push(m), model.push(m));
+    }
+    assert_eq!(sorter.oldest_start(), model.oldest_start());
+    let drained = sorter.drain_older_than(Ts16(6));
+    assert_eq!(drained, model.drain_older_than(Ts16(6)));
+    assert_eq!(drained, vec![c, a, b], "A leaves before B");
+    assert_eq!(sorter.flush(), model.flush());
+}
+
 proptest! {
-    /// The head-caching sorter releases exactly the messages the
+    /// The heap-ordered sorter releases exactly the messages the
     /// rescanning model releases, in the same order, over random
-    /// interleavings of pushes, drains and flushes. Times come from a
-    /// narrow band that creeps across the `u16` wrap, so most pushes tie
-    /// on their whole key with a queued message, and small capacities
-    /// make pushes spill.
+    /// interleavings of pushes, drains, flushes and clones (a clone
+    /// replaces the sorter and rebuilds its heap when first used). Times
+    /// come from a narrow band that creeps across the `u16` wrap, so most
+    /// pushes tie on their whole key with a queued message, and small
+    /// capacities make pushes spill.
     #[test]
     fn sorter_matches_rescanning_model(
         capacity in 1usize..=8,
-        ops in proptest::collection::vec((0u8..10, 0u16..16, any::<u8>()), 1..300),
+        ops in proptest::collection::vec((0u8..11, 0u16..16, any::<u8>()), 1..300),
     ) {
         let mut sorter = EpochSorter::new(capacity);
         let mut model = RescanModel::new(capacity);
@@ -495,7 +533,11 @@ proptest! {
                     let wm = Ts16(t.0.wrapping_sub(4));
                     (sorter.drain_older_than(wm), model.drain_older_than(wm))
                 }
-                _ => (sorter.flush(), model.flush()),
+                9 => (sorter.flush(), model.flush()),
+                _ => {
+                    sorter = sorter.clone();
+                    (Vec::new(), Vec::new())
+                }
             };
             prop_assert_eq!(got, want, "step {}", step);
             prop_assert_eq!(sorter.oldest_start(), model.oldest_start(), "step {}", step);

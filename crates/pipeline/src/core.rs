@@ -213,13 +213,14 @@ pub struct Core {
     /// A requested consistency-model switch, applied at the next quiescent
     /// point (service mode switches models mid-run; see DESIGN.md §13).
     pending_model: Option<Model>,
-    /// The last tick changed nothing but the clocks and the decode
-    /// countdown, and no input arrived since: the core waits for an input
-    /// or a self-timed trigger (see [`next_event_at`](Self::next_event_at)).
-    /// Every tick sets it; every stage that makes progress, and every
-    /// input, clears it. A `bool` fits the struct's padding, so the core
-    /// (and with it every snapshot) stays the same size.
-    asleep: bool,
+    /// When the core wakes. 0 while it is awake: its last tick made
+    /// progress, or an input arrived since. Otherwise the last tick
+    /// changed nothing but the clocks and the decode countdown, and the
+    /// core sleeps until its earliest self-timed trigger, computed once
+    /// by that tick (`Cycle::MAX` for none; see
+    /// [`next_event_at`](Self::next_event_at)). Every stage that makes
+    /// progress, and every input, sets it to 0.
+    wake_at: Cycle,
 }
 
 impl Core {
@@ -256,7 +257,7 @@ impl Core {
             now: 0,
             queue_delays: Vec::new(),
             pending_model: None,
-            asleep: false,
+            wake_at: 0,
             cfg,
         }
     }
@@ -425,11 +426,26 @@ impl Core {
     /// decode countdown when decode is not otherwise blocked, and the
     /// artificial-membar cadence while the ROB has room. Everything else
     /// it waits for (a response, an invalidation, a model switch, a
-    /// fault) is an input, and every input wakes it.
+    /// fault) is an input, and every input wakes it. So the tick that
+    /// puts the core to sleep computes the answer once; a passed trigger
+    /// reads as `now`.
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        if !self.asleep {
-            return Some(now);
-        }
+        debug_assert!(
+            self.wake_at == 0
+                || self.wake_at.max(now) == self.triggers(now).map_or(Cycle::MAX, |t| t.max(now)),
+            "an asleep core's wake cycle {} went stale at {now}",
+            self.wake_at
+        );
+        (self.wake_at != Cycle::MAX).then(|| self.wake_at.max(now))
+    }
+
+    /// The earliest of an asleep core's self-timed triggers, for a tick at
+    /// `now`. The decode countdown ends at `now + decode_delay`, a sum
+    /// that stays fixed while the core sleeps: each tick or
+    /// [`catch_up`](Self::catch_up) cycle moves `now` up by one and the
+    /// countdown down by one, until the countdown reaches zero and the
+    /// trigger has passed.
+    fn triggers(&self, now: Cycle) -> Option<Cycle> {
         let earliest = |next: Option<Cycle>, t: Cycle| Some(next.map_or(t, |n| n.min(t)));
         let mut next = self
             .rob
@@ -444,7 +460,7 @@ impl Core {
         if room && self.cfg.dvmc && period != 0 && !self.is_done() {
             next = earliest(next, self.last_injection.saturating_add(period));
         }
-        next.map(|t| t.max(now))
+        next
     }
 
     /// Applies the state change `k` consecutive ticks of an asleep core
@@ -473,7 +489,7 @@ impl Core {
 
     /// Marks progress or an input: the next tick must run.
     fn wake(&mut self) {
-        self.asleep = false;
+        self.wake_at = 0;
     }
 
     /// Completes a cache request previously emitted by [`tick`](Self::tick).
@@ -650,7 +666,7 @@ impl Core {
     /// Advances one cycle; returns the cache requests to submit.
     pub fn tick(&mut self, now: Cycle) -> Vec<ProcReq> {
         self.stamp(now);
-        self.asleep = true; // until a stage makes progress
+        self.wake_at = Cycle::MAX; // asleep until a stage makes progress
         self.apply_pending_model();
         self.retire();
         self.drain_wb();
@@ -658,6 +674,10 @@ impl Core {
         self.execute();
         self.decode();
         self.inject_membar();
+        if self.wake_at != 0 {
+            // Asleep: the triggers hold until an input, as of the next tick.
+            self.wake_at = self.triggers(now + 1).unwrap_or(Cycle::MAX);
+        }
         std::mem::take(&mut self.out)
     }
 
@@ -1383,6 +1403,141 @@ mod tests {
         assert_eq!(c.retired_ops(), 0);
         c.tick(11);
         assert_eq!(c.retired_ops(), 1, "retired at verify_done_at");
+    }
+
+    /// Ticks `c` from cycle 0 until a tick leaves it asleep. Returns that
+    /// tick's cycle and every request issued on the way.
+    fn tick_until_asleep(c: &mut Core) -> (Cycle, Vec<ProcReq>) {
+        let mut reqs = Vec::new();
+        for now in 0..100 {
+            reqs.extend(c.tick(now));
+            if c.next_event_at(now + 1) != Some(now + 1) {
+                return (now, reqs);
+            }
+        }
+        panic!("the core never fell asleep: {}", c.dump());
+    }
+
+    /// An asleep core answers with the same wake cycle whatever part of
+    /// its sleep the kernel skips, for each of the three self-timed
+    /// triggers, and its tick at that cycle makes progress.
+    #[test]
+    fn an_asleep_cores_wake_cycle_holds_through_any_catch_up() {
+        let decode = core(Model::Tso, 4, vec![Instr::Delay(40), Instr::load(8)]);
+        let membar = Core::new(
+            CoreConfig {
+                membar_injection_period: 30,
+                ..CoreConfig::default()
+            },
+            Box::new(ScriptedStream::new(vec![Instr::load(8)])),
+        );
+        let verify = Core::new(
+            CoreConfig {
+                verify_latency: 10,
+                ..CoreConfig::default()
+            },
+            Box::new(ScriptedStream::new(vec![Instr::store(8, 1)])),
+        );
+        for (trigger, mut c) in [("decode", decode), ("membar", membar), ("verify", verify)] {
+            let (slept, _) = tick_until_asleep(&mut c);
+            let wake = c.next_event_at(slept + 1).expect("a self-timed trigger");
+            assert!(wake > slept + 1, "{trigger}: asleep past the next cycle");
+            for k in 1..wake - slept {
+                let mut skipped = c.clone();
+                skipped.catch_up(k, slept + k);
+                assert_eq!(
+                    skipped.next_event_at(slept + k + 1),
+                    Some(wake),
+                    "{trigger}: after catching up {k} cycles"
+                );
+                if slept + k + 1 == wake {
+                    skipped.tick(wake);
+                    assert_eq!(
+                        skipped.next_event_at(wake + 1),
+                        Some(wake + 1),
+                        "{trigger}: the tick at the trigger makes progress"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every input wakes an asleep core: its next event becomes `now`.
+    /// An input that changes nothing leaves it asleep.
+    #[test]
+    fn every_input_wakes_an_asleep_core() {
+        let script = vec![
+            Instr::store(8, 1),
+            Instr::store(16, 2),
+            Instr::store(24, 3),
+            Instr::load(32),
+        ];
+        let mut asleep = core(Model::Tso, 4, script);
+        let (slept, reqs) = tick_until_asleep(&mut asleep);
+        let now = slept + 1;
+        let read = reqs
+            .iter()
+            .find_map(|r| match r {
+                ProcReq::Read { id, .. } => Some(*id),
+                _ => None,
+            })
+            .expect("the load issued");
+        assert!(
+            asleep.holds_unissued_stores(2),
+            "two stores wait behind the draining one: {}",
+            asleep.dump()
+        );
+        fn response(id: u64) -> ProcResp {
+            ProcResp {
+                id,
+                value: 0,
+                l1_miss: true,
+                coherence_miss: false,
+                replay: false,
+            }
+        }
+        type Input = fn(&mut Core, u64);
+        let inputs: [(&str, bool, Input); 11] = [
+            ("deliver", true, |c, id| c.deliver(response(id))),
+            ("deliver of an unknown id", false, |c, id| {
+                c.deliver(response(id + 1_000));
+            }),
+            ("note_invalidations", true, |c, _| {
+                c.note_invalidations(&[WordAddr(32).block()]);
+            }),
+            ("note_invalidations of none", false, |c, _| {
+                c.note_invalidations(&[]);
+            }),
+            ("request_model_switch", true, |c, _| {
+                c.request_model_switch(Model::Sc);
+            }),
+            ("request_model_switch to its model", false, |c, _| {
+                c.request_model_switch(Model::Tso);
+            }),
+            ("inject_wb_drop", true, |c, _| assert!(c.inject_wb_drop())),
+            ("inject_wb_reorder", true, |c, _| {
+                assert!(c.inject_wb_reorder());
+            }),
+            ("inject_wb_corrupt", true, |c, _| {
+                assert!(c.inject_wb_corrupt(3));
+            }),
+            ("inject_wb_addr_flip", true, |c, _| {
+                assert!(c.inject_wb_addr_flip(3));
+            }),
+            ("arm_lsq_wrong_forward", true, |c, _| {
+                c.arm_lsq_wrong_forward();
+            }),
+        ];
+        for (name, wakes, input) in inputs {
+            let mut c = asleep.clone();
+            input(&mut c, read);
+            let next = c.next_event_at(now);
+            if wakes {
+                assert_eq!(next, Some(now), "{name} wakes the core");
+            } else {
+                assert_eq!(next, asleep.next_event_at(now), "{name} changes nothing");
+            }
+        }
     }
 
     #[test]

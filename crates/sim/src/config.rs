@@ -140,7 +140,7 @@ pub enum ConfigError {
     /// `link_bandwidth` was zero: no torus link could move a byte.
     ZeroLinkBandwidth,
     /// `sorter_capacity` was zero, or larger than the epoch sorter's
-    /// `u32` head index can address ([`EpochSorter::MAX_CAPACITY`]).
+    /// `u32` slot indices can address ([`EpochSorter::MAX_CAPACITY`]).
     SorterCapacity {
         /// The requested capacity.
         capacity: usize,
@@ -628,7 +628,7 @@ mod tests {
     }
 
     #[test]
-    fn sorter_capacity_must_fit_the_head_index() {
+    fn sorter_capacity_must_fit_the_slot_indices() {
         assert_eq!(
             SystemBuilder::new().sorter_capacity(0).try_build().err(),
             Some(ConfigError::SorterCapacity { capacity: 0 })
