@@ -145,7 +145,7 @@ impl Mutant {
             Mutant::SkipInvAck | Mutant::CorruptData => ExploreConfig::directory_evicting(),
             Mutant::StrayAck | Mutant::AckPanic => ExploreConfig::directory_rollback(),
         }
-        .with_mutant(self)
+        .mutant(self)
     }
 
     /// Whether this mutant's recovery leaks `msg` past the rollback
@@ -165,7 +165,7 @@ impl Mutant {
     }
 }
 
-/// A rejected [`ExploreConfigBuilder`] parameter.
+/// A rejected [`ExploreConfig`] parameter.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ConfigError {
     /// Cache count outside 1..=8 (node ids, sharer bitmasks, and the
@@ -197,30 +197,49 @@ impl fmt::Display for ConfigError {
     }
 }
 
-/// Validating builder for [`ExploreConfig`]: the only way to construct
-/// configurations that cannot silently exceed the NodeId / sharer-mask /
-/// address-width assumptions baked into the explorer, and the place
-/// where block-interchangeability (hence the soundness of block
-/// symmetry) is detected rather than assumed.
-#[derive(Clone, Copy, Debug)]
-pub struct ExploreConfigBuilder {
-    protocol: Protocol,
-    caches: usize,
-    blocks: usize,
-    ops_per_cache: usize,
-    l2_bytes: usize,
-    max_states: usize,
-    mutant: Mutant,
-    symmetry: bool,
-    rollback: bool,
-    max_rollbacks: u32,
+/// One explored configuration. Start from [`ExploreConfig::new`] (or a
+/// builtin), set what differs, and finish with
+/// [`try_build`](ExploreConfig::try_build): the place that refuses
+/// configurations exceeding the NodeId / sharer-mask / address-width
+/// assumptions baked into the explorer, and that detects
+/// block-interchangeability (hence the soundness of block symmetry)
+/// rather than assuming it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ExploreConfig {
+    /// Protocol variant under test.
+    pub protocol: Protocol,
+    /// Number of cache nodes (2–5 for tractable exhaustive search).
+    pub caches: usize,
+    /// Blocks in play; all map to home node 0.
+    pub blocks: usize,
+    /// Memory operations each cache may issue (the op budget).
+    pub ops_per_cache: usize,
+    /// L2 bytes per cache — small values force evictions and exercise
+    /// the writeback paths.
+    pub l2_bytes: usize,
+    /// Distinct-state budget; exceeding it stops the search (reported,
+    /// not a failure).
+    pub max_states: usize,
+    /// Seeded protocol defect (for negative testing).
+    pub mutant: Mutant,
+    /// Quotient the graph by the symmetry group (sound; on by default).
+    pub symmetry: bool,
+    /// Explore the protocol × checkpoint/rollback product machine.
+    pub rollback: bool,
+    /// Rollback budget of the product machine.
+    pub max_rollbacks: u32,
+    /// Whether the configured blocks are conflict-interchangeable
+    /// (computed by [`try_build`](ExploreConfig::try_build); block
+    /// symmetry is unsound otherwise).
+    pub block_symmetry: bool,
 }
 
-impl ExploreConfigBuilder {
+impl ExploreConfig {
     /// A 2-cache, 1-block, 1-op configuration of `protocol`; symmetry
-    /// on, rollback off.
+    /// on, rollback off. Block symmetry stays off until
+    /// [`try_build`](Self::try_build) shows it sound.
     pub fn new(protocol: Protocol) -> Self {
-        ExploreConfigBuilder {
+        ExploreConfig {
             protocol,
             caches: 2,
             blocks: 1,
@@ -231,6 +250,7 @@ impl ExploreConfigBuilder {
             symmetry: true,
             rollback: false,
             max_rollbacks: 1,
+            block_symmetry: false,
         }
     }
 
@@ -287,7 +307,7 @@ impl ExploreConfigBuilder {
     /// sets (the 64-byte single-way L1 has one set, so it never
     /// discriminates). Otherwise the block component of the group is
     /// restricted to the identity; cache symmetry is always sound.
-    pub fn try_build(self) -> Result<ExploreConfig, ConfigError> {
+    pub fn try_build(mut self) -> Result<ExploreConfig, ConfigError> {
         if self.caches == 0 || self.caches > 8 {
             return Err(ConfigError::CacheCount(self.caches));
         }
@@ -306,72 +326,21 @@ impl ExploreConfigBuilder {
         if self.rollback && (self.max_rollbacks == 0 || self.max_rollbacks > 4) {
             return Err(ConfigError::RollbackBudget(self.max_rollbacks));
         }
-        let mut cfg = ExploreConfig {
-            protocol: self.protocol,
-            caches: self.caches,
-            blocks: self.blocks,
-            ops_per_cache: self.ops_per_cache,
-            l2_bytes: self.l2_bytes,
-            max_states: self.max_states,
-            mutant: self.mutant,
-            symmetry: self.symmetry,
-            rollback: self.rollback,
-            max_rollbacks: self.max_rollbacks,
-            block_symmetry: false,
-        };
         // Probe the real L2 geometry rather than duplicating its
         // rounding rules.
         let sets = CacheArray::<Mosi>::with_bytes(self.l2_bytes, 1).sets();
         let set_of = |b: &BlockAddr| (b.0 as usize) & (sets - 1);
-        let blocks = blocks_for(&cfg);
+        let blocks = blocks_for(&self);
         let mut seen: Vec<usize> = blocks.iter().map(set_of).collect();
         seen.sort_unstable();
-        let distinct = {
-            let mut d = seen.clone();
-            d.dedup();
-            d.len()
-        };
-        cfg.block_symmetry = distinct == 1 || distinct == blocks.len();
-        Ok(cfg)
+        seen.dedup();
+        self.block_symmetry = seen.len() == 1 || seen.len() == blocks.len();
+        Ok(self)
     }
-}
-
-/// One explored configuration. Construct via [`ExploreConfigBuilder`]
-/// (or a builtin), which validates the small-configuration assumptions.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ExploreConfig {
-    /// Protocol variant under test.
-    pub protocol: Protocol,
-    /// Number of cache nodes (2–5 for tractable exhaustive search).
-    pub caches: usize,
-    /// Blocks in play; all map to home node 0.
-    pub blocks: usize,
-    /// Memory operations each cache may issue (the op budget).
-    pub ops_per_cache: usize,
-    /// L2 bytes per cache — small values force evictions and exercise
-    /// the writeback paths.
-    pub l2_bytes: usize,
-    /// Distinct-state budget; exceeding it stops the search (reported,
-    /// not a failure).
-    pub max_states: usize,
-    /// Seeded protocol defect (for negative testing).
-    pub mutant: Mutant,
-    /// Quotient the graph by the symmetry group (sound; on by default).
-    pub symmetry: bool,
-    /// Explore the protocol × checkpoint/rollback product machine.
-    pub rollback: bool,
-    /// Rollback budget of the product machine.
-    pub max_rollbacks: u32,
-    /// Whether the configured blocks are conflict-interchangeable
-    /// (computed by the builder; block symmetry is unsound otherwise).
-    pub block_symmetry: bool,
-}
-
-impl ExploreConfig {
     /// The acceptance-gate configuration: 3 caches, 2 blocks, MOSI
     /// directory.
     pub fn directory_3x2() -> Self {
-        ExploreConfigBuilder::new(Protocol::Directory)
+        ExploreConfig::new(Protocol::Directory)
             .caches(3)
             .blocks(2)
             .ops_per_cache(2)
@@ -384,7 +353,7 @@ impl ExploreConfig {
     /// A tiny-cache directory configuration that forces L2 evictions,
     /// covering the PutM / writeback-race paths.
     pub fn directory_evicting() -> Self {
-        ExploreConfigBuilder::new(Protocol::Directory)
+        ExploreConfig::new(Protocol::Directory)
             .caches(2)
             .blocks(2)
             .ops_per_cache(2)
@@ -397,7 +366,7 @@ impl ExploreConfig {
     /// The snooping configuration: 2 caches, 2 blocks over the ordered
     /// broadcast tree.
     pub fn snooping_2x2() -> Self {
-        ExploreConfigBuilder::new(Protocol::Snooping)
+        ExploreConfig::new(Protocol::Snooping)
             .caches(2)
             .blocks(2)
             .ops_per_cache(2)
@@ -411,7 +380,7 @@ impl ExploreConfig {
     /// the ordered broadcast tree, covering the snooping writeback and
     /// deferred-supply transients the conflict-free suite never enters.
     pub fn snooping_evicting() -> Self {
-        ExploreConfigBuilder::new(Protocol::Snooping)
+        ExploreConfig::new(Protocol::Snooping)
             .caches(2)
             .blocks(2)
             .ops_per_cache(2)
@@ -424,7 +393,7 @@ impl ExploreConfig {
     /// The wide configuration: 4 caches, 2 blocks — tractable only under
     /// symmetry reduction (the group has 4!·2 = 48 elements).
     pub fn directory_4x2() -> Self {
-        ExploreConfigBuilder::new(Protocol::Directory)
+        ExploreConfig::new(Protocol::Directory)
             .caches(4)
             .blocks(2)
             .ops_per_cache(1)
@@ -439,7 +408,7 @@ impl ExploreConfig {
     /// validated quiescent states, in-flight messages squashed on
     /// restore — mirroring the simulator's recovery path).
     pub fn directory_rollback() -> Self {
-        ExploreConfigBuilder::new(Protocol::Directory)
+        ExploreConfig::new(Protocol::Directory)
             .caches(2)
             .blocks(1)
             .ops_per_cache(1)
@@ -461,18 +430,6 @@ impl ExploreConfig {
             ("directory_4x2", ExploreConfig::directory_4x2()),
             ("directory_rollback", ExploreConfig::directory_rollback()),
         ]
-    }
-
-    /// This configuration with a seeded mutant.
-    pub fn with_mutant(mut self, m: Mutant) -> Self {
-        self.mutant = m;
-        self
-    }
-
-    /// This configuration with symmetry reduction toggled.
-    pub fn with_symmetry(mut self, on: bool) -> Self {
-        self.symmetry = on;
-        self
     }
 }
 
@@ -1371,7 +1328,7 @@ mod tests {
     use super::*;
 
     fn small(protocol: Protocol) -> ExploreConfig {
-        ExploreConfigBuilder::new(protocol)
+        ExploreConfig::new(protocol)
             .caches(2)
             .blocks(1)
             .ops_per_cache(1)
@@ -1400,7 +1357,7 @@ mod tests {
 
     #[test]
     fn skipped_invalidation_breaks_swmr() {
-        let cfg = ExploreConfig::directory_evicting().with_mutant(Mutant::SkipInvAck);
+        let cfg = ExploreConfig::directory_evicting().mutant(Mutant::SkipInvAck);
         let out = explore(&cfg);
         let (defect, steps) = out.violation.expect("mutant must be caught");
         assert!(
@@ -1412,7 +1369,7 @@ mod tests {
 
     #[test]
     fn corrupted_data_breaks_value_integrity() {
-        let cfg = ExploreConfig::directory_evicting().with_mutant(Mutant::CorruptData);
+        let cfg = ExploreConfig::directory_evicting().mutant(Mutant::CorruptData);
         let out = explore(&cfg);
         let (defect, _) = out.violation.expect("mutant must be caught");
         assert!(
@@ -1428,7 +1385,7 @@ mod tests {
     #[test]
     fn symmetry_reduction_is_exact_on_exhaustive_graphs() {
         for protocol in [Protocol::Directory, Protocol::Snooping] {
-            let raw = explore(&small(protocol).with_symmetry(false));
+            let raw = explore(&small(protocol).symmetry(false));
             let red = explore(&small(protocol));
             assert!(!raw.hit_limit && !red.hit_limit);
             assert!(raw.violation.is_none() && red.violation.is_none());
@@ -1453,7 +1410,7 @@ mod tests {
             small(Protocol::Directory),
             small(Protocol::Snooping),
             ExploreConfig::directory_rollback(),
-            ExploreConfig::directory_rollback().with_mutant(Mutant::StrayAck),
+            ExploreConfig::directory_rollback().mutant(Mutant::StrayAck),
         ] {
             let serial = explore_jobs(&cfg, 1);
             for jobs in [2, 4] {
@@ -1465,12 +1422,12 @@ mod tests {
 
     #[test]
     fn clean_product_machine_is_clean() {
-        let base = explore(&ExploreConfig::directory_rollback().with_symmetry(false));
+        let base = explore(&ExploreConfig::directory_rollback().symmetry(false));
         assert!(base.violation.is_none(), "violation: {:?}", base.violation);
         assert!(!base.hit_limit);
         // The product adds checkpoint/rollback transitions on top of the
         // bare protocol graph.
-        let bare = ExploreConfigBuilder::new(Protocol::Directory)
+        let bare = ExploreConfig::new(Protocol::Directory)
             .caches(2)
             .blocks(1)
             .ops_per_cache(1)
@@ -1489,7 +1446,7 @@ mod tests {
 
     #[test]
     fn stray_ack_leak_breaks_swmr() {
-        let cfg = ExploreConfig::directory_rollback().with_mutant(Mutant::StrayAck);
+        let cfg = ExploreConfig::directory_rollback().mutant(Mutant::StrayAck);
         let out = explore(&cfg);
         let (defect, steps) = out.violation.expect("stray-ack mutant must be caught");
         assert!(
@@ -1508,7 +1465,7 @@ mod tests {
     /// `unreachable!`.
     #[test]
     fn ack_panic_leak_rediscovers_unhandled_combination() {
-        let cfg = ExploreConfig::directory_rollback().with_mutant(Mutant::AckPanic);
+        let cfg = ExploreConfig::directory_rollback().mutant(Mutant::AckPanic);
         let out = explore(&cfg);
         let (defect, steps) = out.violation.expect("ack-panic mutant must be caught");
         match &defect {
@@ -1543,8 +1500,8 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_out_of_range_configurations() {
-        let b = || ExploreConfigBuilder::new(Protocol::Directory);
+    fn try_build_rejects_out_of_range_configurations() {
+        let b = || ExploreConfig::new(Protocol::Directory);
         assert_eq!(b().caches(0).try_build(), Err(ConfigError::CacheCount(0)));
         assert_eq!(b().caches(9).try_build(), Err(ConfigError::CacheCount(9)));
         assert_eq!(b().blocks(0).try_build(), Err(ConfigError::BlockCount(0)));
@@ -1567,16 +1524,16 @@ mod tests {
     /// Block symmetry must be disabled automatically when the configured
     /// blocks are not conflict-equivalent w.r.t. the L2 set function.
     #[test]
-    fn builder_detects_block_interchangeability() {
+    fn try_build_detects_block_interchangeability() {
         // 256 B / 1-way = 4 sets; blocks 0 and 3 land in distinct sets.
-        let distinct = ExploreConfigBuilder::new(Protocol::Directory)
+        let distinct = ExploreConfig::new(Protocol::Directory)
             .caches(3)
             .blocks(2)
             .try_build()
             .expect("valid");
         assert!(distinct.block_symmetry);
         // 64 B = 1 set; every block lands in set 0.
-        let equal = ExploreConfigBuilder::new(Protocol::Directory)
+        let equal = ExploreConfig::new(Protocol::Directory)
             .caches(2)
             .blocks(3)
             .l2_bytes(64)
@@ -1585,7 +1542,7 @@ mod tests {
         assert!(equal.block_symmetry);
         // 128 B = 2 sets; blocks 0, 3, 6 map to sets 0, 1, 0 — a mixed
         // profile, so permuting them does not commute with eviction.
-        let mixed = ExploreConfigBuilder::new(Protocol::Directory)
+        let mixed = ExploreConfig::new(Protocol::Directory)
             .caches(3)
             .blocks(3)
             .l2_bytes(128)
@@ -1687,7 +1644,7 @@ mod tests {
                 picks in proptest::collection::vec(0u32..10_000, 1..12),
                 elem in 0usize..64,
             ) {
-                let cfg = ExploreConfigBuilder::new(Protocol::Directory)
+                let cfg = ExploreConfig::new(Protocol::Directory)
                     .caches(3)
                     .blocks(2)
                     .ops_per_cache(1)

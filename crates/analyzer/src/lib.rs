@@ -30,9 +30,7 @@ mod symmetry;
 pub mod tablelint;
 pub mod transientlint;
 
-pub use explorer::{
-    explore, explore_jobs, ConfigError, ExploreConfig, ExploreConfigBuilder, ExploreOutcome, Mutant,
-};
+pub use explorer::{explore, explore_jobs, ConfigError, ExploreConfig, ExploreOutcome, Mutant};
 pub use report::{bench_json, BenchRow, ReductionRow};
 pub use tablelint::{
     lint_all_models, lint_hierarchy_pair, lint_hierarchy_pair_over, lint_model_predicates,

@@ -337,7 +337,7 @@ fn reduction_pass(jobs: usize, rows: &[BenchRow], reductions: &mut Vec<Reduction
         let name = demo_name(m);
         let raw = timed_explore(
             &format!("{name}[{}] raw", m.name()),
-            &cfg.with_symmetry(false),
+            &cfg.symmetry(false),
             jobs,
         );
         let red = reduced_outcome(name, m, &cfg, jobs, rows);
@@ -358,7 +358,7 @@ fn reduction_pass(jobs: usize, rows: &[BenchRow], reductions: &mut Vec<Reduction
         }
     }
     for (name, cfg) in ExploreConfig::builtins() {
-        let raw = timed_explore(&format!("{name} raw"), &cfg.with_symmetry(false), jobs);
+        let raw = timed_explore(&format!("{name} raw"), &cfg.symmetry(false), jobs);
         let red = reduced_outcome(name, Mutant::None, &cfg, jobs, rows);
         if raw.violation.is_some() || red.violation.is_some() {
             eprintln!("   ERROR: {name}: clean builtin found a violation in the reduction audit");

@@ -101,7 +101,7 @@ pub fn audit_transients(protocol: Protocol, observed: &BTreeSet<String>) -> Tran
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explorer::{explore, ExploreConfig, ExploreConfigBuilder};
+    use crate::explorer::{explore, ExploreConfig};
 
     #[test]
     fn declared_tables_are_sorted_and_distinct() {
@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn cheap_configurations_are_admitted_by_the_tables() {
         let configs = [
-            ExploreConfigBuilder::new(Protocol::Directory)
+            ExploreConfig::new(Protocol::Directory)
                 .caches(2)
                 .blocks(1)
                 .ops_per_cache(2)
@@ -142,7 +142,7 @@ mod tests {
                 .expect("valid"),
             // One cache, two conflicting blocks: the cheapest way to
             // drive the eviction/writeback transients.
-            ExploreConfigBuilder::new(Protocol::Directory)
+            ExploreConfig::new(Protocol::Directory)
                 .caches(1)
                 .blocks(2)
                 .ops_per_cache(2)
@@ -150,7 +150,7 @@ mod tests {
                 .try_build()
                 .expect("valid"),
             ExploreConfig::directory_rollback(),
-            ExploreConfigBuilder::new(Protocol::Snooping)
+            ExploreConfig::new(Protocol::Snooping)
                 .caches(2)
                 .blocks(1)
                 .ops_per_cache(2)

@@ -67,7 +67,6 @@ fn cell(
         .nodes(program.threads())
         .model(machine_model)
         .protocol(protocol)
-        .dvmc(true)
         .workload(kind, 1)
         .seed(derive_seed(program_seed, 1))
         .perturbation(derive_seed(program_seed, 2))

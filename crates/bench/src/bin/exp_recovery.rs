@@ -17,35 +17,20 @@
 //! is written without one) is byte-identical at any `--jobs` (the CI gate
 //! compares `--jobs=1` against `--jobs=2`).
 
+use dvmc_bench::soak::soak_ber;
 use dvmc_bench::{print_table, write_artifact, Campaign, ExpOpts};
 use dvmc_faults::{all_faults, Fault, FaultPlan};
-use dvmc_sim::{
-    RecoveryOutcome, RecoveryPolicy, RunReport, SafetyNetConfig, SystemBuilder, SystemConfig,
-};
+use dvmc_sim::{RecoveryOutcome, RecoveryPolicy, RunReport, SystemBuilder, SystemConfig};
 use dvmc_types::NodeId;
 use dvmc_workloads::spec::WorkloadKind;
 
 const MAX_CYCLES: u64 = 30_000_000;
-/// Injection time; chosen to coincide with a checkpoint boundary so the
-/// rollback exercises the subtlest case — a checkpoint taken the same
-/// cycle the fault lands, which the snapshot-before-inject tick ordering
-/// keeps clean.
+/// Injection time; chosen to coincide with a checkpoint boundary of
+/// [`soak_ber`]'s 20k-cycle cadence so the rollback exercises the
+/// subtlest case — a checkpoint taken the same cycle the fault lands,
+/// which the snapshot-before-inject tick ordering keeps clean.
 const INJECT_AT: u64 = 20_000;
 const MAX_RETRIES: u32 = 3;
-
-/// A long-latency SafetyNet: latent cache corruption surfaces only when
-/// the line's epoch ends (eviction/CRC), which takes ~2M cycles — the
-/// recovery window must still hold a pre-error checkpoint then. The
-/// paper's default (100k-cycle window) targets its much faster common
-/// case; this config trades log depth for window length.
-fn ber_config() -> SafetyNetConfig {
-    SafetyNetConfig {
-        checkpoint_interval: 20_000,
-        validation_latency: 10_000,
-        max_checkpoints: 150, // 3M-cycle window
-        coordination_bytes: 16,
-    }
-}
 
 fn cell(opts: &ExpOpts, txns: u64, fault: Option<Fault>) -> SystemConfig {
     let mut b = SystemBuilder::new()
@@ -53,7 +38,7 @@ fn cell(opts: &ExpOpts, txns: u64, fault: Option<Fault>) -> SystemConfig {
         .protocol(opts.protocol)
         .workload(WorkloadKind::Oltp, txns)
         .seed(opts.seed)
-        .ber_config(ber_config())
+        .ber_config(soak_ber())
         .recovery(RecoveryPolicy {
             max_retries: MAX_RETRIES,
             backoff_factor: 2,

@@ -18,16 +18,16 @@ use dvmc_types::rng::derive_seed;
 use dvmc_types::Cycle;
 use dvmc_workloads::spec::WorkloadKind;
 
-/// A soak run's SafetyNet: a long recovery window (the paper's default
-/// 100k-cycle window targets fast detections; a soak must also survive
-/// latent corruption that surfaces only at eviction/CRC, ~2M cycles into
-/// hot-block churn), traded against log depth as §6.2 discusses.
+/// The long-window SafetyNet of soak runs and `exp_recovery`: the
+/// paper's default 100k-cycle window targets fast detections, but latent
+/// cache corruption surfaces only at eviction/CRC, ~2M cycles into
+/// hot-block churn, and the window must still hold a pre-error checkpoint
+/// then. It trades log depth for window length, as §6.2 discusses.
 pub fn soak_ber() -> SafetyNetConfig {
     SafetyNetConfig {
         checkpoint_interval: 20_000,
         validation_latency: 10_000,
         max_checkpoints: 150, // 3M-cycle window
-        coordination_bytes: 16,
     }
 }
 

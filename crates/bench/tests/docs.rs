@@ -1,8 +1,9 @@
 //! EXPERIMENTS.md quotes `results/BENCH_throughput.json` cell by cell in
 //! its kernel tables, and `results/BENCH_analyzer.json` row by row in its
-//! analyzer table. These tests keep each pair in step: a change that
-//! moves an artifact must move its table with it, and a table edited by
-//! hand must still read what the artifact says.
+//! analyzer table, whose `raw states`, `reduction` and `quotient` columns
+//! read the artifact's `reduction` rows. These tests keep each pair in
+//! step: a change that moves an artifact must move its table with it, and
+//! a table edited by hand must still read what the artifact says.
 
 use std::path::Path;
 
@@ -33,21 +34,35 @@ fn repo_file(rel: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// The integer after `"key":` in a flat JSON object.
-fn field(object: &str, key: &str) -> u64 {
+/// The text after `"key":` in a flat JSON object.
+fn value_of<'a>(object: &'a str, key: &str) -> &'a str {
     let pat = format!("\"{key}\":");
     let at = object
         .find(&pat)
         .unwrap_or_else(|| panic!("no {key} in {object}"))
         + pat.len();
-    let value: String = object[at..]
-        .trim_start()
+    object[at..].trim_start()
+}
+
+/// The integer after `"key":` in a flat JSON object.
+fn field(object: &str, key: &str) -> u64 {
+    let value: String = value_of(object, key)
         .chars()
         .take_while(char::is_ascii_digit)
         .collect();
     value
         .parse()
         .unwrap_or_else(|_| panic!("{key} is no integer in {object}"))
+}
+
+/// The boolean after `"key":` in a flat JSON object.
+fn flag(object: &str, key: &str) -> bool {
+    let value = value_of(object, key);
+    match (value.starts_with("true"), value.starts_with("false")) {
+        (true, _) => true,
+        (_, true) => false,
+        _ => panic!("{key} is no boolean in {object}"),
+    }
 }
 
 /// A table figure, digits only.
@@ -145,9 +160,14 @@ fn kernel_tables_quote_the_throughput_artifact() {
 fn analyzer_table_quotes_the_analyzer_artifact() {
     let json = repo_file("results/BENCH_analyzer.json");
     let doc = repo_file("EXPERIMENTS.md");
-    let runs: Vec<_> = artifact_objects(&json, "config")
-        .into_iter()
+    let objects = artifact_objects(&json, "config");
+    let runs: Vec<_> = objects
+        .iter()
         .filter(|(_, object)| object.contains("\"mutant\": \"none\""))
+        .collect();
+    let reductions: Vec<_> = objects
+        .iter()
+        .filter(|(_, object)| object.contains("\"raw_states\""))
         .collect();
     let tables = tables(&doc, "## Analyzer sweep");
     assert_eq!(tables.len(), 1, "the section has one analyzer table");
@@ -168,6 +188,10 @@ fn analyzer_table_quotes_the_analyzer_artifact() {
             .iter()
             .find(|(config, _)| *config == name)
             .unwrap_or_else(|| panic!("row {name} has no unmutated artifact run"));
+        let (_, reduction) = reductions
+            .iter()
+            .find(|(config, _)| *config == name)
+            .unwrap_or_else(|| panic!("row {name} has no reduction row"));
         for (heading, key) in quoted {
             let text = row[column(heading)];
             assert_eq!(
@@ -176,5 +200,30 @@ fn analyzer_table_quotes_the_analyzer_artifact() {
                 "EXPERIMENTS.md, {name}, {heading}: {text}"
             );
         }
+        // `150,000 (capped)` reads 150000 raw states, capped.
+        let raw = row[column("raw states")];
+        assert_eq!(
+            digits(raw),
+            field(reduction, "raw_states"),
+            "EXPERIMENTS.md, {name}, raw states: {raw}"
+        );
+        assert_eq!(
+            raw.contains("(capped)"),
+            flag(reduction, "raw_capped"),
+            "EXPERIMENTS.md, {name}, raw states: {raw}"
+        );
+        // `11.99x` reads 1199 hundredths.
+        let factor = row[column("reduction")];
+        assert_eq!(
+            digits(factor),
+            field(reduction, "factor_x100"),
+            "EXPERIMENTS.md, {name}, reduction: {factor}"
+        );
+        let quotient = row[column("quotient")];
+        assert_eq!(
+            quotient.contains("exhaustive"),
+            !flag(object, "hit_limit"),
+            "EXPERIMENTS.md, {name}, quotient: {quotient}"
+        );
     }
 }

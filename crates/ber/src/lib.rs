@@ -23,8 +23,11 @@
 use dvmc_types::Cycle;
 use std::collections::VecDeque;
 
+/// Wire bytes of per-node coordination traffic per checkpoint.
+pub const COORDINATION_BYTES: u32 = 16;
+
 /// SafetyNet configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SafetyNetConfig {
     /// Cycles between checkpoint creations.
     pub checkpoint_interval: u64,
@@ -33,8 +36,6 @@ pub struct SafetyNetConfig {
     pub validation_latency: u64,
     /// Number of checkpoints the log can hold.
     pub max_checkpoints: usize,
-    /// Wire bytes of per-node coordination traffic per checkpoint.
-    pub coordination_bytes: u32,
 }
 
 impl Default for SafetyNetConfig {
@@ -43,7 +44,6 @@ impl Default for SafetyNetConfig {
             checkpoint_interval: 5_000,
             validation_latency: 10_000,
             max_checkpoints: 20,
-            coordination_bytes: 16,
         }
     }
 }
@@ -360,7 +360,6 @@ mod tests {
             checkpoint_interval: 100,
             validation_latency: 150,
             max_checkpoints: 4,
-            coordination_bytes: 16,
         }
     }
 
@@ -545,7 +544,6 @@ mod tests {
             checkpoint_interval: 20_000,
             validation_latency: 10_000,
             max_checkpoints: 150,
-            coordination_bytes: 16,
         };
         let mut sn: SafetyNet<Cycle> = SafetyNet::with_initial(cfg, 0).unwrap();
         for now in 1..=80_000 {
@@ -623,7 +621,6 @@ mod tests {
                 checkpoint_interval,
                 validation_latency,
                 max_checkpoints,
-                coordination_bytes: 16,
             };
             match cfg.validate() {
                 Ok(()) => {

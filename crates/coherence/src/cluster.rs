@@ -3,7 +3,7 @@
 //! cores. The simulator crate layers pipelines, checkers, and workloads on
 //! top; the tests here exercise the protocols directly.
 
-use crate::home::{HomeConfig, HomeCtrl, HomeStats};
+use crate::home::{HomeConfig, HomeCtrl, HomeStats, CET_SCRUB_PERIOD};
 use crate::msg::Msg;
 use crate::node::{CacheNode, NodeConfig, Protocol};
 use crate::probe::home_bound;
@@ -26,11 +26,13 @@ pub struct ClusterConfig {
     /// Torus link bandwidth in bytes/cycle (2.5 GB/s at 2 GHz ≈ 1.25 B/c;
     /// we default to 2 B/c ≈ 4 GB/s-class links scaled to sim cycles).
     pub link_bandwidth: u32,
-    /// Torus per-hop latency in cycles.
-    pub hop_latency: u32,
-    /// Address-tree fan-out latency in cycles (snooping).
+    /// Address-tree fan-out latency in cycles (snooping; 12 in the
+    /// Table 6 baseline).
     pub tree_latency: u32,
 }
+
+/// Torus per-hop latency in cycles, part of the Table 6 baseline.
+const HOP_LATENCY: u32 = 8;
 
 impl ClusterConfig {
     /// The Table 6 baseline for `nodes` nodes.
@@ -49,7 +51,6 @@ impl ClusterConfig {
             node,
             home,
             link_bandwidth: 2,
-            hop_latency: 8,
             tree_latency: 12,
         }
     }
@@ -105,7 +106,6 @@ pub struct Cluster {
     /// and so does mutable access (fault injection), until its next tick.
     wake: Vec<Cycle>,
     now: Cycle,
-    scrub_period: u64,
     checker_bytes: u64,
     ber_bytes: u64,
 }
@@ -122,13 +122,12 @@ impl Cluster {
         Cluster {
             nodes,
             homes,
-            data_net: Torus::new(cfg.nodes, cfg.link_bandwidth, cfg.hop_latency),
+            data_net: Torus::new(cfg.nodes, cfg.link_bandwidth, HOP_LATENCY),
             addr_net: (cfg.protocol == Protocol::Snooping)
                 .then(|| BroadcastTree::new(cfg.nodes, 8, cfg.tree_latency)),
             violations: Vec::new(),
             wake: vec![Cycle::MAX; 2 * cfg.nodes],
             now: 0,
-            scrub_period: 1024,
             checker_bytes: 0,
             ber_bytes: 0,
             cfg,
@@ -277,7 +276,7 @@ impl Cluster {
         // 3. Controllers run. Only the nodes whose cache or home ticked or
         // scrubbed can have output or violations queued, or a new next
         // event.
-        let scrub = now.is_multiple_of(self.scrub_period);
+        let scrub = now.is_multiple_of(CET_SCRUB_PERIOD);
         let mut active = NodeSet::default();
         let mut ran = 0;
         for (i, home) in self.homes.iter_mut().enumerate() {
@@ -384,7 +383,7 @@ impl Cluster {
         let next = networks
             .chain([controllers])
             .flatten()
-            .fold(now.next_multiple_of(self.scrub_period.max(1)), Cycle::min);
+            .fold(now.next_multiple_of(CET_SCRUB_PERIOD), Cycle::min);
         debug_assert_eq!(
             next,
             self.asked_next_event_at(now),
@@ -396,7 +395,7 @@ impl Cluster {
     /// [`next_event_at`](Self::next_event_at) asked of every component
     /// instead of read from `wake`: the reference its cache must match.
     fn asked_next_event_at(&self, now: Cycle) -> Cycle {
-        let mut best = now.next_multiple_of(self.scrub_period.max(1));
+        let mut best = now.next_multiple_of(CET_SCRUB_PERIOD);
         let components = self
             .nodes
             .iter()

@@ -10,9 +10,13 @@ use dvmc_core::violation::{CoherenceViolation, Violation};
 use dvmc_types::{Block, BlockAddr, Cycle, FxMap, FxSet, NodeId, Ts16};
 use std::collections::VecDeque;
 
+/// Cycles between CET stale-timestamp scrubs, which the cluster runs on
+/// every cache at once.
+pub(crate) const CET_SCRUB_PERIOD: Cycle = 1024;
+
 /// Cycles between MET stale-timestamp scrubs; every one falls on a CET
 /// scrub boundary.
-const MET_SCRUB_PERIOD: Cycle = 2048;
+const MET_SCRUB_PERIOD: Cycle = 2 * CET_SCRUB_PERIOD;
 
 /// Home-controller configuration.
 #[derive(Clone, Copy, Debug)]
@@ -247,11 +251,6 @@ impl HomeCtrl {
     /// Home statistics.
     pub fn stats(&self) -> HomeStats {
         self.stats
-    }
-
-    /// The MET checker, if verification is on.
-    pub fn checker(&self) -> Option<&HomeChecker> {
-        self.checker.as_ref()
     }
 
     /// Attaches a bounded event ring to the home checker (observability;

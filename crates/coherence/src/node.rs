@@ -231,11 +231,6 @@ impl CacheNode {
         self.stats
     }
 
-    /// The CET (for tests and cost accounting).
-    pub fn cet(&self) -> &CacheEpochTable {
-        &self.cet
-    }
-
     /// Attaches a bounded event ring to the CET (observability; disabled
     /// by default).
     pub fn enable_obs(&mut self, capacity: usize) {

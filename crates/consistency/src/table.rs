@@ -78,23 +78,6 @@ impl OrderingTable {
                 .any(|&ks| self.entry(kf, ks).holds(first, second))
         })
     }
-
-    /// Whether the row class `first` has a constraint against the concrete
-    /// second operation — used by the Allowable Reordering checker, which
-    /// tracks one `max` counter per *kind* but knows the performing
-    /// operation's full class.
-    pub fn requires_kind_before(&self, first: OpKind, second: OpClass) -> bool {
-        second
-            .kinds()
-            .iter()
-            .any(|&ks| match self.entry(first, ks) {
-                Requirement::Never => false,
-                Requirement::Always => true,
-                // The row is a bare kind; only the second op can supply a mask.
-                Requirement::MaskOfFirst(_) => false,
-                Requirement::MaskOfSecond(m) => second.membar_mask().intersects(m),
-            })
-    }
 }
 
 impl fmt::Display for OrderingTable {
@@ -327,32 +310,6 @@ mod tests {
                 t.requires(other, OpClass::Stbar),
                 t.requires(other, OpClass::Membar(M::SS))
             );
-        }
-    }
-
-    #[test]
-    fn requires_kind_before_matches_requires_for_plain_ops() {
-        for model in Model::ALL {
-            let t = model.table();
-            for (kind, class) in [
-                (OpKind::Load, OpClass::Load),
-                (OpKind::Store, OpClass::Store),
-            ] {
-                for second in [
-                    OpClass::Load,
-                    OpClass::Store,
-                    OpClass::Atomic,
-                    OpClass::Stbar,
-                    OpClass::Membar(M::ALL),
-                    OpClass::Membar(M::SL),
-                ] {
-                    assert_eq!(
-                        t.requires_kind_before(kind, second),
-                        t.requires(class, second),
-                        "{model}: {kind} vs {second}"
-                    );
-                }
-            }
         }
     }
 

@@ -29,7 +29,6 @@ pub struct MetEntry {
 pub struct MemoryEpochTable {
     node: NodeId,
     entries: FxMap<BlockAddr, MetEntry>,
-    processed: u64,
 }
 
 impl MemoryEpochTable {
@@ -38,7 +37,6 @@ impl MemoryEpochTable {
         MemoryEpochTable {
             node,
             entries: FxMap::default(),
-            processed: 0,
         }
     }
 
@@ -64,7 +62,6 @@ impl MemoryEpochTable {
     /// Returns the violation detected, if any. State is still updated on a
     /// data-propagation violation so detection can continue past it.
     pub fn process(&mut self, msg: &EpochMessage) -> Result<(), Violation> {
-        self.processed += 1;
         match msg {
             EpochMessage::Inform(ie) => self.process_inform(ie),
             EpochMessage::Open(oe) => self.process_open(oe),
@@ -250,11 +247,6 @@ impl MemoryEpochTable {
     /// Whether no blocks are tracked.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Messages processed so far (throughput accounting).
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 
     /// The home node this MET belongs to.

@@ -181,11 +181,6 @@ impl HomeChecker {
         self.met.process(msg)
     }
 
-    /// The underlying MET.
-    pub fn met(&self) -> &MemoryEpochTable {
-        &self.met
-    }
-
     /// Mutable access to the MET (for `ensure_entry` at request time).
     pub fn met_mut(&mut self) -> &mut MemoryEpochTable {
         &mut self.met

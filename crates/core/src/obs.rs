@@ -350,12 +350,6 @@ impl ObsRing {
         self.metrics
     }
 
-    /// Snapshots up to the last `n` events, oldest first.
-    pub fn tail(&self, n: usize) -> Vec<TimedEvent> {
-        let skip = self.buf.len().saturating_sub(n);
-        self.buf.iter().skip(skip).copied().collect()
-    }
-
     /// Records one event at the ring's current cycle.
     pub fn record(&mut self, event: CheckerEvent) {
         let m = &mut self.metrics;
@@ -429,10 +423,8 @@ mod tests {
         assert_eq!(ring.events().count(), 4, "ring retains only the capacity");
         assert_eq!(ring.metrics().replay_vc_hits, 10, "counters stay exact");
         assert_eq!(ring.metrics().events, 10);
-        let tail = ring.tail(2);
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail[1].cycle, 9, "newest event last");
-        assert_eq!(tail[0].cycle, 8);
+        let cycles: Vec<Cycle> = ring.events().map(|e| e.cycle).collect();
+        assert_eq!(cycles, [6, 7, 8, 9], "the newest events, oldest first");
     }
 
     #[test]

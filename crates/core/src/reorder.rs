@@ -80,7 +80,6 @@ pub struct ReorderChecker {
     outstanding: [BTreeSet<SeqNum>; N_KINDS],
     /// Performed-before-commit operations (RMO loads), per counter class.
     early_performed: [BTreeSet<SeqNum>; N_KINDS],
-    checks: u64,
     obs: Option<ObsRing>,
 }
 
@@ -131,7 +130,6 @@ impl ReorderChecker {
         class: OpClass,
         model: Model,
     ) -> Result<(), Violation> {
-        self.checks += 1;
         self.check_ordering(seq, class, model)?;
         if class.is_barrier() {
             self.check_lost_ops(seq, class, model)?;
@@ -172,11 +170,6 @@ impl ReorderChecker {
     /// The number of committed-but-unperformed operations of `kind`.
     pub fn outstanding(&self, kind: OpKind) -> usize {
         self.outstanding[kind.index()].len()
-    }
-
-    /// Total perform-time checks executed (for the cost/throughput benches).
-    pub fn checks_performed(&self) -> u64 {
-        self.checks
     }
 
     /// `seqX > max{OPy}` for all `OPy` with a constraint `OPx < OPy`.
@@ -672,6 +665,5 @@ mod tests {
         chk.op_performed(SeqNum(1), OpClass::Store, Model::Pso)
             .unwrap();
         assert_eq!(chk.outstanding(OpKind::Store), 1);
-        assert_eq!(chk.checks_performed(), 1);
     }
 }

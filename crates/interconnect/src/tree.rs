@@ -15,7 +15,6 @@ use std::collections::VecDeque;
 struct Pending<T> {
     payload: T,
     bytes: u32,
-    src: NodeId,
 }
 
 #[derive(Clone, Debug)]
@@ -62,8 +61,6 @@ pub struct BroadcastTree<T> {
     root_free_at: Cycle,
     next_order: u64,
     total_bytes: u64,
-    drop_next: bool,
-    drops_applied: u64,
 }
 
 impl<T> BroadcastTree<T> {
@@ -85,8 +82,6 @@ impl<T> BroadcastTree<T> {
             root_free_at: 0,
             next_order: 0,
             total_bytes: 0,
-            drop_next: false,
-            drops_applied: 0,
         }
     }
 
@@ -104,29 +99,11 @@ impl<T> BroadcastTree<T> {
         (std::mem::size_of::<Self>() + queued * (std::mem::size_of::<T>() + 24)) as u64
     }
 
-    /// Injects a request for ordered broadcast.
-    pub fn send(&mut self, src: NodeId, payload: T, bytes: u32, _now: Cycle) {
-        if self.drop_next {
-            self.drop_next = false;
-            self.drops_applied += 1;
-            return;
-        }
-        self.pending.push_back(Pending {
-            payload,
-            bytes,
-            src,
-        });
-    }
-
-    /// Arms a one-shot drop of the next injected request (fault model for
-    /// the ordered network, where mis-routing is not meaningful).
-    pub fn arm_drop(&mut self) {
-        self.drop_next = true;
-    }
-
-    /// Drops applied so far.
-    pub fn drops_applied(&self) -> u64 {
-        self.drops_applied
+    /// Injects a request for ordered broadcast. Neither `src` nor `now`
+    /// is read: the root arbitrates pending requests in arrival order at
+    /// its next tick, whatever their source.
+    pub fn send(&mut self, _src: NodeId, payload: T, bytes: u32, _now: Cycle) {
+        self.pending.push_back(Pending { payload, bytes });
     }
 
     /// Total bytes serialized through the root.
@@ -180,7 +157,6 @@ impl<T: Clone> BroadcastTree<T> {
             }
             let serialization = (front.bytes as u64).div_ceil(self.root_bandwidth as u64);
             let p = self.pending.pop_front().expect("front exists");
-            let _ = p.src;
             self.root_free_at = start + serialization;
             self.total_bytes += p.bytes as u64;
             let deliver_at = start + serialization + self.fanout_latency as u64;
@@ -290,16 +266,5 @@ mod tests {
         assert_eq!(orders, (0..10).collect::<Vec<_>>());
         assert_eq!(tree.total_bytes(), 80);
         assert!(tree.is_quiescent());
-    }
-
-    #[test]
-    fn armed_drop_discards_one_request() {
-        let mut tree: BroadcastTree<u32> = BroadcastTree::new(2, 8, 0);
-        tree.arm_drop();
-        tree.send(NodeId(0), 1, 8, 0);
-        tree.send(NodeId(0), 2, 8, 0);
-        let got = drain(&mut tree, NodeId(1), 10);
-        assert_eq!(got, vec![(0, 2)]);
-        assert_eq!(tree.drops_applied(), 1);
     }
 }

@@ -25,28 +25,29 @@ use dvmc_core::{ReorderChecker, ReplayLookup, UniprocChecker, UniprocCheckerConf
 use dvmc_types::{BlockAddr, Cycle, FxMap, SeqNum, WordAddr};
 use std::collections::VecDeque;
 
-/// Core configuration (Table 7 defaults).
+/// Decode, commit and retire width (Table 7).
+const WIDTH: u32 = 4;
+/// Reorder-buffer entries (Table 7).
+const ROB_SIZE: usize = 64;
+/// Write-buffer entries (Table 7).
+const WB_SIZE: usize = 32;
+/// Maximum outstanding write-buffer drains under the non-TSO models
+/// (Table 7).
+const MAX_DRAINS: u32 = 4;
+
+/// Core configuration (Table 7 defaults). The widths and buffer sizes no
+/// run changes are the constants above.
 #[derive(Clone, Copy, Debug)]
 pub struct CoreConfig {
     /// Consistency model the core runs.
     pub model: Model,
-    /// Decode/commit width.
-    pub width: u32,
-    /// Reorder buffer capacity.
-    pub rob_size: usize,
-    /// Write buffer capacity (entries).
-    pub wb_size: usize,
     /// Maximum outstanding demand loads.
     pub max_loads: u32,
-    /// Maximum outstanding write-buffer drains (non-TSO models).
-    pub max_drains: u32,
     /// Whether the Uniprocessor Ordering + Allowable Reordering checkers
     /// (and the verification pipeline stage) are active.
     pub dvmc: bool,
     /// Verification-stage depth in cycles (added pipeline stage, §4.1).
     pub verify_latency: u32,
-    /// Operations entering verification per cycle.
-    pub verify_width: u32,
     /// Verification cache capacity in words (32–256 bytes, §6.3).
     pub vc_words: usize,
     /// Cycles between artificial membar injections (≈100k, §4.2).
@@ -62,14 +63,9 @@ impl Default for CoreConfig {
     fn default() -> Self {
         CoreConfig {
             model: Model::Tso,
-            width: 4,
-            rob_size: 64,
-            wb_size: 32,
             max_loads: 4,
-            max_drains: 4,
             dvmc: true,
             verify_latency: 2,
-            verify_width: 4,
             vc_words: 32,
             membar_injection_period: 100_000,
             prefetch: true,
@@ -452,7 +448,7 @@ impl Core {
             .front()
             .filter(|e| e.committed && e.vstate == VState::Done)
             .map(|e| e.verify_done_at);
-        let room = self.rob.len() < self.cfg.rob_size;
+        let room = self.rob.len() < ROB_SIZE;
         if room && !self.stream_done && self.awaiting.is_none() {
             next = earliest(next, now.saturating_add(u64::from(self.decode_delay)));
         }
@@ -688,8 +684,8 @@ impl Core {
             self.decode_delay -= 1;
             return;
         }
-        for _ in 0..self.cfg.width {
-            if self.stream_done || self.awaiting.is_some() || self.rob.len() >= self.cfg.rob_size {
+        for _ in 0..WIDTH {
+            if self.stream_done || self.awaiting.is_some() || self.rob.len() >= ROB_SIZE {
                 break;
             }
             self.wake();
@@ -774,7 +770,7 @@ impl Core {
         if !self.cfg.dvmc
             || self.cfg.membar_injection_period == 0
             || self.now - self.last_injection < self.cfg.membar_injection_period
-            || self.rob.len() >= self.cfg.rob_size
+            || self.rob.len() >= ROB_SIZE
             || self.is_done()
         {
             return;
@@ -922,7 +918,7 @@ impl Core {
     // ----- commit --------------------------------------------------------
 
     fn commit(&mut self) {
-        for _ in 0..self.cfg.width {
+        for _ in 0..WIDTH {
             let idx = self.rob.iter().position(|e| !e.committed);
             let Some(idx) = idx else { break };
             let (class, state) = (self.rob[idx].class, self.rob[idx].state);
@@ -1070,7 +1066,7 @@ impl Core {
                 _ => store_value,
             };
             self.recent_values.push_back((seq, committed_value));
-            if self.recent_values.len() > 2 * self.cfg.rob_size {
+            if self.recent_values.len() > 2 * ROB_SIZE {
                 self.recent_values.pop_front();
             }
             if self.cfg.record_commits {
@@ -1092,16 +1088,15 @@ impl Core {
     // ----- retire --------------------------------------------------------
 
     fn retire(&mut self) {
-        for _ in 0..self.cfg.width {
-            let (seq, class, addr, store_value, performed) = match self.rob.front() {
+        for _ in 0..WIDTH {
+            let (seq, class, addr, store_value) = match self.rob.front() {
                 Some(e)
                     if e.committed && e.vstate == VState::Done && e.verify_done_at <= self.now =>
                 {
-                    (e.seq, e.class, e.addr, e.store_value, e.performed)
+                    (e.seq, e.class, e.addr, e.store_value)
                 }
                 _ => break,
             };
-            let _ = performed;
             match class {
                 OpClass::Load => {
                     self.stats.loads += 1;
@@ -1110,7 +1105,7 @@ impl Core {
                     if self.cfg.model == Model::Sc {
                         // Already performed during its commit stall.
                     } else {
-                        if self.wb.len() >= self.cfg.wb_size {
+                        if self.wb.len() >= WB_SIZE {
                             // A stall counts as progress: it bumps a
                             // statistic.
                             self.stats.wb_full_stalls += 1;
@@ -1179,7 +1174,7 @@ impl Core {
             // PSO/RMO: multiple outstanding drains, oldest-first issue,
             // same-word entries drain in order (uniprocessor ordering).
             for i in 0..self.wb.len() {
-                if self.outstanding_drains >= self.cfg.max_drains {
+                if self.outstanding_drains >= MAX_DRAINS {
                     break;
                 }
                 if self.wb[i].issued {

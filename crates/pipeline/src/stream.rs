@@ -156,23 +156,12 @@ impl Clone for Box<dyn InstrStream + Send> {
 pub struct ScriptedStream {
     instrs: Vec<Instr>,
     pos: usize,
-    values: Vec<(SeqNum, u64)>,
 }
 
 impl ScriptedStream {
     /// Creates a stream that plays `instrs` once.
     pub fn new(instrs: Vec<Instr>) -> Self {
-        ScriptedStream {
-            instrs,
-            pos: 0,
-            values: Vec::new(),
-        }
-    }
-
-    /// The committed values delivered so far (none unless the script is
-    /// wrapped by an awaiting adapter; kept for test introspection).
-    pub fn delivered(&self) -> &[(SeqNum, u64)] {
-        &self.values
+        ScriptedStream { instrs, pos: 0 }
     }
 }
 
@@ -187,9 +176,8 @@ impl InstrStream for ScriptedStream {
         }
     }
 
-    fn deliver(&mut self, seq: SeqNum, value: u64) {
-        self.values.push((seq, value));
-    }
+    /// A script never awaits a value, so nothing is ever delivered.
+    fn deliver(&mut self, _seq: SeqNum, _value: u64) {}
 
     fn transactions(&self) -> u64 {
         if self.pos == self.instrs.len() {

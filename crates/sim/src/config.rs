@@ -173,8 +173,10 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Full-system configuration.
-#[derive(Clone, Debug)]
+/// Full-system configuration: every run setting, in one place.
+/// [`SystemBuilder`] edits one and validates it; the hardware parameters
+/// no run changes are constants beside the components they size.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SystemConfig {
     /// Number of nodes (processors).
     pub nodes: usize,
@@ -220,6 +222,38 @@ pub struct SystemConfig {
     pub obs_capacity: usize,
     /// How the simulation loop advances time.
     pub kernel: KernelMode,
+}
+
+impl Default for SystemConfig {
+    /// The paper's machine: Table 6's 8-node directory system running TSO
+    /// under full DVMC with BER, 32 Oltp transactions per thread.
+    fn default() -> Self {
+        SystemConfig {
+            nodes: 8,
+            protocol: Protocol::Directory,
+            model: Model::Tso,
+            protection: Protection::FULL,
+            link_bandwidth: 2,
+            workload: WorkloadParams {
+                kind: WorkloadKind::Oltp,
+                threads: 8,
+                transactions_per_thread: 32,
+                seed: 1,
+                perturbation: 1,
+                model: Model::Tso,
+            },
+            faults: Vec::new(),
+            ber: SafetyNetConfig::default(),
+            recovery: None,
+            watchdog_cycles: 200_000,
+            vc_words: 32,
+            membar_injection_period: 100_000,
+            sorter_capacity: 256,
+            record_commits: false,
+            obs_capacity: 0,
+            kernel: KernelMode::default(),
+        }
+    }
 }
 
 impl SystemConfig {
@@ -272,7 +306,8 @@ impl SystemConfig {
     }
 }
 
-/// Builder for a [`crate::System`].
+/// Builder for a [`crate::System`]: a [`SystemConfig`], starting from
+/// the paper's machine ([`SystemConfig::default`]), that its setters edit.
 ///
 /// # Examples
 ///
@@ -285,7 +320,6 @@ impl SystemConfig {
 ///     .nodes(2)
 ///     .protocol(Protocol::Directory)
 ///     .model(Model::Tso)
-///     .dvmc(true)
 ///     .workload(WorkloadKind::Jbb, 4)
 ///     .seed(1)
 ///     .build();
@@ -293,55 +327,12 @@ impl SystemConfig {
 /// assert!(report.completed);
 /// assert!(report.violations.is_empty());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SystemBuilder {
-    nodes: usize,
-    protocol: Protocol,
-    model: Model,
-    protection: Protection,
-    link_bandwidth: u32,
-    kind: WorkloadKind,
-    transactions_per_thread: u64,
-    seed: u64,
-    perturbation: u64,
+    cfg: SystemConfig,
+    /// §6.1's single fault, kept apart from the storm in `cfg.faults` so
+    /// that it goes first whichever setter ran last.
     fault: Option<FaultPlan>,
-    storm: Vec<FaultPlan>,
-    ber: SafetyNetConfig,
-    recovery: Option<RecoveryPolicy>,
-    watchdog_cycles: u64,
-    vc_words: usize,
-    membar_injection_period: u64,
-    sorter_capacity: usize,
-    record_commits: bool,
-    obs_capacity: usize,
-    kernel: KernelMode,
-}
-
-impl Default for SystemBuilder {
-    fn default() -> Self {
-        SystemBuilder {
-            nodes: 8,
-            protocol: Protocol::Directory,
-            model: Model::Tso,
-            protection: Protection::FULL,
-            link_bandwidth: 2,
-            kind: WorkloadKind::Oltp,
-            transactions_per_thread: 32,
-            seed: 1,
-            perturbation: 1,
-            fault: None,
-            storm: Vec::new(),
-            ber: SafetyNetConfig::default(),
-            recovery: None,
-            watchdog_cycles: 200_000,
-            vc_words: 32,
-            membar_injection_period: 100_000,
-            sorter_capacity: 256,
-            record_commits: false,
-            obs_capacity: 0,
-            kernel: KernelMode::default(),
-        }
-    }
 }
 
 impl SystemBuilder {
@@ -352,63 +343,53 @@ impl SystemBuilder {
 
     /// Sets the node count (Figure 9 sweeps 1–8).
     pub fn nodes(mut self, n: usize) -> Self {
-        self.nodes = n;
+        self.cfg.nodes = n;
         self
     }
 
     /// Sets the coherence protocol.
     pub fn protocol(mut self, p: Protocol) -> Self {
-        self.protocol = p;
+        self.cfg.protocol = p;
         self
     }
 
     /// Sets the consistency model.
     pub fn model(mut self, m: Model) -> Self {
-        self.model = m;
+        self.cfg.model = m;
         self
     }
 
-    /// Enables/disables all of DVMC + BER at once (common case).
-    pub fn dvmc(mut self, on: bool) -> Self {
-        self.protection = if on {
-            Protection::FULL
-        } else {
-            Protection::BASE
-        };
-        self
-    }
-
-    /// Fine-grained protection selection (Figure 5 components).
+    /// Selects the protection mechanisms (Figure 5 components).
     pub fn protection(mut self, p: Protection) -> Self {
-        self.protection = p;
+        self.cfg.protection = p;
         self
     }
 
     /// Sets the torus link bandwidth in bytes/cycle (Figure 8).
     pub fn link_bandwidth(mut self, b: u32) -> Self {
-        self.link_bandwidth = b;
+        self.cfg.link_bandwidth = b;
         self
     }
 
     /// Selects the workload and per-thread transaction count.
     pub fn workload(mut self, kind: WorkloadKind, transactions_per_thread: u64) -> Self {
-        self.kind = kind;
-        self.transactions_per_thread = transactions_per_thread;
+        self.cfg.workload.kind = kind;
+        self.cfg.workload.transactions_per_thread = transactions_per_thread;
         self
     }
 
     /// Sets the base seed (program structure and, unless overridden with
     /// [`perturbation`](Self::perturbation), the timing jitter).
     pub fn seed(mut self, s: u64) -> Self {
-        self.seed = s;
-        self.perturbation = s;
+        self.cfg.workload.seed = s;
+        self.cfg.workload.perturbation = s;
         self
     }
 
     /// Sets the timing-perturbation seed independently of the program
     /// seed (§5 methodology).
     pub fn perturbation(mut self, p: u64) -> Self {
-        self.perturbation = p;
+        self.cfg.workload.perturbation = p;
         self
     }
 
@@ -422,14 +403,14 @@ impl SystemBuilder {
     /// in schedule order, in addition to any single
     /// [`fault`](Self::fault).
     pub fn storm(mut self, plans: Vec<FaultPlan>) -> Self {
-        self.storm = plans;
+        self.cfg.faults = plans;
         self
     }
 
     /// Overrides the SafetyNet parameters (checkpoint cadence, validation
     /// latency, log depth).
     pub fn ber_config(mut self, cfg: SafetyNetConfig) -> Self {
-        self.ber = cfg;
+        self.cfg.ber = cfg;
         self
     }
 
@@ -437,37 +418,37 @@ impl SystemBuilder {
     /// the system rolls back to the newest validated pre-error checkpoint
     /// and replays, escalating per `policy`. Requires BER protection.
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = Some(policy);
+        self.cfg.recovery = Some(policy);
         self
     }
 
     /// Overrides the hang watchdog threshold.
     pub fn watchdog(mut self, cycles: u64) -> Self {
-        self.watchdog_cycles = cycles;
+        self.cfg.watchdog_cycles = cycles;
         self
     }
 
     /// Overrides the verification-cache capacity in words (ablations).
     pub fn vc_words(mut self, words: usize) -> Self {
-        self.vc_words = words;
+        self.cfg.vc_words = words;
         self
     }
 
     /// Overrides the artificial-membar injection period (ablations).
     pub fn membar_injection_period(mut self, period: u64) -> Self {
-        self.membar_injection_period = period;
+        self.cfg.membar_injection_period = period;
         self
     }
 
     /// Overrides the epoch-sorter capacity (ablations).
     pub fn sorter_capacity(mut self, capacity: usize) -> Self {
-        self.sorter_capacity = capacity;
+        self.cfg.sorter_capacity = capacity;
         self
     }
 
     /// Records every committed operation per core (litmus harness).
     pub fn record_commits(mut self, on: bool) -> Self {
-        self.record_commits = on;
+        self.cfg.record_commits = on;
         self
     }
 
@@ -475,14 +456,14 @@ impl SystemBuilder {
     /// (structured tracing, per-checker metrics, and violation forensics);
     /// `0` (the default) keeps observability disabled.
     pub fn obs(mut self, capacity: usize) -> Self {
-        self.obs_capacity = capacity;
+        self.cfg.obs_capacity = capacity;
         self
     }
 
     /// Selects how the simulation loop advances time (the event-scheduled
     /// kernel is the default; `Legacy` is the every-cycle reference).
     pub fn kernel(mut self, mode: KernelMode) -> Self {
-        self.kernel = mode;
+        self.cfg.kernel = mode;
         self
     }
 
@@ -494,34 +475,16 @@ impl SystemBuilder {
 
     /// The validated [`SystemConfig`] this builder describes, without
     /// building the system — campaign sweeps expand specs into configs
-    /// first and construct systems later, on worker threads.
+    /// first and construct systems later, on worker threads. The single
+    /// fault goes ahead of the storm, so it keeps its place on ties, and
+    /// the workload runs one thread per node under the machine's model.
     pub fn into_config(self) -> Result<SystemConfig, ConfigError> {
-        let cfg = SystemConfig {
-            nodes: self.nodes,
-            protocol: self.protocol,
-            model: self.model,
-            protection: self.protection,
-            link_bandwidth: self.link_bandwidth,
-            workload: WorkloadParams {
-                kind: self.kind,
-                threads: self.nodes,
-                transactions_per_thread: self.transactions_per_thread,
-                seed: self.seed,
-                perturbation: self.perturbation,
-                model: self.model,
-            },
-            // The single fault first, so it keeps its place on ties.
-            faults: self.fault.into_iter().chain(self.storm).collect(),
-            ber: self.ber,
-            recovery: self.recovery,
-            watchdog_cycles: self.watchdog_cycles,
-            vc_words: self.vc_words,
-            membar_injection_period: self.membar_injection_period,
-            sorter_capacity: self.sorter_capacity,
-            record_commits: self.record_commits,
-            obs_capacity: self.obs_capacity,
-            kernel: self.kernel,
-        };
+        let mut cfg = self.cfg;
+        if let Some(fault) = self.fault {
+            cfg.faults.insert(0, fault);
+        }
+        cfg.workload.threads = cfg.nodes;
+        cfg.workload.model = cfg.model;
         cfg.validate()?;
         Ok(cfg)
     }
@@ -548,6 +511,8 @@ impl SystemBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvmc_faults::Fault;
+    use dvmc_types::NodeId;
 
     #[test]
     fn protection_labels() {
@@ -556,6 +521,84 @@ mod tests {
         assert_eq!(Protection::SN_DVCC.label(), "SN+DVCC");
         assert_eq!(Protection::SN_DVUO.label(), "SN+DVUO");
         assert_eq!(Protection::FULL.label(), "DVMC");
+    }
+
+    /// A builder with no setters builds the paper's machine, and every
+    /// setter reaches the configuration it builds: each value below
+    /// differs from its default, and the expected configuration names
+    /// every field, so a new setting needs a line here.
+    #[test]
+    fn builder_round_trips_every_setting() {
+        assert_eq!(
+            SystemBuilder::new().into_config(),
+            Ok(SystemConfig::default())
+        );
+        let fault = FaultPlan {
+            at_cycle: 7,
+            fault: Fault::CacheBitFlip { node: NodeId(1) },
+        };
+        let storm = FaultPlan {
+            at_cycle: 7,
+            fault: Fault::DropMessage,
+        };
+        let ber = SafetyNetConfig {
+            checkpoint_interval: 7_000,
+            validation_latency: 9_000,
+            max_checkpoints: 30,
+        };
+        let recovery = RecoveryPolicy {
+            max_retries: 5,
+            backoff_factor: 3,
+        };
+        let built = SystemBuilder::new()
+            .nodes(3)
+            .protocol(Protocol::Snooping)
+            .model(Model::Pso)
+            .protection(Protection::SN_DVCC)
+            .link_bandwidth(5)
+            .workload(WorkloadKind::Jbb, 9)
+            .seed(11)
+            .perturbation(13)
+            .fault(fault)
+            .storm(vec![storm])
+            .ber_config(ber)
+            .recovery(recovery)
+            .watchdog(17)
+            .vc_words(19)
+            .membar_injection_period(23)
+            .sorter_capacity(29)
+            .record_commits(true)
+            .obs(31)
+            .kernel(KernelMode::Legacy)
+            .checkpoint_mode(CheckpointMode::Snapshot)
+            .into_config();
+        let expected = SystemConfig {
+            nodes: 3,
+            protocol: Protocol::Snooping,
+            model: Model::Pso,
+            protection: Protection::SN_DVCC,
+            link_bandwidth: 5,
+            workload: WorkloadParams {
+                kind: WorkloadKind::Jbb,
+                threads: 3,
+                transactions_per_thread: 9,
+                seed: 11,
+                perturbation: 13,
+                model: Model::Pso,
+            },
+            // The single fault goes first although the storm was set last.
+            faults: vec![fault, storm],
+            ber,
+            recovery: Some(recovery),
+            watchdog_cycles: 17,
+            vc_words: 19,
+            membar_injection_period: 23,
+            sorter_capacity: 29,
+            record_commits: true,
+            obs_capacity: 31,
+            kernel: KernelMode::Legacy,
+        };
+        assert_eq!(built, Ok(expected));
     }
 
     #[test]

@@ -87,11 +87,6 @@ pub struct EpisodeReport {
 }
 
 impl EpisodeReport {
-    /// How many faults overlapped in this episode.
-    pub fn overlap(&self) -> usize {
-        self.faults.len()
-    }
-
     /// Injection-to-detection latency, when detected.
     pub fn detection_latency(&self) -> Option<Cycle> {
         self.detected_at.map(|d| d.saturating_sub(self.injected_at))
@@ -425,7 +420,6 @@ mod tests {
             detected_sim: Some(4_000),
             recovered_sim: Some(16_000),
         };
-        assert_eq!(e.overlap(), 2);
         assert_eq!(e.detection_latency(), Some(3_000));
         assert_eq!(e.recovery_latency(), Some(12_000), "replayed cycles count");
         let masked = EpisodeReport {

@@ -6,7 +6,7 @@ use crate::report::{
     percentile, CheckpointStats, Detection, EpisodeReport, KernelWakes, RecoveryOutcome,
     RecoveryReport, RunReport, ServiceReport, ServiceStop, WindowSnapshot,
 };
-use dvmc_ber::SafetyNet;
+use dvmc_ber::{SafetyNet, COORDINATION_BYTES};
 use dvmc_coherence::{Cluster, Protocol};
 use dvmc_consistency::Model;
 use dvmc_core::{
@@ -309,12 +309,11 @@ impl System {
         // checkpoint includes them and a restored run resumes exactly
         // after the checkpoint.
         if let Some(mut ber) = self.ber.take() {
-            let bytes = ber.config().coordination_bytes;
             let nodes = self.cfg.nodes;
             let created = ber.tick_with(now, || {
                 for i in 1..nodes {
-                    self.cluster.send_ber(nid(i), NodeId(0), bytes);
-                    self.cluster.send_ber(NodeId(0), nid(i), bytes);
+                    self.cluster.send_ber(nid(i), NodeId(0), COORDINATION_BYTES);
+                    self.cluster.send_ber(NodeId(0), nid(i), COORDINATION_BYTES);
                 }
                 self.checkpoint_payload()
             });

@@ -7,7 +7,7 @@
 //! perturbations; [`perturbation_seed`] derives the per-run seeds.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// The deterministic RNG used throughout the workspace.
 pub type DetRng = SmallRng;
@@ -44,16 +44,6 @@ pub fn perturbation_seed(seed: u64, run: u32) -> u64 {
 /// change any cell's seed.
 pub fn campaign_cell_seed(base: u64, cell: u64, trial: u32) -> u64 {
     derive_seed(derive_seed(base, 0xCA_4B ^ cell), trial as u64)
-}
-
-/// Draws a small perturbation delay (0..=max) used to jitter workload timing
-/// between runs of the same configuration.
-pub fn perturbation_delay(rng: &mut DetRng, max: u32) -> u32 {
-    if max == 0 {
-        0
-    } else {
-        rng.gen_range(0..=max)
-    }
 }
 
 #[cfg(test)]
@@ -100,14 +90,5 @@ mod tests {
         // Pure function of (base, cell, trial).
         assert_eq!(campaign_cell_seed(7, 3, 1), campaign_cell_seed(7, 3, 1));
         assert_ne!(campaign_cell_seed(7, 3, 1), campaign_cell_seed(8, 3, 1));
-    }
-
-    #[test]
-    fn perturbation_delay_bounds() {
-        let mut rng = det_rng(3);
-        assert_eq!(perturbation_delay(&mut rng, 0), 0);
-        for _ in 0..100 {
-            assert!(perturbation_delay(&mut rng, 5) <= 5);
-        }
     }
 }

@@ -218,7 +218,7 @@ impl Profile {
 }
 
 /// Parameters for a workload instance.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct WorkloadParams {
     /// Which benchmark.
     pub kind: WorkloadKind,

@@ -15,7 +15,6 @@ fn main() {
         .nodes(8)
         .protocol(Protocol::Directory)
         .model(Model::Tso)
-        .dvmc(true)
         .workload(WorkloadKind::Oltp, 32)
         .seed(7)
         .build();

@@ -29,7 +29,6 @@
 //!     .nodes(4)
 //!     .protocol(Protocol::Directory)
 //!     .model(Model::Tso)
-//!     .dvmc(true)
 //!     .workload(WorkloadKind::Oltp, 64)
 //!     .seed(7)
 //!     .build();

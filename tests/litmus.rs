@@ -31,7 +31,6 @@ fn run_one(test: LitmusTest, model: Model, protocol: Protocol, seed: u64) -> boo
         .nodes(test.threads())
         .model(model)
         .protocol(protocol)
-        .dvmc(true)
         .workload(WorkloadKind::Litmus(test), 1)
         .seed(seed)
         .record_commits(true)
@@ -135,7 +134,6 @@ fn litmus_conformance_survives_recovery() {
                         .nodes(test.threads())
                         .model(model)
                         .protocol(protocol)
-                        .dvmc(true)
                         .workload(WorkloadKind::Litmus(test), 1)
                         .seed(seed)
                         .record_commits(true)
