@@ -676,7 +676,7 @@ impl State {
                     self.addr_queues[i].push_back(r);
                     moved = true;
                 }
-                while let Some(resp) = self.caches[i].pop_resp() {
+                while let Some(resp) = self.caches[i].pop_resp(self.now) {
                     moved = true;
                     let Some(p) = self.pending[i].take() else {
                         return Err(Defect::Unhandled {
@@ -958,7 +958,7 @@ impl State {
                 self.next_id += 1;
                 self.budget[*node] -= 1;
                 self.pending[*node] = Some(Pending::Read { id, word: *word });
-                self.caches[*node].submit(ProcReq::Read { id, addr: *word });
+                self.caches[*node].submit(ProcReq::Read { id, addr: *word }, self.now);
             }
             Action::SubmitWrite { node, word, .. } => {
                 let id = self.next_id;
@@ -971,11 +971,14 @@ impl State {
                     word: *word,
                     value,
                 });
-                self.caches[*node].submit(ProcReq::Write {
-                    id,
-                    addr: *word,
-                    value,
-                });
+                self.caches[*node].submit(
+                    ProcReq::Write {
+                        id,
+                        addr: *word,
+                        value,
+                    },
+                    self.now,
+                );
             }
             Action::Deliver { pool_idx, .. } => {
                 let o = self.pool.swap_remove(*pool_idx);

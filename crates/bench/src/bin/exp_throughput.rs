@@ -23,7 +23,7 @@
 //! scheduler decisions that chose them, by the first source that pinned
 //! the chosen cycle (`System::kernel_wakes`; all zero under legacy). The
 //! table also prints how many cache and home controller ticks ran, and
-//! how many the event kernel only stamped because nothing was due
+//! how many the event kernel left idle because nothing was due
 //! (`System::controller_ticks`); those counts stay out of the artifact.
 //!
 //! Within each traffic arm, both modes must report identical machine
@@ -271,15 +271,12 @@ fn main() {
                 .chain([(got.executed - got.wakes.total()).to_string()])
                 .collect(),
         );
-        let (ran, stamped) = got.controller_ticks;
+        let (ran, idle) = got.controller_ticks;
         controller_rows.push(vec![
             cell.spec.tag.clone(),
             ran.to_string(),
-            stamped.to_string(),
-            format!(
-                "{:.1}%",
-                100.0 * stamped as f64 / (ran + stamped).max(1) as f64
-            ),
+            idle.to_string(),
+            format!("{:.1}%", 100.0 * idle as f64 / (ran + idle).max(1) as f64),
         ]);
         if !cells_json.is_empty() {
             cells_json.push(',');
@@ -336,9 +333,9 @@ fn main() {
         &wake_rows,
     );
     print_table(
-        "controller ticks (cache and home controllers that ticked, and those only stamped \
+        "controller ticks (cache and home controllers that ticked, and those left idle \
          because nothing was due)",
-        &["cell", "ran", "stamped", "stamped share"],
+        &["cell", "ran", "idle", "idle share"],
         &controller_rows,
     );
 

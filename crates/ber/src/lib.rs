@@ -142,28 +142,7 @@ pub struct SafetyNet<S = ()> {
     cfg: SafetyNetConfig,
     checkpoints: VecDeque<Checkpoint<S>>,
     last_checkpoint: Cycle,
-    taken: u64,
     reclaimed: u64,
-    rollbacks: u64,
-}
-
-impl SafetyNet<()> {
-    /// Creates the pure timing model with an initial checkpoint at time 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`SafetyNetConfig::validate`];
-    /// use [`SafetyNet::with_initial`] to handle the error instead.
-    pub fn new(cfg: SafetyNetConfig) -> Self {
-        SafetyNet::with_initial(cfg, ())
-            .unwrap_or_else(|e| panic!("invalid SafetyNet configuration: {e}"))
-    }
-
-    /// Advances to `now`; returns how many checkpoints were created
-    /// (under monotone per-cycle ticking: 0 or 1).
-    pub fn tick(&mut self, now: Cycle) -> usize {
-        self.tick_with(now, || ())
-    }
 }
 
 impl<S> SafetyNet<S> {
@@ -180,9 +159,7 @@ impl<S> SafetyNet<S> {
             cfg,
             checkpoints,
             last_checkpoint: 0,
-            taken: 1,
             reclaimed: 0,
-            rollbacks: 0,
         })
     }
 
@@ -217,7 +194,6 @@ impl<S> SafetyNet<S> {
         let mut created = 0;
         while now >= self.last_checkpoint + self.cfg.checkpoint_interval {
             self.last_checkpoint += self.cfg.checkpoint_interval;
-            self.taken += 1;
             created += 1;
             self.checkpoints.push_back(Checkpoint {
                 taken_at: self.last_checkpoint,
@@ -298,24 +274,9 @@ impl<S> SafetyNet<S> {
         }
     }
 
-    /// Checkpoints created so far.
-    pub fn checkpoints_taken(&self) -> u64 {
-        self.taken
-    }
-
     /// Checkpoints reclaimed (log wrap).
     pub fn checkpoints_reclaimed(&self) -> u64 {
         self.reclaimed
-    }
-
-    /// Rollbacks performed.
-    pub fn rollbacks(&self) -> u64 {
-        self.rollbacks
-    }
-
-    /// The oldest held checkpoint's creation time.
-    pub fn oldest_checkpoint(&self) -> Cycle {
-        self.checkpoints.front().map_or(0, |c| c.taken_at)
     }
 
     /// The newest held checkpoint's creation time.
@@ -345,7 +306,6 @@ impl<S: Clone> SafetyNet<S> {
         let cp = self.checkpoints[idx].clone();
         self.checkpoints.truncate(idx + 1);
         self.last_checkpoint = cp.taken_at;
-        self.rollbacks += 1;
         Some(cp)
     }
 }
@@ -364,7 +324,7 @@ mod tests {
     }
 
     fn net() -> SafetyNet {
-        SafetyNet::new(cfg())
+        SafetyNet::with_initial(cfg(), ()).expect("a valid configuration")
     }
 
     #[test]
@@ -372,28 +332,28 @@ mod tests {
         let mut sn = net();
         let mut events = 0;
         for now in 1..=1000 {
-            events += sn.tick(now);
+            events += sn.tick_with(now, || ());
         }
         assert_eq!(events, 10);
-        assert_eq!(sn.checkpoints_taken(), 11, "plus the initial checkpoint");
     }
 
     #[test]
     fn log_is_bounded() {
         let mut sn = net();
         for now in 1..=2000 {
-            sn.tick(now);
+            sn.tick_with(now, || ());
         }
         assert!(sn.checkpoints_reclaimed() > 0);
-        // Oldest held checkpoint is within the window.
-        assert!(sn.oldest_checkpoint() >= 2000 - sn.config().recovery_window());
+        // No held checkpoint predates the window.
+        let before_window = 2000 - sn.config().recovery_window() - 1;
+        assert_eq!(sn.recovery_point(before_window, u64::MAX), None);
     }
 
     #[test]
     fn recent_error_is_recoverable() {
         let mut sn = net();
         for now in 1..=1000 {
-            sn.tick(now);
+            sn.tick_with(now, || ());
         }
         // Error at 950 detected at 1000: the checkpoint at 900 is not yet
         // validated (validation takes 150); 800 is (800+150 <= 1000).
@@ -405,7 +365,7 @@ mod tests {
     fn stale_error_escapes_the_window() {
         let mut sn = net();
         for now in 1..=10_000 {
-            sn.tick(now);
+            sn.tick_with(now, || ());
         }
         // The log holds only the last 4 checkpoints (~400 cycles).
         assert!(!sn.recoverable(5_000, 10_000), "error is 5k cycles old");
@@ -432,8 +392,11 @@ mod tests {
     #[test]
     fn coarse_tick_takes_every_missed_checkpoint() {
         let mut sn = net();
-        assert_eq!(sn.tick(450), 4, "boundaries 100..=400 were all due");
-        assert_eq!(sn.checkpoints_taken(), 5);
+        assert_eq!(
+            sn.tick_with(450, || ()),
+            4,
+            "boundaries 100..=400 were all due"
+        );
         // Checkpoints are stamped at their aligned boundaries, not at
         // `now`, so the cadence — and the window — never drifts.
         assert_eq!(sn.recovery_point(450, 1000), Some(400));
@@ -441,10 +404,9 @@ mod tests {
         let mut fine = net();
         let mut fine_events = 0;
         for now in 1..=450 {
-            fine_events += fine.tick(now);
+            fine_events += fine.tick_with(now, || ());
         }
         assert_eq!(fine_events, 4);
-        assert_eq!(fine.oldest_checkpoint(), sn.oldest_checkpoint());
     }
 
     #[test]
@@ -459,7 +421,6 @@ mod tests {
         let cp = sn.rollback_to(950, 1000).expect("within the window");
         assert_eq!(cp.taken_at, 800);
         assert_eq!(cp.state, 800);
-        assert_eq!(sn.rollbacks(), 1);
         // The poisoned checkpoints (900, 1000) are gone; the recovery
         // point remains and replay re-takes checkpoints from there.
         assert_eq!(sn.recovery_point(u64::MAX, u64::MAX), Some(800));
@@ -494,7 +455,6 @@ mod tests {
             sn.tick_with(now, || now);
         }
         assert!(sn.rollback_to(5_000, 10_000).is_none());
-        assert_eq!(sn.rollbacks(), 0);
     }
 
     #[test]
@@ -507,7 +467,7 @@ mod tests {
         assert_eq!(sn.config().checkpoint_interval, 400);
         let mut events = 0;
         for now in 1..=1200 {
-            events += sn.tick(now);
+            events += sn.tick_with(now, || ());
         }
         assert_eq!(events, 3, "wider cadence: 400, 800, 1200");
     }
@@ -595,15 +555,6 @@ mod tests {
         assert!(SafetyNet::<u32>::with_initial(unvalidatable, 0).is_err());
     }
 
-    #[test]
-    #[should_panic(expected = "invalid SafetyNet configuration")]
-    fn new_panics_on_invalid_config() {
-        let _ = SafetyNet::new(SafetyNetConfig {
-            checkpoint_interval: 0,
-            ..SafetyNetConfig::default()
-        });
-    }
-
     proptest! {
         /// Over the whole config space: `validate()` accepts exactly the
         /// configurations under which a warm SafetyNet can still recover a
@@ -630,10 +581,10 @@ mod tests {
                     // Warm the log far past both the window and the
                     // validation latency, then detect an error the same
                     // cycle it occurs: a validated checkpoint must be held.
-                    let mut sn = SafetyNet::new(cfg);
+                    let mut sn = SafetyNet::with_initial(cfg, ()).expect("validated");
                     let horizon = 3 * (cfg.recovery_window() + validation_latency) + 1;
                     for now in 1..=horizon {
-                        sn.tick(now);
+                        sn.tick_with(now, || ());
                     }
                     prop_assert!(
                         sn.recoverable(horizon, horizon),

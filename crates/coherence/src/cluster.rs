@@ -124,7 +124,7 @@ impl Cluster {
             homes,
             data_net: Torus::new(cfg.nodes, cfg.link_bandwidth, HOP_LATENCY),
             addr_net: (cfg.protocol == Protocol::Snooping)
-                .then(|| BroadcastTree::new(cfg.nodes, 8, cfg.tree_latency)),
+                .then(|| BroadcastTree::new(8, cfg.tree_latency)),
             violations: Vec::new(),
             wake: vec![Cycle::MAX; 2 * cfg.nodes],
             now: 0,
@@ -185,15 +185,23 @@ impl Cluster {
         h
     }
 
+    /// The cycle the memory system last completed (0 before its first):
+    /// the cycle its controllers' entry points take between ticks.
+    fn last_cycle(&self) -> Cycle {
+        self.now.saturating_sub(1)
+    }
+
     /// Submits a processor request at `node`.
     pub fn submit(&mut self, node: NodeId, req: ProcReq) {
-        self.nodes[node.index()].submit(req);
+        let last = self.last_cycle();
+        self.nodes[node.index()].submit(req, last);
         self.refresh(node.index());
     }
 
     /// Pops a completed response at `node`.
     pub fn pop_resp(&mut self, node: NodeId) -> Option<ProcResp> {
-        let resp = self.nodes[node.index()].pop_resp();
+        let last = self.last_cycle();
+        let resp = self.nodes[node.index()].pop_resp(last);
         if resp.is_some() {
             self.refresh(node.index());
         }
@@ -230,17 +238,15 @@ impl Cluster {
     /// Advances the whole memory system one cycle, exactly as
     /// [`tick`](Self::tick) does, but ticks only the controllers whose
     /// cached `next_event_at` answer is due (a home also at its MET
-    /// scrub boundary, [`HomeCtrl::scrubs_at`]); the others get
-    /// [`idle_stamp`](CacheNode::idle_stamp), the whole of what their
-    /// tick would have done, so `submit` and deliveries still read a
-    /// fresh clock. Returns how many controllers ticked.
+    /// scrub boundary, [`HomeCtrl::scrubs_at`]); the others are left
+    /// idle, since their tick would change nothing. Returns how many
+    /// controllers ticked.
     pub fn tick_busy(&mut self) -> usize {
         self.step(true)
     }
 
     /// One cycle of the memory system; with `skip_idle`, controllers with
-    /// nothing due are stamped instead of ticked. Returns how many
-    /// controllers ticked.
+    /// nothing due are left idle. Returns how many controllers ticked.
     fn step(&mut self, skip_idle: bool) -> usize {
         let now = self.now;
         // 1. Networks move.
@@ -264,13 +270,12 @@ impl Cluster {
             }
         }
         if let Some(tree) = self.addr_net.as_mut() {
-            for i in 0..n {
-                while let Some((order, req)) = tree.recv(NodeId(i as u8)) {
+            while let Some((order, req)) = tree.recv() {
+                for i in 0..n {
                     self.nodes[i].deliver_snoop(order, req);
                     self.homes[i].deliver_snoop(order, req);
-                    self.wake[i] = now;
-                    self.wake[n + i] = now;
                 }
+                self.wake.fill(now);
             }
         }
         // 3. Controllers run. Only the nodes whose cache or home ticked or
@@ -281,7 +286,10 @@ impl Cluster {
         let mut ran = 0;
         for (i, home) in self.homes.iter_mut().enumerate() {
             if skip_idle && self.wake[n + i] > now && !HomeCtrl::scrubs_at(now) {
-                home.idle_stamp(now);
+                debug_assert!(
+                    home.next_event_at(now).is_none_or(|t| t > now),
+                    "home {i}: left idle at cycle {now} with work due"
+                );
             } else {
                 home.tick(now);
                 active.insert(i);
@@ -290,14 +298,17 @@ impl Cluster {
         }
         for (i, node) in self.nodes.iter_mut().enumerate() {
             if skip_idle && self.wake[i] > now {
-                node.idle_stamp(now);
+                debug_assert!(
+                    node.next_event_at(now).is_none_or(|t| t > now),
+                    "cache {i}: left idle at cycle {now} with work due"
+                );
             } else {
                 node.tick(now);
                 active.insert(i);
                 ran += 1;
             }
             if scrub {
-                node.scrub();
+                node.scrub(now);
                 active.insert(i);
             }
         }
@@ -318,7 +329,7 @@ impl Cluster {
             if let Some(tree) = self.addr_net.as_mut() {
                 while let Some(req) = self.nodes[i].pop_addr_req() {
                     let bytes = req.bytes();
-                    tree.send(src, req, bytes, now);
+                    tree.send(req, bytes);
                 }
             }
         }
@@ -344,37 +355,30 @@ impl Cluster {
     }
 
     /// Jumps the whole memory system from its current cycle to `target`
-    /// without simulating the span — every controller gets the exact state
-    /// change the skipped ticks would have applied (a clock stamp of the
-    /// last skipped cycle, `target - 1`). Only legal when `target` is at
-    /// most [`next_event_at`](Self::next_event_at); the event-scheduled
-    /// kernel guarantees that by construction.
+    /// without simulating the span: the skipped ticks would have changed
+    /// nothing, so only the clock moves. Only legal when `target` is at
+    /// most [`next_event_at`](Self::next_event_at), which no controller
+    /// has work before (debug builds also check every controller's
+    /// cached answer against the controller); the event-scheduled kernel
+    /// guarantees that by construction.
     pub fn advance_to(&mut self, target: Cycle) {
         debug_assert!(target >= self.now);
         debug_assert!(
             target <= self.next_event_at(self.now),
             "skipping past a cluster event"
         );
-        let last_skipped = target.saturating_sub(1);
-        for node in &mut self.nodes {
-            node.idle_stamp(last_skipped);
-        }
-        for home in &mut self.homes {
-            home.idle_stamp(last_skipped);
-        }
         self.now = target;
     }
 
     /// The earliest cycle at or after `now` at which the memory system
-    /// does anything but stamp clocks, or hands its cores input: `now`
-    /// while a message is queued anywhere, otherwise the earliest torus
-    /// hop or fault-delayed release, tree arbitration or fan-out, home
-    /// memory-latency reply or sorter drain, cache L1-ready request or
-    /// due response, and the next CET scrub boundary (which also covers
-    /// the MET scrub at every second one). A transaction waiting on a
-    /// message adds nothing: the message is in flight with its own
-    /// arrival time. The controllers answer from `wake`, their cached
-    /// answers.
+    /// does anything, or hands its cores input: `now` while a message is
+    /// queued anywhere, otherwise the earliest torus hop or fault-delayed
+    /// release, tree arbitration or fan-out, home memory-latency reply or
+    /// sorter drain, cache L1-ready request or due response, and the next
+    /// CET scrub boundary (which also covers the MET scrub at every
+    /// second one). A transaction waiting on a message adds nothing: the
+    /// message is in flight with its own arrival time. The controllers
+    /// answer from `wake`, their cached answers.
     pub fn next_event_at(&self, now: Cycle) -> Cycle {
         let controllers = self.wake.iter().min().map(|&t| t.max(now));
         let networks = [self.data_net.next_event_at(now)]
@@ -454,17 +458,19 @@ impl Cluster {
                 .is_none_or(BroadcastTree::is_quiescent)
     }
 
-    /// End-of-run audit: ends every in-progress epoch, processes all
-    /// queued checker state, and drains violations.
+    /// End-of-run audit, at the cycle the memory system last completed:
+    /// ends every in-progress epoch, processes all queued checker state,
+    /// and drains violations.
     pub fn finish(&mut self) -> Vec<Violation> {
+        let last = self.last_cycle();
         for i in 0..self.cfg.nodes {
-            for msg in self.nodes[i].flush_epochs() {
+            for msg in self.nodes[i].flush_epochs(last) {
                 let home = msg.addr().home(self.cfg.nodes);
-                self.homes[home.index()].ingest_epoch(msg);
+                self.homes[home.index()].ingest_epoch(msg, last);
             }
         }
         for home in &mut self.homes {
-            home.flush_checker();
+            home.flush_checker(last);
             self.violations.extend(home.drain_violations());
         }
         for node in &mut self.nodes {

@@ -152,7 +152,6 @@ pub struct HomeCtrl {
     /// prove the model checker rediscovers the panic statically.
     legacy_strict_acks: bool,
     last_order: u64,
-    now: Cycle,
 }
 
 impl HomeCtrl {
@@ -182,7 +181,6 @@ impl HomeCtrl {
             legacy_strict_acks: false,
             last_order: 0,
             cfg,
-            now: 0,
         }
     }
 
@@ -197,9 +195,11 @@ impl HomeCtrl {
         self.id
     }
 
-    fn logical_now(&self) -> Ts16 {
+    /// Logical time at cycle `now`: a slow physical clock for the
+    /// directory protocol, the address-network order for snooping (§4.3).
+    fn logical_now(&self, now: Cycle) -> Ts16 {
         match self.protocol {
-            Protocol::Directory => Ts16::from_full(self.now >> self.cfg.lt_shift),
+            Protocol::Directory => Ts16::from_full(now >> self.cfg.lt_shift),
             Protocol::Snooping => Ts16::from_full(self.last_order),
         }
     }
@@ -486,27 +486,14 @@ impl HomeCtrl {
 
     /// Whether a [`tick`](Self::tick) at `now` scrubs the MET, which
     /// [`next_event_at`](Self::next_event_at) leaves out: a tick at any
-    /// other cycle before its answer only stamps clocks.
+    /// other cycle before its answer changes nothing.
     pub fn scrubs_at(now: Cycle) -> bool {
         now.is_multiple_of(MET_SCRUB_PERIOD)
     }
 
-    /// Stamps the controller's clock without doing any work — exactly the
-    /// state change a tick performs before its
-    /// [`next_event_at`](Self::next_event_at). Used by the
-    /// event-scheduled kernel when skipping spans with nothing due, and
-    /// in place of the ticks of idle controllers.
-    pub fn idle_stamp(&mut self, now: Cycle) {
-        debug_assert!(
-            self.snoop_in.is_empty()
-                && self.inbox.is_empty()
-                && self.out_delayed.iter().all(|&(t, _)| t > now)
-                && self.next_sorter_drain_at(now).is_none_or(|t| t > now)
-                && !now.is_multiple_of(MET_SCRUB_PERIOD),
-            "home {}: stamped at cycle {now} with work due",
-            self.id.0
-        );
-        self.now = now;
+    /// Stamps the home checker's event ring with the cycle of the action
+    /// under way: the checker never learns physical time itself.
+    fn stamp(&mut self, now: Cycle) {
         if let Some(o) = self.checker.as_mut().and_then(HomeChecker::obs_mut) {
             o.set_now(now);
         }
@@ -558,7 +545,7 @@ impl HomeCtrl {
     /// next sorter drain. `None` when it only waits on messages.
     /// The MET scrub every 2,048 cycles is not included: it falls on a
     /// CET scrub boundary, which the cluster schedules. Exact: a tick
-    /// before it only stamps clocks.
+    /// before it changes nothing.
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         if !self.inbox.is_empty() || !self.snoop_in.is_empty() || !self.msg_out.is_empty() {
             return Some(now);
@@ -593,12 +580,9 @@ impl HomeCtrl {
             + self.memory.len() * (dvmc_types::BLOCK_BYTES + 16)) as u64
     }
 
-    /// Advances the controller one cycle.
+    /// Advances the controller through cycle `now`.
     pub fn tick(&mut self, now: Cycle) {
-        self.now = now;
-        if let Some(o) = self.checker.as_mut().and_then(HomeChecker::obs_mut) {
-            o.set_now(now);
-        }
+        self.stamp(now);
         // Release memory-latency-delayed responses.
         let mut i = 0;
         while i < self.out_delayed.len() {
@@ -611,10 +595,10 @@ impl HomeCtrl {
         }
         while let Some((order, req)) = self.snoop_in.pop_front() {
             self.last_order = order;
-            self.handle_snoop(req);
+            self.handle_snoop(req, now);
         }
         while let Some(msg) = self.inbox.pop_front() {
-            self.handle_msg(msg);
+            self.handle_msg(msg, now);
         }
         // Opportunistically drain the epoch sorter up to a safe watermark
         // far enough in the logical past to cover worst-case network
@@ -625,7 +609,7 @@ impl HomeCtrl {
         // cycles, so the slack differs. Skip draining until the clock
         // clears the startup window so the subtraction cannot wrap.
         let slack: u16 = self.drain_slack();
-        let logical_now = self.logical_now();
+        let logical_now = self.logical_now(now);
         if logical_now.0 >= slack {
             let watermark = Ts16(logical_now.0 - slack);
             if let Some(chk) = self.checker.as_mut() {
@@ -642,8 +626,9 @@ impl HomeCtrl {
         }
     }
 
-    /// Processes all remaining checker state (end of run).
-    pub fn flush_checker(&mut self) {
+    /// Processes all remaining checker state at cycle `now` (end of run).
+    pub fn flush_checker(&mut self, now: Cycle) {
+        self.stamp(now);
         if let Some(chk) = self.checker.as_mut() {
             if let Err(v) = chk.flush() {
                 self.violations.push(v);
@@ -651,9 +636,11 @@ impl HomeCtrl {
         }
     }
 
-    /// Feeds an epoch message into the checker — one delivered by the
-    /// network, or one the end-of-run audit hands over directly.
-    pub fn ingest_epoch(&mut self, e: dvmc_core::coherence::EpochMessage) {
+    /// Feeds an epoch message into the checker at cycle `now` — one
+    /// delivered by the network, or one the end-of-run audit hands over
+    /// directly.
+    pub fn ingest_epoch(&mut self, e: dvmc_core::coherence::EpochMessage, now: Cycle) {
+        self.stamp(now);
         self.stats.informs += 1;
         if let Some(chk) = self.checker.as_mut() {
             if let Err(v) = chk.push(e) {
@@ -709,18 +696,16 @@ impl HomeCtrl {
         self.msg_out.push_back(Outbound { dst, msg });
     }
 
-    fn send_after_mem(&mut self, dst: NodeId, msg: Msg) {
-        self.out_delayed.push((
-            self.now + self.cfg.mem_latency as u64,
-            Outbound { dst, msg },
-        ));
+    fn send_after_mem(&mut self, dst: NodeId, msg: Msg, now: Cycle) {
+        self.out_delayed
+            .push((now + self.cfg.mem_latency as u64, Outbound { dst, msg }));
     }
 
-    fn ensure_met(&mut self, addr: BlockAddr) {
+    fn ensure_met(&mut self, addr: BlockAddr, now: Cycle) {
         if self.checker.is_none() {
             return;
         }
-        let now = self.logical_now();
+        let now = self.logical_now(now);
         let hash = self
             .memory
             .entry(addr)
@@ -736,22 +721,22 @@ impl HomeCtrl {
 
     // ----- directory protocol -------------------------------------------
 
-    fn handle_msg(&mut self, msg: Msg) {
+    fn handle_msg(&mut self, msg: Msg, now: Cycle) {
         match msg {
-            Msg::Epoch(e) => self.ingest_epoch(e),
+            Msg::Epoch(e) => self.ingest_epoch(e, now),
             Msg::PutM { addr, data, .. } if self.protocol == Protocol::Snooping => {
                 // Snooping writeback data arriving at the home (the
                 // ordering point was the PutM address-network observation).
                 self.mem_write(addr, data);
                 self.awaiting_wb.remove(&addr);
-                self.run_deferred(addr);
+                self.run_deferred(addr, now);
             }
             Msg::GetS { .. } | Msg::GetM { .. } | Msg::PutM { .. } => {
                 let addr = msg.addr();
                 if self.busy.contains_key(&addr) {
                     self.blocked.entry(addr).or_default().push_back(msg);
                 } else {
-                    self.start_request(msg);
+                    self.start_request(msg, now);
                 }
             }
             Msg::Unblock { addr, .. } => {
@@ -764,28 +749,28 @@ impl HomeCtrl {
                 ) {
                     self.busy.remove(&addr);
                 }
-                self.pump_blocked(addr);
+                self.pump_blocked(addr, now);
             }
-            Msg::InvAck { from, addr } => self.handle_inv_ack(from, addr),
-            Msg::RecallAck { addr, data, .. } => self.handle_recall_ack(addr, data),
+            Msg::InvAck { from, addr } => self.handle_inv_ack(from, addr, now),
+            Msg::RecallAck { addr, data, .. } => self.handle_recall_ack(addr, data, now),
             // Responses addressed to caches, and BER coordination traffic;
             // nothing for the home to do.
             _ => {}
         }
     }
 
-    fn start_request(&mut self, msg: Msg) {
+    fn start_request(&mut self, msg: Msg, now: Cycle) {
         self.stats.requests += 1;
         match msg {
             Msg::GetS { req, addr } => {
-                self.ensure_met(addr);
+                self.ensure_met(addr, now);
                 self.note_read(addr);
                 let entry = self.dir.entry(addr).or_default();
                 match entry.owner {
                     None => {
                         entry.sharers |= 1 << req.index();
                         let data = self.mem_read(addr);
-                        self.send_after_mem(req, Msg::DataS { addr, data });
+                        self.send_after_mem(req, Msg::DataS { addr, data }, now);
                         self.await_unblock(addr, req);
                     }
                     Some(owner) => {
@@ -796,7 +781,7 @@ impl HomeCtrl {
                 }
             }
             Msg::GetM { req, addr } => {
-                self.ensure_met(addr);
+                self.ensure_met(addr, now);
                 self.note_owned(addr);
                 let entry = self.dir.entry(addr).or_default();
                 let others = entry.sharers & !(1 << req.index());
@@ -830,7 +815,7 @@ impl HomeCtrl {
                             entry.owner = Some(req);
                             entry.sharers = 0;
                             let data = self.mem_read(addr);
-                            self.send_after_mem(req, Msg::DataM { addr, data });
+                            self.send_after_mem(req, Msg::DataM { addr, data }, now);
                             self.await_unblock(addr, req);
                         } else {
                             let txn = Txn::new(TxnKind::GetM, req, n_acks, false);
@@ -868,7 +853,7 @@ impl HomeCtrl {
         }
     }
 
-    fn handle_inv_ack(&mut self, from: NodeId, addr: BlockAddr) {
+    fn handle_inv_ack(&mut self, from: NodeId, addr: BlockAddr, now: Cycle) {
         if let Some(e) = self.dir.get_mut(&addr) {
             e.sharers &= !(1 << from.index());
         }
@@ -887,11 +872,11 @@ impl HomeCtrl {
             _ => false,
         };
         if done {
-            self.complete_txn(addr);
+            self.complete_txn(addr, now);
         }
     }
 
-    fn handle_recall_ack(&mut self, addr: BlockAddr, data: Block) {
+    fn handle_recall_ack(&mut self, addr: BlockAddr, data: Block, now: Cycle) {
         // Recalled owner data refreshes memory.
         self.mem_write(addr, data);
         let strict = self.legacy_strict_acks;
@@ -904,11 +889,11 @@ impl HomeCtrl {
             _ => false,
         };
         if done {
-            self.complete_txn(addr);
+            self.complete_txn(addr, now);
         }
     }
 
-    fn complete_txn(&mut self, addr: BlockAddr) {
+    fn complete_txn(&mut self, addr: BlockAddr, now: Cycle) {
         let txn = self.busy.remove(&addr).expect("busy entry exists");
         let requester = txn.requester;
         let entry = self.dir.entry(addr).or_default();
@@ -926,7 +911,7 @@ impl HomeCtrl {
                     Some(data) => self.send(requester, Msg::DataM { addr, data }),
                     None => {
                         let data = self.mem_read(addr);
-                        self.send_after_mem(requester, Msg::DataM { addr, data });
+                        self.send_after_mem(requester, Msg::DataM { addr, data }, now);
                     }
                 }
             }
@@ -944,7 +929,7 @@ impl HomeCtrl {
 
     /// Serves blocked requests for `addr` until one makes the block busy
     /// again (or none remain).
-    fn pump_blocked(&mut self, addr: BlockAddr) {
+    fn pump_blocked(&mut self, addr: BlockAddr, now: Cycle) {
         while !self.busy.contains_key(&addr) {
             let next = match self.blocked.get_mut(&addr) {
                 Some(q) => match q.pop_front() {
@@ -953,13 +938,13 @@ impl HomeCtrl {
                 },
                 None => break,
             };
-            self.start_request(next);
+            self.start_request(next, now);
         }
     }
 
     // ----- snooping protocol ----------------------------------------------
 
-    fn handle_snoop(&mut self, req: AddrReq) {
+    fn handle_snoop(&mut self, req: AddrReq, now: Cycle) {
         let addr = req.addr;
         // Every controller observes every snoop (that is the logical time
         // base), but only the block's home node acts on it.
@@ -967,12 +952,12 @@ impl HomeCtrl {
             return;
         }
         self.stats.requests += 1;
-        self.ensure_met(addr);
+        self.ensure_met(addr, now);
         match req.kind {
             SnoopKind::GetS => {
                 self.note_read(addr);
                 if !self.snoop_owner.contains_key(&addr) {
-                    self.supply_or_defer(addr, req.req, SnoopKind::GetS);
+                    self.supply_or_defer(addr, req.req, SnoopKind::GetS, now);
                 }
             }
             SnoopKind::GetM => {
@@ -987,7 +972,7 @@ impl HomeCtrl {
                         self.snoop_owner.insert(addr, req.req);
                     }
                     None => {
-                        self.supply_or_defer(addr, req.req, SnoopKind::GetM);
+                        self.supply_or_defer(addr, req.req, SnoopKind::GetM, now);
                         self.snoop_owner.insert(addr, req.req);
                     }
                 }
@@ -1001,7 +986,7 @@ impl HomeCtrl {
         }
     }
 
-    fn supply_or_defer(&mut self, addr: BlockAddr, to: NodeId, kind: SnoopKind) {
+    fn supply_or_defer(&mut self, addr: BlockAddr, to: NodeId, kind: SnoopKind, now: Cycle) {
         let order = self.last_order;
         if self.awaiting_wb.contains(&addr) {
             self.deferred
@@ -1010,11 +995,19 @@ impl HomeCtrl {
                 .push_back((to, kind, order));
             return;
         }
-        self.supply_from_memory(addr, to, kind, order);
+        self.supply_from_memory(addr, to, kind, order, now);
     }
 
-    /// Answers the snooping request ordered at `order` from memory.
-    fn supply_from_memory(&mut self, addr: BlockAddr, to: NodeId, kind: SnoopKind, order: u64) {
+    /// Answers the snooping request ordered at `order` from memory at
+    /// cycle `now`.
+    fn supply_from_memory(
+        &mut self,
+        addr: BlockAddr,
+        to: NodeId,
+        kind: SnoopKind,
+        order: u64,
+        now: Cycle,
+    ) {
         let data = self.mem_read(addr);
         self.send_after_mem(
             to,
@@ -1024,10 +1017,11 @@ impl HomeCtrl {
                 exclusive: kind == SnoopKind::GetM,
                 order,
             },
+            now,
         );
     }
 
-    fn run_deferred(&mut self, addr: BlockAddr) {
+    fn run_deferred(&mut self, addr: BlockAddr, now: Cycle) {
         let Some(q) = self.deferred.remove(&addr) else {
             return;
         };
@@ -1035,7 +1029,7 @@ impl HomeCtrl {
         // point, so memory supplies each of them. (A deferred GetM set the
         // owner at observation, so at most the last entry is a GetM.)
         for (to, kind, order) in q {
-            self.supply_from_memory(addr, to, kind, order);
+            self.supply_from_memory(addr, to, kind, order, now);
         }
     }
 }
@@ -1073,6 +1067,7 @@ mod tests {
                 end_hash: 0,
             }
             .into(),
+            0,
         );
         assert_eq!(home.next_sorter_drain_at(0), Some(2_640));
         assert_eq!(

@@ -131,7 +131,6 @@ pub struct CacheNode {
     violations: Vec<Violation>,
     stats: CacheStats,
     last_order: u64,
-    now: Cycle,
 }
 
 impl CacheNode {
@@ -156,7 +155,6 @@ impl CacheNode {
             stats: CacheStats::default(),
             last_order: 0,
             cfg,
-            now: 0,
         }
     }
 
@@ -165,19 +163,20 @@ impl CacheNode {
         self.id
     }
 
-    /// Current logical time: a slow physical clock for the directory
-    /// protocol, the address-network order for snooping (§4.3).
-    fn logical_now(&self) -> Ts16 {
+    /// Logical time at cycle `now`: a slow physical clock for the
+    /// directory protocol, the address-network order for snooping (§4.3).
+    fn logical_now(&self, now: Cycle) -> Ts16 {
         match self.protocol {
-            Protocol::Directory => Ts16::from_full(self.now >> self.cfg.lt_shift),
+            Protocol::Directory => Ts16::from_full(now >> self.cfg.lt_shift),
             Protocol::Snooping => Ts16::from_full(self.last_order),
         }
     }
 
-    /// Queues a processor request (visible after the L1 access latency).
-    pub fn submit(&mut self, req: ProcReq) {
+    /// Queues a processor request made after cycle `now` (visible after
+    /// the L1 access latency).
+    pub fn submit(&mut self, req: ProcReq, now: Cycle) {
         self.proc_in
-            .push_back((self.now + self.cfg.l1_latency as u64, req));
+            .push_back((now + self.cfg.l1_latency as u64, req));
     }
 
     /// Delivers a point-to-point protocol message.
@@ -190,19 +189,18 @@ impl CacheNode {
         self.snoop_in.push_back((order, req));
     }
 
-    /// Pops a completed processor response.
-    pub fn pop_resp(&mut self) -> Option<ProcResp> {
-        let now = self.now;
+    /// Pops a processor response completed by cycle `now`.
+    pub fn pop_resp(&mut self, now: Cycle) -> Option<ProcResp> {
         let idx = self.resp_out.iter().position(|&(t, _)| t <= now)?;
         Some(self.resp_out.swap_remove(idx).1)
     }
 
     /// Whether the core has input waiting here: an invalidation notice
     /// for [`drain_invalidated`](Self::drain_invalidated) or a response
-    /// that [`pop_resp`](Self::pop_resp) would hand over now. Feeding a
-    /// core without either changes nothing.
-    pub fn holds_core_input(&self) -> bool {
-        !self.invalidated.is_empty() || self.resp_out.iter().any(|&(t, _)| t <= self.now)
+    /// that [`pop_resp`](Self::pop_resp) would hand over at `now`. Feeding
+    /// a core without either changes nothing.
+    pub fn holds_core_input(&self, now: Cycle) -> bool {
+        !self.invalidated.is_empty() || self.resp_out.iter().any(|&(t, _)| t <= now)
     }
 
     /// Pops an outbound point-to-point message.
@@ -274,7 +272,7 @@ impl CacheNode {
     /// processor request past its L1 latency, or at which the core pops a
     /// response (the core is fed before the cluster ticks, so a response
     /// stamped `t` is popped at `t + 1`). `None` when the controller only
-    /// waits on messages. Exact: a tick before it only stamps clocks.
+    /// waits on messages. Exact: a tick before it changes nothing.
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         if !self.inbox.is_empty()
             || !self.snoop_in.is_empty()
@@ -502,33 +500,17 @@ impl CacheNode {
         Some(target)
     }
 
-    /// Advances the controller one cycle.
+    /// Advances the controller through cycle `now`.
     pub fn tick(&mut self, now: Cycle) {
-        self.now = now;
-        if let Some(o) = self.cet.obs_mut() {
-            o.set_now(now);
-        }
-        self.process_snoops();
-        self.process_inbox();
-        self.process_proc();
+        self.stamp(now);
+        self.process_snoops(now);
+        self.process_inbox(now);
+        self.process_proc(now);
     }
 
-    /// Re-stamps the controller's clock as if it had ticked idly up to
-    /// `now` — exactly the state a [`tick`](Self::tick) before its
-    /// [`next_event_at`](Self::next_event_at) leaves behind (such a tick
-    /// only stamps clocks; the processing phases find nothing due). The
-    /// event-scheduled kernel uses this to skip spans with nothing due,
-    /// and to stand in for the ticks of idle controllers, without
-    /// perturbing state.
-    pub fn idle_stamp(&mut self, now: Cycle) {
-        debug_assert!(
-            self.snoop_in.is_empty()
-                && self.inbox.is_empty()
-                && self.proc_in.front().is_none_or(|&(ready, _)| ready > now),
-            "cache {}: stamped at cycle {now} with work due",
-            self.id.0
-        );
-        self.now = now;
+    /// Stamps the CET's event ring with the cycle of the action under way:
+    /// the checker never learns physical time itself.
+    fn stamp(&mut self, now: Cycle) {
         if let Some(o) = self.cet.obs_mut() {
             o.set_now(now);
         }
@@ -555,24 +537,24 @@ impl CacheNode {
 
     // ----- processor-side servicing ------------------------------------
 
-    fn process_proc(&mut self) {
+    fn process_proc(&mut self, now: Cycle) {
         for _ in 0..self.cfg.ports {
             let Some(&(ready, _)) = self.proc_in.front() else {
                 break;
             };
-            if ready > self.now {
+            if ready > now {
                 break;
             }
             let (_, req) = self.proc_in.pop_front().expect("front exists");
-            self.service(req);
+            self.service(req, now);
         }
     }
 
-    fn respond(&mut self, extra_latency: u32, resp: ProcResp) {
-        self.resp_out.push((self.now + extra_latency as u64, resp));
+    fn respond(&mut self, ready: Cycle, resp: ProcResp) {
+        self.resp_out.push((ready, resp));
     }
 
-    fn service(&mut self, req: ProcReq) {
+    fn service(&mut self, req: ProcReq, now: Cycle) {
         let block = req.addr().block();
         // A transaction is already in flight for this block: join it.
         if self.mshrs.contains_key(&block) {
@@ -602,7 +584,7 @@ impl CacheNode {
                         self.stats.l1_hits += 1;
                     }
                     self.respond(
-                        0,
+                        now,
                         ProcResp {
                             id,
                             value,
@@ -621,7 +603,7 @@ impl CacheNode {
                 // L2 hit (any MOSI state allows reading)?
                 if let Some(value) = self.l2_read(addr.block(), addr.offset()) {
                     self.respond(
-                        self.cfg.l2_latency,
+                        now + u64::from(self.cfg.l2_latency),
                         ProcResp {
                             id,
                             value,
@@ -654,7 +636,7 @@ impl CacheNode {
                     }
                     self.perform_store(addr.block(), addr.offset(), value);
                     self.respond(
-                        self.cfg.l2_latency,
+                        now + u64::from(self.cfg.l2_latency),
                         ProcResp {
                             id,
                             value,
@@ -680,7 +662,7 @@ impl CacheNode {
                         .expect("writable line is readable");
                     self.perform_store(addr.block(), addr.offset(), value);
                     self.respond(
-                        self.cfg.l2_latency,
+                        now + u64::from(self.cfg.l2_latency),
                         ProcResp {
                             id,
                             value: old,
@@ -861,26 +843,29 @@ impl CacheNode {
         self.begin_epoch_at(block, kind, Some(hash), ts);
     }
 
-    /// [`end_epoch_at`](Self::end_epoch_at) the current logical time.
+    /// [`end_epoch_at`](Self::end_epoch_at) the logical time of cycle
+    /// `now`.
     #[inline]
-    fn end_epoch(&mut self, block: BlockAddr, end_hash: u16) {
-        self.end_epoch_at(block, end_hash, self.logical_now());
+    fn end_epoch(&mut self, block: BlockAddr, end_hash: u16, now: Cycle) {
+        self.end_epoch_at(block, end_hash, self.logical_now(now));
     }
 
-    /// [`begin_epoch_at`](Self::begin_epoch_at) the current logical time.
+    /// [`begin_epoch_at`](Self::begin_epoch_at) the logical time of cycle
+    /// `now`.
     #[inline]
-    fn begin_epoch(&mut self, block: BlockAddr, kind: EpochKind, hash: Option<u16>) {
-        self.begin_epoch_at(block, kind, hash, self.logical_now());
+    fn begin_epoch(&mut self, block: BlockAddr, kind: EpochKind, hash: Option<u16>, now: Cycle) {
+        self.begin_epoch_at(block, kind, hash, self.logical_now(now));
     }
 
-    /// Ends every in-progress epoch and returns the resulting epoch
-    /// messages — the end-of-run audit that forces home-side checking of
-    /// epochs still open when the simulation stops.
-    pub fn flush_epochs(&mut self) -> Vec<EpochMessage> {
+    /// Ends every in-progress epoch at cycle `now` and returns the
+    /// resulting epoch messages — the end-of-run audit that forces
+    /// home-side checking of epochs still open when the simulation stops.
+    pub fn flush_epochs(&mut self, now: Cycle) -> Vec<EpochMessage> {
         if !self.cfg.verify {
             return Vec::new();
         }
-        let now = self.logical_now();
+        self.stamp(now);
+        let now = self.logical_now(now);
         // Address order, not HashMap order: the flush must emit the same
         // message sequence every run (the campaign determinism contract
         // covers arrival-order metrics like `informs_reordered`).
@@ -908,12 +893,14 @@ impl CacheNode {
         out
     }
 
-    /// Runs the CET scrub FIFO and emits Inform-Open-Epoch messages.
-    pub fn scrub(&mut self) {
+    /// Runs the CET scrub FIFO at cycle `now` and emits Inform-Open-Epoch
+    /// messages.
+    pub fn scrub(&mut self, now: Cycle) {
         if !self.cfg.verify {
             return;
         }
-        let opens = self.cet.scrub_tick(self.logical_now());
+        self.stamp(now);
+        let opens = self.cet.scrub_tick(self.logical_now(now));
         for open in opens {
             self.stats.scrub_opens += 1;
             self.send_epoch(open.addr, open.into());
@@ -925,7 +912,7 @@ impl CacheNode {
     /// Installs an incoming block and completes waiting operations.
     /// `order` tags snooping data with the request it answers
     /// (`u64::MAX` for directory fills, which are home-serialized).
-    fn fill(&mut self, block: BlockAddr, data: Block, state: Mosi, order: u64) {
+    fn fill(&mut self, block: BlockAddr, data: Block, state: Mosi, order: u64, now: Cycle) {
         let Some(m) = self.mshrs.get_mut(&block) else {
             // No transaction expects data: this is a late or duplicate
             // message (e.g. a snooping upgrade satisfied in place while
@@ -966,12 +953,12 @@ impl CacheNode {
                 let _ = self.l1.insert(block, data, ());
             }
             if self.protocol == Protocol::Directory {
-                self.end_epoch(block, old_hash);
-                self.begin_epoch(block, kind, Some(data.hash()));
+                self.end_epoch(block, old_hash, now);
+                self.begin_epoch(block, kind, Some(data.hash()), now);
             } else if self.cfg.verify {
                 self.cet.data_arrived(block, data.hash());
             }
-            self.complete_waiters(block);
+            self.complete_waiters(block, now);
             return;
         }
         // Lines with in-flight transactions of their own are pinned: if an
@@ -989,10 +976,10 @@ impl CacheNode {
             .l2
             .insert_pinned(block, data, state, |a| pinned.contains(&a))
         {
-            self.handle_victim(victim);
+            self.handle_victim(victim, now);
         }
         if self.protocol == Protocol::Directory {
-            self.begin_epoch(block, kind, Some(data.hash()));
+            self.begin_epoch(block, kind, Some(data.hash()), now);
         } else if self.cfg.verify {
             // Epoch began at the snoop observation; the data arrives now.
             self.cet.data_arrived(block, data.hash());
@@ -1003,7 +990,7 @@ impl CacheNode {
             .get_mut(&block)
             .map(|m| std::mem::take(&mut m.obligations))
             .unwrap_or_default();
-        self.complete_waiters(block);
+        self.complete_waiters(block, now);
         self.fulfill_obligations(block, obligations);
     }
 
@@ -1084,7 +1071,7 @@ impl CacheNode {
 
     /// Completes MSHR waiters against the (now present) line; reissues a
     /// GetM if writes remain but only shared permission was granted.
-    fn complete_waiters(&mut self, block: BlockAddr) {
+    fn complete_waiters(&mut self, block: BlockAddr, now: Cycle) {
         let Some(mshr) = self.mshrs.remove(&block) else {
             return;
         };
@@ -1098,7 +1085,7 @@ impl CacheNode {
                         .l2_read(addr.block(), addr.offset())
                         .expect("line just filled");
                     self.respond(
-                        0,
+                        now,
                         ProcResp {
                             id,
                             value,
@@ -1112,7 +1099,7 @@ impl CacheNode {
                     if writable {
                         self.perform_store(addr.block(), addr.offset(), value);
                         self.respond(
-                            0,
+                            now,
                             ProcResp {
                                 id,
                                 value,
@@ -1132,7 +1119,7 @@ impl CacheNode {
                             .expect("line just filled");
                         self.perform_store(addr.block(), addr.offset(), value);
                         self.respond(
-                            0,
+                            now,
                             ProcResp {
                                 id,
                                 value: old,
@@ -1155,7 +1142,7 @@ impl CacheNode {
     }
 
     /// Handles an L2 capacity eviction.
-    fn handle_victim(&mut self, victim: Line<Mosi>) {
+    fn handle_victim(&mut self, victim: Line<Mosi>, now: Cycle) {
         let block = victim.addr;
         self.l1.remove(block);
         // Once the block leaves the L2 the core stops observing remote
@@ -1172,7 +1159,7 @@ impl CacheNode {
         // eviction ends the epoch now (a Shared one is a silent drop).
         let dirty = victim.state.dirty();
         if self.protocol == Protocol::Directory || !dirty {
-            self.end_epoch(block, victim.data.hash());
+            self.end_epoch(block, victim.data.hash(), now);
         }
         if !dirty {
             return;
@@ -1209,30 +1196,30 @@ impl CacheNode {
 
     /// Drops our copy of `addr` from both cache levels, ending its epoch
     /// and reporting the loss to the core; returns the line's data.
-    fn invalidate_line(&mut self, addr: BlockAddr) -> Option<Block> {
+    fn invalidate_line(&mut self, addr: BlockAddr, now: Cycle) -> Option<Block> {
         let line = self.l2.remove(addr)?;
         self.l1.remove(addr);
-        self.end_epoch(addr, line.data.hash());
+        self.end_epoch(addr, line.data.hash(), now);
         self.invalidated.push(addr);
         Some(line.data)
     }
 
     // ----- directory message handling -----------------------------------
 
-    fn process_inbox(&mut self) {
+    fn process_inbox(&mut self, now: Cycle) {
         while let Some(msg) = self.inbox.pop_front() {
-            self.handle_msg(msg);
+            self.handle_msg(msg, now);
         }
     }
 
-    fn handle_msg(&mut self, msg: Msg) {
+    fn handle_msg(&mut self, msg: Msg, now: Cycle) {
         match msg {
             Msg::DataS { addr, data } => {
-                self.fill(addr, data, Mosi::S, u64::MAX);
+                self.fill(addr, data, Mosi::S, u64::MAX, now);
                 self.send_unblock(addr);
             }
             Msg::DataM { addr, data } => {
-                self.fill(addr, data, Mosi::M, u64::MAX);
+                self.fill(addr, data, Mosi::M, u64::MAX, now);
                 self.send_unblock(addr);
             }
             Msg::SnoopData {
@@ -1243,7 +1230,7 @@ impl CacheNode {
             } => {
                 // Snooping data response for our outstanding request.
                 let state = if exclusive { Mosi::M } else { Mosi::S };
-                self.fill(addr, data, state, order);
+                self.fill(addr, data, state, order, now);
             }
             Msg::UpgradeAck { addr } => {
                 // O -> M upgrade: permission without data.
@@ -1261,13 +1248,13 @@ impl CacheNode {
                         return;
                     }
                 };
-                self.restart_epoch_at(addr, EpochKind::ReadWrite, hash, self.logical_now());
-                self.complete_waiters(addr);
+                self.restart_epoch_at(addr, EpochKind::ReadWrite, hash, self.logical_now(now));
+                self.complete_waiters(addr, now);
                 self.send_unblock(addr);
             }
             Msg::Inv { addr } => {
                 self.check_line_ecc(addr);
-                self.invalidate_line(addr);
+                self.invalidate_line(addr, now);
                 self.msg_out.push_back(Outbound {
                     dst: self.home_of(addr),
                     msg: Msg::InvAck {
@@ -1278,12 +1265,14 @@ impl CacheNode {
             }
             Msg::RecallShare { addr } => {
                 // A buffered victim's epoch already ended at the eviction.
-                let data = self.downgrade_line(addr, self.logical_now()).or_else(|| {
-                    self.evicting.get_mut(&addr).map(|buf| {
-                        buf.state = Mosi::O;
-                        buf.data
-                    })
-                });
+                let data = self
+                    .downgrade_line(addr, self.logical_now(now))
+                    .or_else(|| {
+                        self.evicting.get_mut(&addr).map(|buf| {
+                            buf.state = Mosi::O;
+                            buf.data
+                        })
+                    });
                 if let Some(data) = data {
                     self.recall_ack(addr, data);
                 }
@@ -1291,7 +1280,7 @@ impl CacheNode {
             Msg::RecallInv { addr } => {
                 self.check_line_ecc(addr);
                 let data = self
-                    .invalidate_line(addr)
+                    .invalidate_line(addr, now)
                     .or_else(|| self.evicting.get(&addr).map(|b| b.data));
                 if let Some(data) = data {
                     self.recall_ack(addr, data);
@@ -1316,10 +1305,10 @@ impl CacheNode {
 
     // ----- snooping -------------------------------------------------------
 
-    fn process_snoops(&mut self) {
+    fn process_snoops(&mut self, now: Cycle) {
         while let Some((order, req)) = self.snoop_in.pop_front() {
             self.last_order = order;
-            self.handle_snoop(req);
+            self.handle_snoop(req, now);
         }
     }
 
@@ -1353,7 +1342,13 @@ impl CacheNode {
     /// Data that raced ahead of this point is installed now: a stash
     /// answering this very request, or the buffer `reclaimed` from our own
     /// writeback of the block that has not been ordered yet.
-    fn observe_own(&mut self, block: BlockAddr, kind: EpochKind, reclaimed: Option<Block>) {
+    fn observe_own(
+        &mut self,
+        block: BlockAddr,
+        kind: EpochKind,
+        reclaimed: Option<Block>,
+        now: Cycle,
+    ) {
         let order = self.last_order;
         let stashed = self.mshrs.get_mut(&block).and_then(|m| {
             m.observed = true;
@@ -1362,33 +1357,33 @@ impl CacheNode {
         });
         let data = match reclaimed {
             Some(data) => {
-                self.restart_epoch_at(block, kind, data.hash(), self.logical_now());
+                self.restart_epoch_at(block, kind, data.hash(), self.logical_now(now));
                 Some((data, Mosi::M))
             }
             None => {
-                self.begin_epoch(block, kind, None);
+                self.begin_epoch(block, kind, None, now);
                 stashed
             }
         };
         if let Some((data, state)) = data {
-            self.fill(block, data, state, order);
+            self.fill(block, data, state, order, now);
         }
     }
 
-    fn handle_snoop(&mut self, req: AddrReq) {
+    fn handle_snoop(&mut self, req: AddrReq, now: Cycle) {
         let mine = req.req == self.id;
         let block = req.addr;
         let order = self.last_order;
         match (req.kind, mine) {
-            (SnoopKind::GetS, true) => self.observe_own(block, EpochKind::ReadOnly, None),
+            (SnoopKind::GetS, true) => self.observe_own(block, EpochKind::ReadOnly, None, now),
             (SnoopKind::GetM, true) => {
                 if let Some(line) = self.l2.lookup_mut(block) {
                     // Upgrade in place: permission is granted by the
                     // observation point; we already hold the data.
                     line.state = Mosi::M;
                     let hash = line.data.hash();
-                    self.restart_epoch_at(block, EpochKind::ReadWrite, hash, self.logical_now());
-                    self.complete_waiters(block);
+                    self.restart_epoch_at(block, EpochKind::ReadWrite, hash, self.logical_now(now));
+                    self.complete_waiters(block, now);
                 } else {
                     // If our upgrade was ordered while our own writeback of
                     // this block still awaited its ordering point (the
@@ -1400,12 +1395,12 @@ impl CacheNode {
                     // and upgrade in place; our PutM's ordering point then
                     // finds no buffer (see below).
                     let reclaimed = self.evicting.remove(&block).map(|b| b.data);
-                    self.observe_own(block, EpochKind::ReadWrite, reclaimed);
+                    self.observe_own(block, EpochKind::ReadWrite, reclaimed, now);
                 }
             }
             (SnoopKind::PutM, true) => {
                 if let Some(buf) = self.evicting.remove(&block) {
-                    self.end_epoch(block, buf.data.hash());
+                    self.end_epoch(block, buf.data.hash(), now);
                     if buf.state.dirty() {
                         self.send_put_m(block, buf.data);
                     }
@@ -1415,7 +1410,7 @@ impl CacheNode {
                     // An upgrade reclaimed this writeback's buffer, but the
                     // home takes this PutM from the owner as a writeback
                     // and waits for its data: write the line back now.
-                    if let Some(data) = self.invalidate_line(block) {
+                    if let Some(data) = self.invalidate_line(block, now) {
                         self.send_put_m(block, data);
                     }
                 }
@@ -1439,7 +1434,7 @@ impl CacheNode {
                 // Owner supplies data and downgrades M -> O. A resident
                 // line is looked up (not peeked) even when clean: the
                 // snoop refreshes its LRU age.
-                let ts = self.logical_now();
+                let ts = self.logical_now(now);
                 let data = match self.l2.lookup_mut(block) {
                     Some(line) if line.state.dirty() => self.downgrade_line(block, ts),
                     Some(_) => None,
@@ -1475,7 +1470,7 @@ impl CacheNode {
                         if buf.state.dirty() {
                             self.supply(req.req, block, buf.data, true, order);
                         }
-                        self.end_epoch(block, buf.data.hash());
+                        self.end_epoch(block, buf.data.hash(), now);
                     }
                 }
             }

@@ -3,12 +3,13 @@
 //!
 //! Every request injected anywhere is serialized at the tree root and
 //! delivered to **all** nodes (including the sender) in the same total
-//! order. That total order doubles as the snooping system's logical time
-//! base: "the logical time for each cache and memory controller is the
-//! number of cache coherence requests that it has processed thus far"
-//! (§4.3).
+//! order: the tree hands each finished request over once, and the caller
+//! gives it to every node. That total order doubles as the snooping
+//! system's logical time base: "the logical time for each cache and
+//! memory controller is the number of cache coherence requests that it
+//! has processed thus far" (§4.3).
 
-use dvmc_types::{Cycle, NodeId};
+use dvmc_types::Cycle;
 use std::collections::VecDeque;
 
 #[derive(Clone, Debug)]
@@ -31,14 +32,13 @@ struct InFlight<T> {
 ///
 /// ```rust
 /// use dvmc_interconnect::BroadcastTree;
-/// use dvmc_types::NodeId;
 ///
-/// let mut tree: BroadcastTree<&str> = BroadcastTree::new(4, 16, 3);
-/// tree.send(NodeId(1), "GetM", 8, 0);
+/// let mut tree: BroadcastTree<&str> = BroadcastTree::new(16, 3);
+/// tree.send("GetM", 8);
 /// let mut got = None;
 /// for c in 0..20 {
 ///     tree.tick(c);
-///     if let Some((order, msg)) = tree.recv(NodeId(2)) {
+///     if let Some((order, msg)) = tree.recv() {
 ///         got = Some((order, msg));
 ///         break;
 ///     }
@@ -52,8 +52,8 @@ pub struct BroadcastTree<T> {
     /// Serialized requests fanning out to the leaves, in root order,
     /// which is also the order in which they finish.
     in_flight: Vec<InFlight<T>>,
-    /// Delivered requests per node, tagged with their global order.
-    inboxes: Vec<VecDeque<(u64, T)>>,
+    /// Delivered requests, tagged with their global order, in that order.
+    delivered: VecDeque<(u64, T)>,
     /// Bytes per cycle through the root.
     root_bandwidth: u32,
     /// Cycles from root serialization to leaf delivery.
@@ -64,19 +64,18 @@ pub struct BroadcastTree<T> {
 }
 
 impl<T> BroadcastTree<T> {
-    /// Creates a broadcast tree over `nodes` leaves with the given root
-    /// bandwidth (bytes/cycle) and fan-out latency (cycles).
+    /// Creates a broadcast tree with the given root bandwidth
+    /// (bytes/cycle) and fan-out latency (cycles).
     ///
     /// # Panics
     ///
-    /// Panics if `nodes == 0` or `root_bandwidth == 0`.
-    pub fn new(nodes: usize, root_bandwidth: u32, fanout_latency: u32) -> Self {
-        assert!(nodes > 0, "tree needs at least one node");
+    /// Panics if `root_bandwidth == 0`.
+    pub fn new(root_bandwidth: u32, fanout_latency: u32) -> Self {
         assert!(root_bandwidth > 0, "root bandwidth must be positive");
         BroadcastTree {
             pending: VecDeque::new(),
             in_flight: Vec::new(),
-            inboxes: (0..nodes).map(|_| VecDeque::new()).collect(),
+            delivered: VecDeque::new(),
             root_bandwidth,
             fanout_latency,
             root_free_at: 0,
@@ -85,24 +84,17 @@ impl<T> BroadcastTree<T> {
         }
     }
 
-    /// Number of leaves.
-    pub fn nodes(&self) -> usize {
-        self.inboxes.len()
-    }
-
     /// Approximate serialized size of the network state, in bytes
     /// (checkpoint accounting).
     pub fn approx_state_bytes(&self) -> u64 {
-        let queued = self.pending.len()
-            + self.in_flight.len()
-            + self.inboxes.iter().map(VecDeque::len).sum::<usize>();
+        let queued = self.pending.len() + self.in_flight.len() + self.delivered.len();
         (std::mem::size_of::<Self>() + queued * (std::mem::size_of::<T>() + 24)) as u64
     }
 
-    /// Injects a request for ordered broadcast. Neither `src` nor `now`
-    /// is read: the root arbitrates pending requests in arrival order at
-    /// its next tick, whatever their source.
-    pub fn send(&mut self, _src: NodeId, payload: T, bytes: u32, _now: Cycle) {
+    /// Injects a request for ordered broadcast: the root arbitrates
+    /// pending requests in arrival order at its next tick, whatever their
+    /// source.
+    pub fn send(&mut self, payload: T, bytes: u32) {
         self.pending.push_back(Pending { payload, bytes });
     }
 
@@ -111,21 +103,20 @@ impl<T> BroadcastTree<T> {
         self.total_bytes
     }
 
-    /// Pops the next delivered `(order, request)` for `node`, if any.
-    /// Orders are globally consecutive; all nodes observe the same
-    /// sequence.
-    pub fn recv(&mut self, node: NodeId) -> Option<(u64, T)> {
-        self.inboxes[node.index()].pop_front()
+    /// Pops the next delivered `(order, request)`, if any, for the caller
+    /// to hand to every node. Orders are globally consecutive.
+    pub fn recv(&mut self) -> Option<(u64, T)> {
+        self.delivered.pop_front()
     }
 
     /// The earliest cycle at or after `now` at which the tree has work:
-    /// `now` while an inbox holds a request for [`recv`](Self::recv),
+    /// `now` while a delivered request waits for [`recv`](Self::recv),
     /// otherwise the first cycle whose [`tick`](Self::tick) arbitrates a
     /// pending request through the root (once the root is free) or fans
     /// one out to the leaves. `None` when nothing is pending or in
     /// flight. Exact: no tick before it arbitrates or delivers anything.
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        if self.inboxes.iter().any(|q| !q.is_empty()) {
+        if !self.delivered.is_empty() {
             return Some(now);
         }
         let arbitration = self.pending.front().map(|_| self.root_free_at);
@@ -139,15 +130,11 @@ impl<T> BroadcastTree<T> {
 
     /// Whether any request is still pending, in flight, or undelivered.
     pub fn is_quiescent(&self) -> bool {
-        self.pending.is_empty()
-            && self.in_flight.is_empty()
-            && self.inboxes.iter().all(VecDeque::is_empty)
+        self.pending.is_empty() && self.in_flight.is_empty() && self.delivered.is_empty()
     }
-}
 
-impl<T: Clone> BroadcastTree<T> {
     /// Advances the tree to `now`: arbitrates pending requests through the
-    /// root and fans out completed ones to every leaf inbox.
+    /// root and delivers the ones whose fan-out completed.
     pub fn tick(&mut self, now: Cycle) {
         // Root arbitration with bandwidth serialization.
         while let Some(front) = self.pending.front() {
@@ -173,16 +160,13 @@ impl<T: Clone> BroadcastTree<T> {
             });
             self.next_order += 1;
         }
-        // Fan-out, in order, so every inbox is sequenced identically even
-        // when several requests complete in one cycle. The root serializes
-        // requests one after another through the same fixed latency, so
-        // `in_flight` is a FIFO: the finished requests are a prefix.
+        // Delivery in order, even when several requests complete in one
+        // cycle. The root serializes requests one after another through
+        // the same fixed latency, so `in_flight` is a FIFO: the finished
+        // requests are a prefix.
         let done = self.in_flight.partition_point(|m| m.deliver_at <= now);
-        for m in self.in_flight.drain(..done) {
-            for inbox in &mut self.inboxes {
-                inbox.push_back((m.order, m.payload.clone()));
-            }
-        }
+        self.delivered
+            .extend(self.in_flight.drain(..done).map(|m| (m.order, m.payload)));
     }
 }
 
@@ -190,59 +174,17 @@ impl<T: Clone> BroadcastTree<T> {
 mod tests {
     use super::*;
 
-    fn drain(tree: &mut BroadcastTree<u32>, node: NodeId, cycles: Cycle) -> Vec<(u64, u32)> {
-        let mut out = Vec::new();
-        for c in 0..cycles {
-            tree.tick(c);
-            while let Some(m) = tree.recv(node) {
-                out.push(m);
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn all_nodes_observe_the_same_total_order() {
-        let mut tree: BroadcastTree<u32> = BroadcastTree::new(4, 8, 2);
-        for (i, src) in [(10u32, 3u8), (20, 1), (30, 0), (40, 2)] {
-            tree.send(NodeId(src), i, 8, 0);
-        }
-        for c in 0..50 {
-            tree.tick(c);
-        }
-        let mut sequences = Vec::new();
-        for n in 0..4 {
-            let mut seq = Vec::new();
-            while let Some(m) = tree.recv(NodeId(n)) {
-                seq.push(m);
-            }
-            sequences.push(seq);
-        }
-        assert_eq!(sequences[0], vec![(0, 10), (1, 20), (2, 30), (3, 40)]);
-        for s in &sequences[1..] {
-            assert_eq!(s, &sequences[0]);
-        }
-    }
-
-    #[test]
-    fn sender_also_receives_its_own_request() {
-        let mut tree: BroadcastTree<u32> = BroadcastTree::new(2, 8, 1);
-        tree.send(NodeId(0), 7, 8, 0);
-        let got = drain(&mut tree, NodeId(0), 10);
-        assert_eq!(got, vec![(0, 7)]);
-    }
-
     #[test]
     fn root_bandwidth_serializes() {
         // 1 byte/cycle, 8-byte requests: second request starts 8 cycles
         // after the first.
-        let mut tree: BroadcastTree<u32> = BroadcastTree::new(2, 1, 0);
-        tree.send(NodeId(0), 1, 8, 0);
-        tree.send(NodeId(1), 2, 8, 0);
+        let mut tree: BroadcastTree<u32> = BroadcastTree::new(1, 0);
+        tree.send(1, 8);
+        tree.send(2, 8);
         let mut deliveries = Vec::new();
         for c in 0..40 {
             tree.tick(c);
-            while let Some((o, m)) = tree.recv(NodeId(0)) {
+            while let Some((o, m)) = tree.recv() {
                 deliveries.push((c, o, m));
             }
         }
@@ -253,18 +195,5 @@ mod tests {
             deliveries[1].0,
             deliveries[0].0
         );
-    }
-
-    #[test]
-    fn orders_are_consecutive() {
-        let mut tree: BroadcastTree<u32> = BroadcastTree::new(1, 64, 0);
-        for i in 0..10 {
-            tree.send(NodeId(0), i, 8, 0);
-        }
-        let got = drain(&mut tree, NodeId(0), 20);
-        let orders: Vec<u64> = got.iter().map(|&(o, _)| o).collect();
-        assert_eq!(orders, (0..10).collect::<Vec<_>>());
-        assert_eq!(tree.total_bytes(), 80);
-        assert!(tree.is_quiescent());
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests of the interconnect: exactly-once delivery on the torus,
-//! identical total order on the broadcast tree, exact next-event answers
-//! from both under random traffic, and a torus that matches a reference
-//! model that scans all of its traffic on every call.
+//! each request once and in send order from the broadcast tree, exact
+//! next-event answers from both under random traffic, and a torus that
+//! matches a reference model that scans all of its traffic on every call.
 
 use dvmc_interconnect::{BroadcastTree, NetFault, Torus};
 use dvmc_types::{Cycle, NodeId};
@@ -209,38 +209,30 @@ proptest! {
         prop_assert!(net.is_quiescent());
     }
 
-    /// All leaves of the broadcast tree observe the identical, gap-free
-    /// global order.
+    /// The broadcast tree hands each request over once, in send order,
+    /// with consecutive orders, and serializes every byte through the
+    /// root.
     #[test]
-    fn tree_total_order_is_identical_everywhere(
-        nodes in 1usize..9,
-        sends in proptest::collection::vec((0u8..8, 1u32..32), 1..60),
+    fn tree_delivers_each_request_once_in_send_order(
+        sends in proptest::collection::vec(1u32..32, 1..60),
         bandwidth in 1u32..16,
         latency in 0u32..8,
     ) {
-        let mut tree: BroadcastTree<usize> = BroadcastTree::new(nodes, bandwidth, latency);
-        for (i, (src, bytes)) in sends.iter().enumerate() {
-            tree.send(NodeId(*src % nodes as u8), i, *bytes, 0);
+        let mut tree: BroadcastTree<usize> = BroadcastTree::new(bandwidth, latency);
+        for (i, bytes) in sends.iter().enumerate() {
+            tree.send(i, *bytes);
         }
-        let mut seqs: Vec<Vec<(u64, usize)>> = vec![Vec::new(); nodes];
+        let mut got = Vec::new();
         for cycle in 0..500_000u64 {
             tree.tick(cycle);
-            for (n, seq) in seqs.iter_mut().enumerate() {
-                while let Some(m) = tree.recv(NodeId(n as u8)) {
-                    seq.push(m);
-                }
-            }
-            if seqs.iter().all(|s| s.len() == sends.len()) {
+            got.extend(std::iter::from_fn(|| tree.recv()));
+            if got.len() == sends.len() {
                 break;
             }
         }
-        for s in &seqs {
-            prop_assert_eq!(s.len(), sends.len(), "all requests delivered");
-            prop_assert_eq!(s, &seqs[0], "identical order at every leaf");
-            for (k, &(order, _)) in s.iter().enumerate() {
-                prop_assert_eq!(order, k as u64, "orders are consecutive");
-            }
-        }
+        let expected: Vec<(u64, usize)> = (0..sends.len()).map(|i| (i as u64, i)).collect();
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(tree.total_bytes(), sends.iter().map(|&b| u64::from(b)).sum::<u64>());
         prop_assert!(tree.is_quiescent());
     }
 
@@ -298,37 +290,31 @@ proptest! {
     /// bytes) and fans nothing out, and the tick at it does one of those.
     #[test]
     fn tree_next_event_is_exact(
-        nodes in 1usize..9,
-        sends in proptest::collection::vec((0u8..8, 1u32..32, 0u64..300), 1..60),
+        sends in proptest::collection::vec((1u32..32, 0u64..300), 1..60),
         bandwidth in 1u32..16,
         latency in 0u32..8,
     ) {
-        let mut tree: BroadcastTree<usize> = BroadcastTree::new(nodes, bandwidth, latency);
+        let mut tree: BroadcastTree<usize> = BroadcastTree::new(bandwidth, latency);
         let mut sorted = sends.clone();
-        sorted.sort_by_key(|s| s.2);
+        sorted.sort_by_key(|s| s.1);
         let mut queue = sorted.into_iter().enumerate().peekable();
-        let mut fanned_out = 0usize;
+        let mut delivered = 0usize;
         for cycle in 0..500_000u64 {
             let due = tree.next_event_at(cycle);
             let bytes = tree.total_bytes();
             tree.tick(cycle);
-            let mut got = 0usize;
-            for n in 0..nodes {
-                while tree.recv(NodeId(n as u8)).is_some() {
-                    got += 1;
-                }
-            }
+            let got = std::iter::from_fn(|| tree.recv()).count();
             let moved = got > 0 || tree.total_bytes() != bytes;
             prop_assert_eq!(moved, due == Some(cycle), "cycle {}: next event {:?}", cycle, due);
-            fanned_out += got;
-            while let Some((id, (src, b, _))) = queue.next_if(|(_, s)| s.2 <= cycle) {
-                tree.send(NodeId(src % nodes as u8), id, b, cycle);
+            delivered += got;
+            while let Some((id, (b, _))) = queue.next_if(|(_, s)| s.1 <= cycle) {
+                tree.send(id, b);
             }
             if queue.peek().is_none() && tree.is_quiescent() {
                 break;
             }
         }
-        prop_assert_eq!(fanned_out, sends.len() * nodes, "every leaf got every request");
+        prop_assert_eq!(delivered, sends.len(), "every request delivered once");
         prop_assert_eq!(tree.next_event_at(0), None);
     }
 

@@ -189,7 +189,8 @@ pub struct Core {
     next_req: u64,
     pending: FxMap<u64, Pending>,
     out: Vec<ProcReq>,
-    decode_delay: u32,
+    /// The first cycle whose tick decodes again after a decode delay.
+    decode_at: Cycle,
     awaiting: Option<SeqNum>,
     last_mem_seq: Option<SeqNum>,
     recent_values: VecDeque<(SeqNum, u64)>,
@@ -202,7 +203,6 @@ pub struct Core {
     commit_log: Vec<CommitRecord>,
     lsq_fault_armed: bool,
     stream_done: bool,
-    now: Cycle,
     /// Arrival→commit queueing delays closed since the last drain
     /// (open-loop service latency; drained at window boundaries).
     queue_delays: Vec<Cycle>,
@@ -211,9 +211,8 @@ pub struct Core {
     pending_model: Option<Model>,
     /// When the core wakes. 0 while it is awake: its last tick made
     /// progress, or an input arrived since. Otherwise the last tick
-    /// changed nothing but the clocks and the decode countdown, and the
-    /// core sleeps until its earliest self-timed trigger, computed once
-    /// by that tick (`Cycle::MAX` for none; see
+    /// changed nothing, and the core sleeps until its earliest self-timed
+    /// trigger, computed once by that tick (`Cycle::MAX` for none; see
     /// [`next_event_at`](Self::next_event_at)). Every stage that makes
     /// progress, and every input, sets it to 0.
     wake_at: Cycle,
@@ -237,7 +236,7 @@ impl Core {
             next_req: 0,
             pending: FxMap::default(),
             out: Vec::new(),
-            decode_delay: 0,
+            decode_at: 0,
             awaiting: None,
             last_mem_seq: None,
             recent_values: VecDeque::new(),
@@ -250,7 +249,6 @@ impl Core {
             commit_log: Vec::new(),
             lsq_fault_armed: false,
             stream_done: false,
-            now: 0,
             queue_delays: Vec::new(),
             pending_model: None,
             wake_at: 0,
@@ -372,7 +370,7 @@ impl Core {
     /// One-line internal state dump for debugging stuck systems.
     pub fn dump(&self) -> String {
         format!(
-            "rob={} front={:?} wb={:?} pending={} awaiting={:?} done={} decode_delay={}",
+            "rob={} front={:?} wb={:?} pending={} awaiting={:?} done={} decode_at={}",
             self.rob.len(),
             self.rob
                 .front()
@@ -384,7 +382,7 @@ impl Core {
             self.pending.len(),
             self.awaiting,
             self.stream_done,
-            self.decode_delay,
+            self.decode_at,
         )
     }
 
@@ -413,35 +411,30 @@ impl Core {
     }
 
     /// The earliest cycle at or after `now` at which a tick can change
-    /// more than the core's clocks and decode countdown, or `None` if no
-    /// self-timed trigger remains and only an input can wake it. `now`
-    /// unless the core is asleep (its last tick made no progress and no
-    /// input arrived since). An asleep core's state is a fixed point of
-    /// its tick until one of three self-timed triggers fires: the ROB
-    /// head finishing verification (`verify_done_at`), the end of the
-    /// decode countdown when decode is not otherwise blocked, and the
-    /// artificial-membar cadence while the ROB has room. Everything else
-    /// it waits for (a response, an invalidation, a model switch, a
-    /// fault) is an input, and every input wakes it. So the tick that
-    /// puts the core to sleep computes the answer once; a passed trigger
-    /// reads as `now`.
+    /// anything, or `None` if no self-timed trigger remains and only an
+    /// input can wake it. `now` unless the core is asleep (its last tick
+    /// made no progress and no input arrived since). An asleep core's
+    /// state is a fixed point of its tick until one of three self-timed
+    /// triggers fires: the ROB head finishing verification
+    /// (`verify_done_at`), the end of a decode delay (`decode_at`) when
+    /// decode is not otherwise blocked, and the artificial-membar cadence
+    /// while the ROB has room. Everything else it waits for (a response,
+    /// an invalidation, a model switch, a fault) is an input, and every
+    /// input wakes it. So the tick that puts the core to sleep computes
+    /// the answer once, and the core needs nothing while it sleeps; a
+    /// passed trigger reads as `now`.
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         debug_assert!(
-            self.wake_at == 0
-                || self.wake_at.max(now) == self.triggers(now).map_or(Cycle::MAX, |t| t.max(now)),
+            self.wake_at == 0 || self.wake_at == self.triggers().unwrap_or(Cycle::MAX),
             "an asleep core's wake cycle {} went stale at {now}",
             self.wake_at
         );
         (self.wake_at != Cycle::MAX).then(|| self.wake_at.max(now))
     }
 
-    /// The earliest of an asleep core's self-timed triggers, for a tick at
-    /// `now`. The decode countdown ends at `now + decode_delay`, a sum
-    /// that stays fixed while the core sleeps: each tick or
-    /// [`catch_up`](Self::catch_up) cycle moves `now` up by one and the
-    /// countdown down by one, until the countdown reaches zero and the
-    /// trigger has passed.
-    fn triggers(&self, now: Cycle) -> Option<Cycle> {
+    /// The earliest of an asleep core's self-timed triggers: absolute
+    /// cycles, which hold however long the core sleeps.
+    fn triggers(&self) -> Option<Cycle> {
         let earliest = |next: Option<Cycle>, t: Cycle| Some(next.map_or(t, |n| n.min(t)));
         let mut next = self
             .rob
@@ -450,7 +443,7 @@ impl Core {
             .map(|e| e.verify_done_at);
         let room = self.rob.len() < ROB_SIZE;
         if room && !self.stream_done && self.awaiting.is_none() {
-            next = earliest(next, now.saturating_add(u64::from(self.decode_delay)));
+            next = earliest(next, self.decode_at);
         }
         let period = self.cfg.membar_injection_period;
         if room && self.cfg.dvmc && period != 0 && !self.is_done() {
@@ -459,22 +452,9 @@ impl Core {
         next
     }
 
-    /// Applies the state change `k` consecutive ticks of an asleep core
-    /// would have made, the last of them at cycle `last`: the decode
-    /// countdown advances by `k`, and the core's clock and both checker
-    /// rings read `last` (a response delivered before the next tick is
-    /// stamped with it, as it would be after a real tick).
-    pub fn catch_up(&mut self, k: u64, last: Cycle) {
-        self.stamp(last);
-        self.decode_delay = self
-            .decode_delay
-            .saturating_sub(u32::try_from(k).unwrap_or(u32::MAX));
-    }
-
-    /// Sets the core's clock and stamps the checkers' event rings:
-    /// checkers never learn physical time themselves.
+    /// Stamps the checkers' event rings with the cycle of the action under
+    /// way: checkers never learn physical time themselves.
     fn stamp(&mut self, now: Cycle) {
-        self.now = now;
         if let Some(o) = self.uniproc.as_mut().and_then(UniprocChecker::obs_mut) {
             o.set_now(now);
         }
@@ -488,12 +468,15 @@ impl Core {
         self.wake_at = 0;
     }
 
-    /// Completes a cache request previously emitted by [`tick`](Self::tick).
-    pub fn deliver(&mut self, resp: ProcResp) {
+    /// Completes a cache request previously emitted by [`tick`](Self::tick),
+    /// as of cycle `now`: the last cycle the machine completed before the
+    /// core's next tick.
+    pub fn deliver(&mut self, resp: ProcResp, now: Cycle) {
         let Some(p) = self.pending.remove(&resp.id) else {
             return;
         };
         self.wake();
+        self.stamp(now);
         match p.purpose {
             Purpose::Exec => {
                 self.outstanding_loads = self.outstanding_loads.saturating_sub(1);
@@ -534,7 +517,7 @@ impl Core {
                     return;
                 };
                 e.vstate = VState::Done;
-                e.verify_done_at = self.now;
+                e.verify_done_at = now;
                 let forgiven = e.remote_write_observed;
                 let (addr, original) = (e.addr, e.value);
                 if let Some(u) = self.uniproc.as_mut() {
@@ -659,29 +642,28 @@ impl Core {
         }
     }
 
-    /// Advances one cycle; returns the cache requests to submit.
+    /// Advances through cycle `now`; returns the cache requests to submit.
     pub fn tick(&mut self, now: Cycle) -> Vec<ProcReq> {
         self.stamp(now);
         self.wake_at = Cycle::MAX; // asleep until a stage makes progress
         self.apply_pending_model();
-        self.retire();
+        self.retire(now);
         self.drain_wb();
-        self.commit();
+        self.commit(now);
         self.execute();
-        self.decode();
-        self.inject_membar();
+        self.decode(now);
+        self.inject_membar(now);
         if self.wake_at != 0 {
-            // Asleep: the triggers hold until an input, as of the next tick.
-            self.wake_at = self.triggers(now + 1).unwrap_or(Cycle::MAX);
+            // Asleep: the triggers hold until an input.
+            self.wake_at = self.triggers().unwrap_or(Cycle::MAX);
         }
         std::mem::take(&mut self.out)
     }
 
     // ----- decode --------------------------------------------------------
 
-    fn decode(&mut self) {
-        if self.decode_delay > 0 {
-            self.decode_delay -= 1;
+    fn decode(&mut self, now: Cycle) {
+        if now < self.decode_at {
             return;
         }
         for _ in 0..WIDTH {
@@ -689,9 +671,10 @@ impl Core {
                 break;
             }
             self.wake();
-            match self.stream.next_at(self.now) {
+            match self.stream.next_at(now) {
                 Fetch::Instr(Instr::Delay(d)) => {
-                    self.decode_delay = d;
+                    // The next `d` ticks decode nothing.
+                    self.decode_at = now + u64::from(d) + 1;
                     break;
                 }
                 Fetch::Instr(Instr::Mem {
@@ -763,19 +746,19 @@ impl Core {
         });
     }
 
-    fn inject_membar(&mut self) {
+    fn inject_membar(&mut self, now: Cycle) {
         // Inject while any work remains (including a drained stream with
         // stores still in flight — exactly when a lost store needs
         // flushing out, §4.2).
         if !self.cfg.dvmc
             || self.cfg.membar_injection_period == 0
-            || self.now - self.last_injection < self.cfg.membar_injection_period
+            || now - self.last_injection < self.cfg.membar_injection_period
             || self.rob.len() >= ROB_SIZE
             || self.is_done()
         {
             return;
         }
-        self.last_injection = self.now;
+        self.last_injection = now;
         self.stats.injected_membars += 1;
         self.push_entry(OpClass::Membar(MembarMask::ALL), WordAddr(0), 0, None);
     }
@@ -917,7 +900,7 @@ impl Core {
 
     // ----- commit --------------------------------------------------------
 
-    fn commit(&mut self) {
+    fn commit(&mut self, now: Cycle) {
         for _ in 0..WIDTH {
             let idx = self.rob.iter().position(|e| !e.committed);
             let Some(idx) = idx else { break };
@@ -979,10 +962,10 @@ impl Core {
             let (seq, addr, store_value, value, gen) = {
                 let e = &mut self.rob[idx];
                 e.committed = true;
-                e.verify_done_at = self.now + self.cfg.verify_latency as u64;
+                e.verify_done_at = now + self.cfg.verify_latency as u64;
                 e.vstate = VState::Done;
                 if let Some(a) = e.arrived_at {
-                    self.queue_delays.push(self.now.saturating_sub(a));
+                    self.queue_delays.push(now.saturating_sub(a));
                 }
                 (e.seq, e.addr, e.store_value, e.value, e.gen)
             };
@@ -1087,12 +1070,10 @@ impl Core {
 
     // ----- retire --------------------------------------------------------
 
-    fn retire(&mut self) {
+    fn retire(&mut self, now: Cycle) {
         for _ in 0..WIDTH {
             let (seq, class, addr, store_value) = match self.rob.front() {
-                Some(e)
-                    if e.committed && e.vstate == VState::Done && e.verify_done_at <= self.now =>
-                {
+                Some(e) if e.committed && e.vstate == VState::Done && e.verify_done_at <= now => {
                     (e.seq, e.class, e.addr, e.store_value)
                 }
                 _ => break,
@@ -1361,23 +1342,20 @@ mod tests {
         assert!(c.tick(2).is_empty());
         let period = c.config().membar_injection_period;
         assert_eq!(
-            c.next_event_at(3),
+            c.next_event_at(8),
             Some(period),
             "asleep until the membar cadence"
         );
-        c.catch_up(5, 7);
-        assert_eq!(
-            c.next_event_at(8),
-            Some(period),
-            "catching up keeps it asleep"
+        c.deliver(
+            ProcResp {
+                id,
+                value: 5,
+                l1_miss: true,
+                coherence_miss: true,
+                replay: false,
+            },
+            7,
         );
-        c.deliver(ProcResp {
-            id,
-            value: 5,
-            l1_miss: true,
-            coherence_miss: true,
-            replay: false,
-        });
         assert_eq!(c.next_event_at(8), Some(8), "the response wakes it");
     }
 
@@ -1394,7 +1372,6 @@ mod tests {
         c.tick(1); // commit: verification ends at 1 + 10
         c.tick(2);
         assert_eq!(c.next_event_at(3), Some(11));
-        c.catch_up(7, 10);
         assert_eq!(c.retired_ops(), 0);
         c.tick(11);
         assert_eq!(c.retired_ops(), 1, "retired at verify_done_at");
@@ -1413,47 +1390,123 @@ mod tests {
         panic!("the core never fell asleep: {}", c.dump());
     }
 
-    /// An asleep core answers with the same wake cycle whatever part of
-    /// its sleep the kernel skips, for each of the three self-timed
-    /// triggers, and its tick at that cycle makes progress.
-    #[test]
-    fn an_asleep_cores_wake_cycle_holds_through_any_catch_up() {
-        let decode = core(Model::Tso, 4, vec![Instr::Delay(40), Instr::load(8)]);
-        let membar = Core::new(
-            CoreConfig {
-                membar_injection_period: 30,
-                ..CoreConfig::default()
-            },
-            Box::new(ScriptedStream::new(vec![Instr::load(8)])),
-        );
-        let verify = Core::new(
-            CoreConfig {
-                verify_latency: 10,
-                ..CoreConfig::default()
-            },
-            Box::new(ScriptedStream::new(vec![Instr::store(8, 1)])),
-        );
-        for (trigger, mut c) in [("decode", decode), ("membar", membar), ("verify", verify)] {
-            let (slept, _) = tick_until_asleep(&mut c);
-            let wake = c.next_event_at(slept + 1).expect("a self-timed trigger");
-            assert!(wake > slept + 1, "{trigger}: asleep past the next cycle");
-            for k in 1..wake - slept {
-                let mut skipped = c.clone();
-                skipped.catch_up(k, slept + k);
-                assert_eq!(
-                    skipped.next_event_at(slept + k + 1),
-                    Some(wake),
-                    "{trigger}: after catching up {k} cycles"
-                );
-                if slept + k + 1 == wake {
-                    skipped.tick(wake);
-                    assert_eq!(
-                        skipped.next_event_at(wake + 1),
-                        Some(wake + 1),
-                        "{trigger}: the tick at the trigger makes progress"
-                    );
-                }
+    /// Runs `c` through `cycles` cycles against a memory that answers
+    /// each request `latency` cycles after the tick that issued it,
+    /// handing the response over before that cycle's tick, as the system
+    /// feeds a core. With `skip`, the core is left untouched on every
+    /// cycle its `next_event_at` answer does not pin, as the event kernel
+    /// leaves a sleeping core. Returns each request with the cycle that
+    /// issued it, the cycles left out, and the responses delivered to a
+    /// core asleep at the time.
+    fn run_against_memory(
+        c: &mut Core,
+        cycles: Cycle,
+        latency: Cycle,
+        skip: bool,
+    ) -> (Vec<(Cycle, ProcReq)>, u64, u64) {
+        let mut issued: Vec<(Cycle, ProcReq)> = Vec::new();
+        let (mut left_out, mut to_sleeper) = (0, 0);
+        for now in 0..cycles {
+            let asleep = c.next_event_at(now).is_none_or(|t| t > now);
+            for &(_, req) in issued.iter().filter(|&&(t, _)| t + latency == now) {
+                let Some(id) = req.id() else { continue };
+                let replay = matches!(req, ProcReq::ReplayRead { .. });
+                let resp = ProcResp {
+                    id,
+                    value: 0,
+                    l1_miss: true,
+                    coherence_miss: false,
+                    replay,
+                };
+                c.deliver(resp, now.saturating_sub(1));
+                to_sleeper += u64::from(asleep);
             }
+            if skip && c.next_event_at(now).is_none_or(|t| t > now) {
+                left_out += 1;
+                continue;
+            }
+            issued.extend(c.tick(now).into_iter().map(|req| (now, req)));
+        }
+        (issued, left_out, to_sleeper)
+    }
+
+    /// A core left untouched while it sleeps ends exactly where a core
+    /// ticked every cycle does, for each self-timed trigger (a decode
+    /// delay, the membar cadence, verification) and for responses that
+    /// arrive mid-sleep: the same requests at the same cycles, the same
+    /// stats, state and wake answer, and the same checker events.
+    #[test]
+    fn a_core_left_asleep_matches_one_ticked_every_cycle() {
+        let config = |model, membar_injection_period, verify_latency| CoreConfig {
+            model,
+            membar_injection_period,
+            verify_latency,
+            ..CoreConfig::default()
+        };
+        // (trigger, config, script, memory latency)
+        let cases = [
+            (
+                "decode delay",
+                config(Model::Tso, 100_000, 2),
+                vec![
+                    Instr::Delay(40),
+                    Instr::load(8),
+                    Instr::Delay(25),
+                    Instr::load(16),
+                ],
+                20,
+            ),
+            (
+                "membar cadence",
+                config(Model::Tso, 30, 2),
+                vec![Instr::load(8), Instr::load(16)],
+                100,
+            ),
+            (
+                "verification",
+                config(Model::Tso, 100_000, 10),
+                vec![Instr::store(8, 1), Instr::Delay(3), Instr::store(16, 2)],
+                20,
+            ),
+            (
+                "responses mid-sleep",
+                config(Model::Rmo, 100_000, 2),
+                vec![Instr::load(8), Instr::store(16, 1), Instr::load(24)],
+                20,
+            ),
+        ];
+        for (trigger, cfg, script, latency) in cases {
+            let mut every = Core::new(cfg, Box::new(ScriptedStream::new(script)));
+            every.enable_obs(1024);
+            let mut left = every.clone();
+            let cycles = 400;
+            let (every_reqs, none, _) = run_against_memory(&mut every, cycles, latency, false);
+            let (left_reqs, left_out, to_sleeper) =
+                run_against_memory(&mut left, cycles, latency, true);
+            assert_eq!(none, 0);
+            assert!(left_out > cycles / 2, "{trigger}: slept {left_out} cycles");
+            if trigger == "membar cadence" {
+                assert!(every.stats().injected_membars > 1, "the cadence woke it");
+            }
+            if trigger == "responses mid-sleep" {
+                assert!(to_sleeper > 0, "a response reached the core asleep");
+            }
+            assert_eq!(left_reqs, every_reqs, "{trigger}: requests");
+            assert_eq!(
+                format!("{:?}", left.stats()),
+                format!("{:?}", every.stats()),
+                "{trigger}: stats"
+            );
+            assert_eq!(left.dump(), every.dump(), "{trigger}: state");
+            assert_eq!(left.next_event_at(cycles), every.next_event_at(cycles));
+            let events = |c: &Core| -> Vec<Vec<String>> {
+                c.obs_rings()
+                    .iter()
+                    .map(|r| r.events().map(ToString::to_string).collect())
+                    .collect()
+            };
+            assert!(!events(&every).concat().is_empty(), "{trigger}: no events");
+            assert_eq!(events(&left), events(&every), "{trigger}: checker events");
         }
     }
 
@@ -1493,9 +1546,9 @@ mod tests {
         }
         type Input = fn(&mut Core, u64);
         let inputs: [(&str, bool, Input); 11] = [
-            ("deliver", true, |c, id| c.deliver(response(id))),
+            ("deliver", true, |c, id| c.deliver(response(id), 0)),
             ("deliver of an unknown id", false, |c, id| {
-                c.deliver(response(id + 1_000));
+                c.deliver(response(id + 1_000), 0);
             }),
             ("note_invalidations", true, |c, _| {
                 c.note_invalidations(&[WordAddr(32).block()]);

@@ -53,13 +53,16 @@ fn drive(
             if pending[i].0 <= now {
                 let (_, req) = pending.swap_remove(i);
                 if let dvmc_coherence::ProcReq::Write { id, value, .. } = req {
-                    core.deliver(dvmc_coherence::ProcResp {
-                        id,
-                        value,
-                        l1_miss: false,
-                        coherence_miss: false,
-                        replay: false,
-                    });
+                    core.deliver(
+                        dvmc_coherence::ProcResp {
+                            id,
+                            value,
+                            l1_miss: false,
+                            coherence_miss: false,
+                            replay: false,
+                        },
+                        now,
+                    );
                 }
             } else {
                 i += 1;
@@ -111,13 +114,16 @@ fn wb_reorder_is_caught_at_drain_under_tso() {
         if let Some(req) = pending.first().cloned() {
             if let dvmc_coherence::ProcReq::Write { id, value, .. } = req {
                 pending.remove(0);
-                core.deliver(dvmc_coherence::ProcResp {
-                    id,
-                    value,
-                    l1_miss: false,
-                    coherence_miss: false,
-                    replay: false,
-                });
+                core.deliver(
+                    dvmc_coherence::ProcResp {
+                        id,
+                        value,
+                        l1_miss: false,
+                        coherence_miss: false,
+                        replay: false,
+                    },
+                    now,
+                );
             } else {
                 pending.remove(0);
             }
@@ -208,13 +214,16 @@ fn membar_injection_respects_quiescence() {
             if let Some(dvmc_coherence::ProcReq::Write { id, value, .. }) = pending.first().cloned()
             {
                 pending.remove(0);
-                core.deliver(dvmc_coherence::ProcResp {
-                    id,
-                    value,
-                    l1_miss: true,
-                    coherence_miss: true,
-                    replay: false,
-                });
+                core.deliver(
+                    dvmc_coherence::ProcResp {
+                        id,
+                        value,
+                        l1_miss: true,
+                        coherence_miss: true,
+                        replay: false,
+                    },
+                    now,
+                );
             }
         }
         let v = core.drain_violations();

@@ -45,7 +45,7 @@ impl Rig {
                 let inv = self.cluster.drain_invalidated(id);
                 core.note_invalidations(&inv);
                 while let Some(resp) = self.cluster.pop_resp(id) {
-                    core.deliver(resp);
+                    core.deliver(resp, now.saturating_sub(1));
                 }
                 for req in core.tick(now) {
                     self.cluster.submit(id, req);

@@ -61,7 +61,7 @@ pub struct System {
     /// Why the event-scheduled kernel executed its ticks. Like the tick
     /// counts, outside the snapshots: rollback does not rewind them.
     wakes: KernelWakes,
-    /// Controller ticks run and stamped: `(ran, stamped)`. Outside the
+    /// Controller ticks run and left idle: `(ran, idle)`. Outside the
     /// snapshots, like the tick counts.
     controller_ticks: (u64, u64),
     /// Checkpoint/rollback cost counters (the reclaimed-checkpoint count
@@ -138,13 +138,13 @@ struct ServiceState {
 }
 
 /// Hands core `id` what the memory system holds for it: first its
-/// invalidations, then its responses. A response and the invalidation
-/// that staled it can land in the same cycle, and the speculation window
-/// must close first (§4.1).
-fn feed_core(cluster: &mut Cluster, core: &mut Core, id: NodeId) {
+/// invalidations, then its responses, delivered as of cycle `at`. A
+/// response and the invalidation that staled it can land in the same
+/// cycle, and the speculation window must close first (§4.1).
+fn feed_core(cluster: &mut Cluster, core: &mut Core, id: NodeId, at: Cycle) {
     core.note_invalidations(&cluster.drain_invalidated(id));
     while let Some(resp) = cluster.pop_resp(id) {
-        core.deliver(resp);
+        core.deliver(resp, at);
     }
 }
 
@@ -328,20 +328,20 @@ impl System {
             self.ber = Some(ber);
         }
         self.maybe_inject_fault(now);
-        // Cores interact with their caches. Under the event kernel, a core
-        // is fed only when its cache holds input for it, and a core still
-        // asleep once fed sleeps through this tick too: its tick would
-        // only move its clocks. The legacy kernel feeds and ticks every
-        // core, so it stays an independent oracle for both shortcuts.
+        // Cores interact with their caches, which hand over what the
+        // machine produced by the cycle it last completed. Under the event
+        // kernel, a core is fed only when its cache holds input for it,
+        // and a core still asleep once fed is left alone: its tick would
+        // change nothing. The legacy kernel feeds and ticks every core, so
+        // it stays an independent oracle for both shortcuts.
         let event = self.cfg.kernel == KernelMode::Event;
+        let last = now.saturating_sub(1);
         for (i, core) in self.cores.iter_mut().enumerate() {
             let id = nid(i);
-            if !event || self.cluster.node(id).holds_core_input() {
-                feed_core(&mut self.cluster, core, id);
+            if !event || self.cluster.node(id).holds_core_input(last) {
+                feed_core(&mut self.cluster, core, id, last);
             }
-            if event && core.next_event_at(now).is_none_or(|t| t > now) {
-                core.catch_up(1, now);
-            } else {
+            if !event || core.next_event_at(now) == Some(now) {
                 for req in core.tick(now) {
                     self.cluster.submit(id, req);
                 }
@@ -370,9 +370,9 @@ impl System {
     }
 
     /// Advances the memory system one cycle. Under the event kernel only
-    /// the controllers with work due tick, and the rest are stamped; the
-    /// legacy kernel ticks them all, so it stays an independent oracle
-    /// for that shortcut.
+    /// the controllers with work due tick, and the rest are left idle;
+    /// the legacy kernel ticks them all, so it stays an independent
+    /// oracle for that shortcut.
     fn tick_cluster(&mut self) {
         let controllers = 2 * self.cfg.nodes as u64;
         let ran = if self.cfg.kernel == KernelMode::Event {
@@ -413,64 +413,6 @@ impl System {
     /// [`CommitRecord`]: dvmc_consistency::CommitRecord
     pub fn commit_logs(&mut self) -> Vec<Vec<dvmc_consistency::CommitRecord>> {
         self.cores.iter_mut().map(Core::take_commit_log).collect()
-    }
-
-    /// Debug helper: renders every core and cache controller, followed —
-    /// when observability is enabled — by each node's checker metrics and
-    /// its retained event trace.
-    pub fn dump(&mut self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for i in 0..self.cfg.nodes {
-            let _ = writeln!(out, "core{i}: {}", self.cores[i].dump());
-            let _ = writeln!(out, "node{i}: {}", self.cluster.node(nid(i)).dump());
-        }
-        if self.cfg.obs_capacity > 0 {
-            for i in 0..self.cfg.nodes {
-                let m = self.node_obs_metrics(i);
-                let _ = writeln!(
-                    out,
-                    "obs{i}: events={} vc={}a/{}d replay={}hit/{}read maxop={} \
-                     membar={} epoch={}o/{}c scrub={} inform={}q/{}r crc={} hwm={} \
-                     rec={}s/{}c/{}e",
-                    m.events,
-                    m.vc_allocs,
-                    m.vc_deallocs,
-                    m.replay_vc_hits,
-                    m.replay_cache_reads,
-                    m.max_op_updates,
-                    m.membar_checks,
-                    m.epoch_opens,
-                    m.epoch_closes,
-                    m.scrubs,
-                    m.informs_enqueued,
-                    m.informs_reordered,
-                    m.crc_checks,
-                    m.sorter_occupancy_hwm,
-                    m.recoveries_started,
-                    m.recoveries_completed,
-                    m.recovery_escalations,
-                );
-                for ev in self.node_obs_trace(i) {
-                    let _ = writeln!(out, "  {ev}");
-                }
-            }
-        }
-        let k = self.kernel_stats();
-        let c = self.checkpoint_stats();
-        let _ = writeln!(
-            out,
-            "kernel: executed={} skipped={} | checkpoints: taken={} bytes={} \
-             reclaimed={} rollbacks={} parts_restored={}",
-            k.0,
-            k.1,
-            c.snapshots_taken,
-            c.bytes_logged,
-            c.deltas_folded,
-            c.rollbacks,
-            c.parts_restored,
-        );
-        out
     }
 
     /// Merged observability metrics of node `i`'s checkers (zeroed when
@@ -638,11 +580,11 @@ impl System {
 
     /// Event-scheduled kernel: jumps from the current cycle to the next
     /// event (capped at `cap`), applying exactly the state changes the
-    /// legacy kernel's ticks would have made in between — a clock and
-    /// decode-countdown catch-up on every core, a clock re-stamp of the
-    /// memory system, and the injection draws of due faults that cannot
-    /// take. No-op under [`KernelMode::Legacy`] or when something can
-    /// happen now.
+    /// legacy kernel's ticks would have made in between — the progress
+    /// clocks of idle cores and the injection draws of due faults that
+    /// cannot take; the cores and the memory system have nothing due.
+    /// No-op under [`KernelMode::Legacy`] or when something can happen
+    /// now.
     fn advance_quiescent(&mut self, cap: Cycle) {
         if self.cfg.kernel != KernelMode::Event {
             return;
@@ -661,12 +603,11 @@ impl System {
             return;
         }
         let (k, last) = (target - now, target - 1);
-        for (i, core) in self.cores.iter_mut().enumerate() {
+        for (i, core) in self.cores.iter().enumerate() {
             debug_assert!(
                 core.next_event_at(now).is_none_or(|t| t >= target),
                 "core {i} has work before the skip target {target}"
             );
-            core.catch_up(k, last);
             if core.is_idle() {
                 // The legacy loop restamps an idle core's progress clock
                 // every tick.
@@ -707,9 +648,9 @@ impl System {
         self.wakes
     }
 
-    /// `(ran, stamped)` controller ticks: over every executed tick, the
-    /// cache and home controllers that ticked, and those the event kernel
-    /// only stamped because nothing was due (0 under the legacy kernel).
+    /// `(ran, idle)` controller ticks: over every executed tick, the cache
+    /// and home controllers that ticked, and those the event kernel left
+    /// idle because nothing was due (0 under the legacy kernel).
     /// Like [`kernel_stats`](Self::kernel_stats), rollback does not
     /// rewind them.
     pub fn controller_ticks(&self) -> (u64, u64) {
@@ -1399,11 +1340,13 @@ impl System {
         // EpochOverlap / DataPropagation verdicts — closes racing their
         // own unscrubbed opens (ROADMAP 3b). Cores stop issuing, but
         // their pending responses must keep landing or the cluster never
-        // goes quiescent (`resp_out` backs up).
+        // goes quiescent (`resp_out` backs up). The cores no longer tick,
+        // so they take them as of the cycle the run ended.
         if !self.hung {
+            let ended = self.now().saturating_sub(1);
             for _ in 0..500_000u64 {
                 for (i, core) in self.cores.iter_mut().enumerate() {
-                    feed_core(&mut self.cluster, core, nid(i));
+                    feed_core(&mut self.cluster, core, nid(i), ended);
                 }
                 if self.cluster.is_quiescent() {
                     break;
@@ -1600,7 +1543,6 @@ mod tests {
         let total: u64 = report.obs.iter().map(|m| m.events).sum();
         assert!(total > 0, "an instrumented run records checker events");
         assert!(report.forensics.is_none(), "no detection, no forensics");
-        assert!(!sys.dump().is_empty());
 
         let mut sys = SystemBuilder::new()
             .nodes(2)

@@ -38,7 +38,7 @@ fn run_scripts(
             let inv = cluster.drain_invalidated(id);
             core.note_invalidations(&inv);
             while let Some(resp) = cluster.pop_resp(id) {
-                core.deliver(resp);
+                core.deliver(resp, now.saturating_sub(1));
             }
             for req in core.tick(now) {
                 cluster.submit(id, req);
